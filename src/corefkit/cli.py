@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -259,6 +260,8 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
 
 def cmd_clean(reference_path: Path, in_path: Path, out_path: Path,
               max_cost_ratio: float) -> int:
+    _require(math.isfinite(max_cost_ratio) and max_cost_ratio > 0,
+             f"--max-cost-ratio must be finite and greater than 0, got {max_cost_ratio}")
     _require(reference_path.is_file(), f"reference path {reference_path} is not a readable file")
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     reference = _load_corpus(reference_path)

@@ -25,12 +25,12 @@ nodes are excluded from the alignment and re-inserted afterwards).
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 import warnings
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import (
     Corpus,
@@ -197,7 +197,7 @@ def _assign_items(n_tokens: int, spans: list[tuple[str, int, int]]) -> list[list
             opens.setdefault(start, []).append((end, eid))
             closes.setdefault(end, []).append((start, eid))
     items: list[list[AnnotationItem]] = [[] for _ in range(n_tokens)]
-    for pos in range(n_tokens):
+    for pos in closes.keys() | singles.keys() | opens.keys():
         for start, eid in sorted(closes.get(pos, []), key=lambda t: (-t[0], t[1])):
             items[pos].append(AnnotationItem("close", eid))
         for eid in sorted(singles.get(pos, [])):
@@ -422,10 +422,20 @@ def from_json(doc: JsonDoc, skeleton: Document) -> list[Entity]:
 
 
 # ---------------------------------------------------------------------------
-# Word-level edit-distance alignment (banded, with doubling).
+# Word-level edit-distance alignment (diagonal transition).
+#
+# Ukkonen (1985) and Landau & Vishkin (1989): for each cost d, keep the
+# furthest row reached on every diagonal k = j - i.  Along a diagonal the
+# Levenshtein table never decreases, so D(i, j) <= d exactly when the
+# furthest row of diagonal j - i at cost d is at least i.  That turns the
+# traceback into O(1) lookups, and the whole alignment costs
+# O(n + m + D^2) time in practice and O(D^2) memory for cost D.
+
+_UNREACHED = -(1 << 62)
+
 
 def _nfc(token: str) -> str:
-    return unicodedata.normalize("NFC", token)
+    return token if token.isascii() else unicodedata.normalize("NFC", token)
 
 
 def _bag_lower_bound(src: list[int], ref: list[int]) -> int:
@@ -437,157 +447,102 @@ def _bag_lower_bound(src: list[int], ref: list[int]) -> int:
     return max(abs(len(src) - len(ref)), (l1 + 1) // 2)
 
 
-_ROW_STORE_LIMIT = 4096  # widest band whose full DP table is kept in memory
-
-
-def _banded_dp(src: np.ndarray, ref: np.ndarray, w: int, keep_rows: bool):
-    """Levenshtein DP restricted to a band; the result is exact when < w.
-
-    Returns (cost, rows, lo) where rows holds the whole table (or None
-    when not kept) with column k storing cell (i, j = k + i + lo).
-    """
-    n, m = len(src), len(ref)
-    lo = min(0, m - n) - w
-    hi = max(0, m - n) + w
-    width = hi - lo + 1
-    big = np.int64(1 << 40)
-    ks = np.arange(width)
-    rows = np.empty((n + 1, width), dtype=np.int64) if keep_rows else None
-    prev = np.full(width, big, dtype=np.int64)
-    js0 = ks + lo
-    valid0 = (js0 >= 0) & (js0 <= m)
-    prev[valid0] = js0[valid0]
-    if keep_rows:
-        rows[0] = prev
-    for i in range(1, n + 1):
-        js = ks + i + lo
-        valid = (js >= 0) & (js <= m)
-        deletion = np.concatenate([prev[1:], [big]]) + 1
-        ref_pos = np.clip(js - 1, 0, m - 1)
-        mismatch = np.where((js >= 1) & (js <= m),
-                            (ref[ref_pos] != src[i - 1]).astype(np.int64), big)
-        diagonal = prev + mismatch
-        best = np.minimum(deletion, diagonal)
-        cur = np.minimum.accumulate(best - ks) + ks
-        cur[~valid] = big
-        if keep_rows:
-            rows[i] = cur
-        prev = cur
-    k_final = m - n - lo
-    cost = int(prev[k_final]) if 0 <= k_final < width else int(big)
-    return cost, rows, lo
-
-
-def _ops_from_rows(rows: np.ndarray, src: list[int], ref: list[int],
-                   lo: int) -> list[tuple[int | None, int | None]]:
-    """Walk the stored DP table back from (n, m).
-
-    Ties prefer deletions over diagonal steps (walking backwards, that
-    drops the rightmost token of an ambiguous run, so substitutions pair
-    the leftmost candidates), then insertions.
-    """
-    n, m = len(src), len(ref)
-    width = rows.shape[1]
-    ops: list[tuple[int | None, int | None]] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        k = j - i - lo
-        cost = rows[i, k]
-        if i > 0 and k + 1 < width and rows[i - 1, k + 1] + 1 == cost:
-            ops.append((i - 1, None))
-            i -= 1
-        elif i > 0 and j > 0 and rows[i - 1, k] + (src[i - 1] != ref[j - 1]) == cost:
-            ops.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        else:
-            ops.append((None, j - 1))
-            j -= 1
-    ops.reverse()
-    return ops
-
-
-def _banded_backtrace(src: list[int], ref: list[int], w: int) -> list[tuple[int | None, int | None]]:
-    """Alignment ops within a band known to contain the optimal path.
-
-    Returns (src index, ref index) pairs; None marks a deletion or an
-    insertion.  Same tie preference as _ops_from_rows.
-    """
-    n, m = len(src), len(ref)
-    lo = min(0, m - n) - w
-    hi = max(0, m - n) + w
-    width = hi - lo + 1
-    big = 1 << 40
-    rows = []
-    prev = [big] * width
-    for k in range(width):
-        j = k + lo
-        if 0 <= j <= m:
-            prev[k] = j
-    rows.append(prev)
-    for i in range(1, n + 1):
-        cur = [big] * width
-        for k in range(width):
-            j = k + i + lo
-            if j < 0 or j > m:
-                continue
-            best = big
-            if k + 1 < width and rows[i - 1][k + 1] < big:
-                best = rows[i - 1][k + 1] + 1  # deletion of src[i-1]
-            if 1 <= j <= m and rows[i - 1][k] < big:
-                cand = rows[i - 1][k] + (src[i - 1] != ref[j - 1])
-                best = min(best, cand)
-            if k - 1 >= 0 and cur[k - 1] < big:
-                best = min(best, cur[k - 1] + 1)  # insertion of ref[j-1]
-            cur[k] = best
-        rows.append(cur)
-
-    ops: list[tuple[int | None, int | None]] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        k = j - i - lo
-        cost = rows[i][k]
-        if i > 0 and k + 1 < width and rows[i - 1][k + 1] + 1 == cost:
-            ops.append((i - 1, None))
-            i -= 1
-        elif i > 0 and j > 0 and rows[i - 1][k] < big and \
-                rows[i - 1][k] + (src[i - 1] != ref[j - 1]) == cost:
-            ops.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        else:
-            ops.append((None, j - 1))
-            j -= 1
-    ops.reverse()
-    return ops
-
-
 def _core_alignment(src: list[int], ref: list[int],
                     max_cost: int) -> tuple[int, list[tuple[int | None, int | None]]]:
-    if not src:
-        return len(ref), [(None, j) for j in range(len(ref))]
-    if not ref:
-        return len(src), [(i, None) for i in range(len(src))]
-    src_arr = np.asarray(src, dtype=np.int64)
-    ref_arr = np.asarray(ref, dtype=np.int64)
-    w = 16
+    """Minimum-edit-distance ops between lists of non-negative token ids.
+
+    Ops are (src index, ref index) pairs; None marks a deletion or an
+    insertion.  Walking back from (n, m), ties prefer a deletion, then a
+    diagonal step, then an insertion, so the rightmost token of an
+    ambiguous run is dropped and substitutions pair the leftmost
+    candidates.  Raises CleanRefusedError as soon as the cost is known
+    to exceed max_cost.
+    """
+    n, m = len(src), len(ref)
+    delta = m - n
+    # ids are non-negative, so these ends stop every slide at row n or column m
+    src_end, ref_end = src + [-1], ref + [-2]
+    # fronts[d] holds the furthest rows of diagonals lows[d], lows[d] + 1,
+    # ... at cost d, padded with two _UNREACHED cells on each side.  A
+    # diagonal further than max_cost - d from delta cannot reach (n, m)
+    # within max_cost, so no path the traceback can take crosses it there,
+    # and it is left out.  The start is a virtual front for cost -1 whose
+    # substitution step puts diagonal 0 at row 0.
+    fronts: list[array] = []
+    lows: list[int] = []
+    prev = array("q", [_UNREACHED, _UNREACHED, -1, _UNREACHED, _UNREACHED])
+    prev_lo = 0
+    d = 0
     while True:
-        keep_rows = 2 * w + abs(len(ref) - len(src)) + 1 <= _ROW_STORE_LIMIT
-        cost, rows, lo = _banded_dp(src_arr, ref_arr, w, keep_rows)
-        if cost < w:
-            break
-        if w > max_cost:
+        slack = max_cost - d
+        lo = max(-d, -n, delta - slack)
+        hi = min(d, m, delta + slack)
+        if lo > hi:  # no diagonal left; always so once d > max_cost
             raise CleanRefusedError(
-                f"alignment cost exceeds {max_cost} for {len(ref)} reference tokens; "
+                f"alignment cost exceeds {max_cost} for {m} reference tokens; "
                 "this looks like the wrong document"
             )
-        w *= 2
-    if cost > max_cost:
-        raise CleanRefusedError(
-            f"alignment cost {cost} exceeds the limit {max_cost} for "
-            f"{len(ref)} reference tokens; this looks like the wrong document"
-        )
-    if rows is not None:
-        return cost, _ops_from_rows(rows, src, ref, lo)
-    return cost, _banded_backtrace(src, ref, w)
+        cur = [_UNREACHED, _UNREACHED]
+        at = lo - prev_lo + 1  # where diagonal lo - 1 sits in prev
+        # rows at cost d - 1 on diagonals k - 1 (insertion), k
+        # (substitution) and k + 1 (deletion)
+        for k, left, mid, right in zip(range(lo, hi + 1), prev[at:], prev[at + 1:],
+                                       prev[at + 2:]):
+            i = mid + 1
+            if right >= i:
+                i = right + 1
+            if left > i:
+                i = left
+            if i > n:
+                i = n
+            if i + k > m:
+                i = m - k
+            j = i + k
+            while src_end[i] == ref_end[j]:
+                i += 1
+                j += 1
+            cur.append(i)
+        cur += (_UNREACHED, _UNREACHED)
+        prev = array("q", cur)
+        prev_lo = lo
+        fronts.append(prev)
+        lows.append(lo)
+        if lo <= delta <= hi and prev[delta - lo + 2] >= n:
+            break
+        d += 1
+
+    # Walk back holding D(i, j) = d.  With k = j - i, cost d - 1 reaches
+    # (i - 1, j) when diagonal k + 1 gets to row i - 1, and (i - 1, j - 1)
+    # when diagonal k does.
+    cost = d
+    ops: list[tuple[int | None, int | None]] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if d > 0:
+            at = j - i - lows[d - 1] + 2
+            sub_row, del_row = fronts[d - 1][at], fronts[d - 1][at + 1]
+        else:
+            sub_row = del_row = _UNREACHED
+        # matched diagonal steps keep d; a tying deletion goes first
+        while i > 0 and j > 0 and del_row < i - 1 and src[i - 1] == ref[j - 1]:
+            i -= 1
+            j -= 1
+            ops.append((i, j))
+        if i > 0 and del_row >= i - 1:
+            i -= 1
+            d -= 1
+            ops.append((i, None))
+        elif i > 0 and j > 0 and sub_row >= i - 1:  # the loop stopped at a mismatch
+            i -= 1
+            j -= 1
+            d -= 1
+            ops.append((i, j))
+        elif j > 0:
+            j -= 1
+            d -= 1
+            ops.append((None, j))
+    ops.reverse()
+    return cost, ops
 
 
 def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
@@ -662,8 +617,11 @@ def clean_output(reference: Document, noisy: str, *,
     noisy annotations re-anchored and all brackets balanced; ``##``
     tokens from the noisy output are re-inserted after their preceding
     surface token.  Raises CleanRefusedError when the word-level
-    alignment cost exceeds ``max_cost_ratio`` times the reference length.
+    alignment cost exceeds ``max_cost_ratio`` times the reference length,
+    and ValueError unless that ratio is finite and greater than 0.
     """
+    if not (math.isfinite(max_cost_ratio) and max_cost_ratio > 0):
+        raise ValueError(f"max_cost_ratio must be finite and greater than 0, got {max_cost_ratio}")
     ref_forms = [n.form for s in reference.sentences for n in s.nodes if not n.is_empty]
     ref_sentences = [
         si for si, s in enumerate(reference.sentences) for n in s.nodes if not n.is_empty
@@ -680,7 +638,10 @@ def clean_output(reference: Document, noisy: str, *,
         else:
             ordinal += 1
 
-    max_cost = max(1, int(max_cost_ratio * max(len(ref_forms), 1)))
+    # no alignment costs more than n + m, so a larger limit changes nothing
+    # and is capped there before it can overflow
+    limit = min(max_cost_ratio * max(len(ref_forms), 1), len(ref_forms) + len(surface_ids))
+    max_cost = max(1, int(limit))
     _, ops = _word_alignment(
         [_nfc(noisy_tokens[k].surface) for k in surface_ids],
         [_nfc(form) for form in ref_forms],

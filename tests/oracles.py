@@ -130,8 +130,7 @@ def oracle_conll(muc_f1, b3_f1, ceafe_f1):
     return (muc_f1 + b3_f1 + ceafe_f1) / 3
 
 
-def oracle_edit_distance(a, b):
-    """Plain full-matrix Levenshtein distance."""
+def _levenshtein_table(a, b):
     n, m = len(a), len(b)
     d = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
@@ -145,7 +144,48 @@ def oracle_edit_distance(a, b):
                 d[i][j - 1] + 1,
                 d[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
-    return d[n][m]
+    return d
+
+
+def oracle_edit_distance(a, b):
+    """Plain full-matrix Levenshtein distance."""
+    return _levenshtein_table(a, b)[len(a)][len(b)]
+
+
+def oracle_alignment_ops(a, b, pin_shared_ends=True):
+    """Levenshtein cost and ops, walked back from (n, m) over the full table.
+
+    Ops are (a index, b index) pairs with None for a deletion or an
+    insertion.  At each cell the walk takes a deletion if it is optimal,
+    otherwise a diagonal step if it is optimal, otherwise an insertion.
+    With pin_shared_ends, the longest shared prefix, and then the longest
+    shared suffix of the rest, first align token to token (as the
+    cleaner does), and the walk covers only the middle.
+    """
+    prefix = suffix = 0
+    if pin_shared_ends:
+        while prefix < min(len(a), len(b)) and a[prefix] == b[prefix]:
+            prefix += 1
+        while suffix < min(len(a), len(b)) - prefix and a[-1 - suffix] == b[-1 - suffix]:
+            suffix += 1
+    core_a, core_b = a[prefix:len(a) - suffix], b[prefix:len(b) - suffix]
+    d = _levenshtein_table(core_a, core_b)
+    ops = []
+    i, j = len(core_a), len(core_b)
+    while i > 0 or j > 0:
+        if i > 0 and d[i - 1][j] + 1 == d[i][j]:
+            i -= 1
+            ops.append((prefix + i, None))
+        elif i > 0 and j > 0 and d[i - 1][j - 1] + (core_a[i - 1] != core_b[j - 1]) == d[i][j]:
+            i, j = i - 1, j - 1
+            ops.append((prefix + i, prefix + j))
+        else:
+            j -= 1
+            ops.append((None, prefix + j))
+    ops.reverse()
+    ops[:0] = [(k, k) for k in range(prefix)]
+    ops += [(len(a) - suffix + k, len(b) - suffix + k) for k in range(suffix)]
+    return d[-1][-1], ops
 
 
 def oracle_best_matching_weight(weight):

@@ -203,6 +203,20 @@ def test_clean_identity_via_cli(tmp_path):
     assert out.read_text() == corpus_to_plaintext(gold)
 
 
+@pytest.mark.parametrize("ratio", ["inf", "-inf", "nan", "0", "-1"])
+def test_clean_rejects_bad_max_cost_ratio(tmp_path, capsys, ratio):
+    gold, _ = make_pair(41, n_docs=1)
+    ref = tmp_path / "ref.conllu"
+    write_corpus(ref, gold)
+    noisy = tmp_path / "noisy.txt"
+    noisy.write_text(corpus_to_plaintext(gold))
+    code = main(["clean", "--reference", str(ref), "--in", str(noisy),
+                 "--out-file", str(tmp_path / "clean.txt"), f"--max-cost-ratio={ratio}"])
+    assert code == EXIT_CONFIG
+    assert "--max-cost-ratio" in capsys.readouterr().err
+    assert not (tmp_path / "clean.txt").exists()
+
+
 def test_stats_corpus_mode(tmp_path):
     gold, _ = make_pair(43, n_docs=2)
     src = tmp_path / "g.conllu"

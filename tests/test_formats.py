@@ -1,12 +1,15 @@
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corefkit.conllu import serialize_conllu
 from corefkit.formats import (
     CleanRefusedError,
     PlaintextError,
+    _core_alignment,
     _word_alignment,
     clean_output,
     corpus_to_json,
@@ -23,7 +26,7 @@ from corefkit.formats import (
 from corefkit.model import Corpus, NodeId
 
 from helpers import canonical_clusters, doc, ent, random_gold, sent
-from oracles import oracle_edit_distance
+from oracles import oracle_alignment_ops, oracle_edit_distance
 
 
 def simple_doc():
@@ -231,6 +234,78 @@ def test_alignment_cost_matches_full_dp():
         assert total == expected
 
 
+@st.composite
+def token_pairs(draw):
+    """Two token lists over 1-6 symbols: unrelated, or a few edits apart."""
+    alphabet = "abcdef"[:draw(st.integers(1, 6))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=40)
+    src = draw(tokens)
+    if draw(st.booleans()):
+        return src, draw(tokens)
+    ref = list(src)
+    edits = st.tuples(st.sampled_from("ids"), st.integers(0, 40), st.sampled_from(alphabet))
+    for op, pos, symbol in draw(st.lists(edits, max_size=8)):
+        if op == "i":
+            ref.insert(pos, symbol)
+        elif ref:
+            if op == "d":
+                ref.pop(pos % len(ref))
+            else:
+                ref[pos % len(ref)] = symbol
+    return src, ref[:40]
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_pairs(), st.integers(0, 45))
+def test_alignment_ops_match_full_table_oracle(pair, drawn_limit):
+    # the pinned tie order decides where brackets of edited tokens land
+    src, ref = pair
+    ids: dict[str, int] = {}
+    src_ids = [ids.setdefault(t, len(ids)) for t in src]
+    ref_ids = [ids.setdefault(t, len(ids)) for t in ref]
+    for align, pin in ((_word_alignment, True), (_core_alignment, False)):
+        cost, ops = oracle_alignment_ops(src, ref, pin_shared_ends=pin)
+        args = (src, ref) if pin else (src_ids, ref_ids)
+        for max_cost in {drawn_limit, cost, cost - 1}:
+            if max_cost < 0:
+                continue
+            if cost > max_cost:
+                with pytest.raises(CleanRefusedError):
+                    align(*args, max_cost)
+            else:
+                assert align(*args, max_cost) == (cost, ops)
+
+
+def test_clean_heavy_noise_long_document():
+    rng = random.Random(77)
+    vocab = [f"w{k}" for k in range(60)]
+    forms = [rng.choice(vocab) for _ in range(10_000)]
+    d = doc("long", *[
+        sent(si, [(forms[20 * si], 0, "root", "X")]
+             + [(forms[20 * si + t], 1, "dep", "X") for t in range(1, 20)])
+        for si in range(500)
+    ])
+    noisy = list(forms)
+    for _ in range(1500):  # about 15 % edits
+        pos = rng.randrange(len(noisy))
+        op = rng.choice(["ins", "del", "sub"])
+        if op == "ins":
+            noisy.insert(pos, rng.choice(["xx", "yy"] + vocab))
+        elif op == "del":
+            noisy.pop(pos)
+        else:
+            noisy[pos] = rng.choice(["qq"] + vocab)
+    started = time.perf_counter()
+    cleaned = clean_output(d, " ".join(noisy))
+    elapsed = time.perf_counter() - started
+    assert [t.surface for t in cleaned.tokens] == forms
+    assert elapsed < 10.0, f"cleaning took {elapsed:.2f}s"
+
+    cost, ops = _word_alignment(noisy, forms, max_cost=5000)
+    assert 0 < cost <= 1500
+    assert cost == sum(i is None or j is None or noisy[i] != forms[j] for i, j in ops)
+
+
 def test_clean_identity_on_valid_output():
     corpus = random_gold(random.Random(31), n_docs=1)
     document, entities = corpus.documents[0], corpus.entities[0]
@@ -318,6 +393,18 @@ def test_clean_refuses_wrong_document():
                            for k in range(30)]))
     with pytest.raises(CleanRefusedError):
         clean_output(d, " ".join(f"other{k}" for k in range(30)))
+
+
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan"), 0.0, -1.0])
+def test_clean_rejects_bad_cost_ratio(ratio):
+    d = doc("d1", sent(0, [("a", 0, "root", "X")]))
+    with pytest.raises(ValueError, match="max_cost_ratio"):
+        clean_output(d, "a", max_cost_ratio=ratio)
+
+
+def test_clean_accepts_a_cost_ratio_too_large_to_multiply():
+    d = doc("d1", sent(0, [("a", 0, "root", "X")]))
+    assert clean_output(d, "b", max_cost_ratio=1e308).render() == "a"
 
 
 def test_corpus_level_text_and_json_helpers():
