@@ -14,7 +14,6 @@ from .analysis import (
     long_range_curve,
     p95_range,
     sample_split,
-    system_stats,
     upos_factorized_score,
 )
 from .conllu import ConlluError, parse_conllu, serialize_conllu
@@ -22,6 +21,7 @@ from .formats import (
     AnnotationItem,
     CleanRefusedError,
     JsonDoc,
+    JsonFormatError,
     PlainDoc,
     PlainToken,
     PlaintextError,

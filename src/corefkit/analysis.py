@@ -225,11 +225,6 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     )
 
 
-def system_stats(pred_corpus: Corpus) -> CorpusStats:
-    """Statistics of a system's predictions (same columns as corpus_stats)."""
-    return corpus_stats(pred_corpus)
-
-
 def is_long_entity_dataset(stats: CorpusStats) -> bool:
     p95 = stats.entities.p95_range
     return p95 is not None and p95 > LONG_ENTITY_THRESHOLD

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import analysis, formats, metrics
 from .conllu import ConlluError, parse_conllu, serialize_conllu
-from .formats import CleanRefusedError, PlaintextError
+from .formats import CleanRefusedError, JsonFormatError, PlaintextError
 from .matching import MatchRegime, TokenMismatchError, ZeroWeight
 from .model import Corpus
 
@@ -226,6 +226,7 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
              f"convert {direction} needs --skeleton with the input CoNLL-U file")
     _require(skeleton_path.is_file(), f"skeleton path {skeleton_path} is not a readable file")
     skeleton = _load_corpus(skeleton_path)
+    rebuilt = []  # (document, entities) pairs
     if direction == "from-text":
         lines = [l for l in in_path.read_text(encoding="utf-8").splitlines() if l.strip()]
         if len(lines) != len(skeleton.documents):
@@ -233,29 +234,28 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
                 f"{in_path} has {len(lines)} documents but the skeleton has "
                 f"{len(skeleton.documents)}"
             )
-        docs, ents = [], []
         for line, document in zip(lines, skeleton.documents):
-            plain = formats.from_plaintext(line)
-            rebuilt, doc_entities = formats.reconstruct_conllu(document, plain)
-            docs.append(rebuilt)
-            ents.append(doc_entities)
-        _write(out_path, serialize_conllu(Corpus(docs, ents)))
-        return EXIT_OK
-    if direction == "from-json":
-        values = json.loads(in_path.read_text(encoding="utf-8"))
-        _require(isinstance(values, list), "JSON input must be a list of documents")
+            rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
+    elif direction == "from-json":
+        try:
+            values = json.loads(in_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise JsonFormatError(f"{in_path}: {exc}") from None
+        if not isinstance(values, list):
+            raise JsonFormatError(f"{in_path}: JSON input must be a list of documents")
         by_id = {d.doc_id: d for d in skeleton.documents}
-        docs, ents = [], []
-        for value in values:
-            jdoc = formats.json_doc_from_value(value)
+        for number, value in enumerate(values, start=1):
+            try:
+                jdoc = formats.json_doc_from_value(value)
+            except JsonFormatError as exc:
+                raise JsonFormatError(f"{in_path}, document {number}: {exc}") from None
             if jdoc.doc_id not in by_id:
                 raise TokenMismatchError(f"skeleton has no document '{jdoc.doc_id}'")
-            rebuilt, doc_entities = formats.reconstruct_from_json(jdoc, by_id[jdoc.doc_id])
-            docs.append(rebuilt)
-            ents.append(doc_entities)
-        _write(out_path, serialize_conllu(Corpus(docs, ents)))
-        return EXIT_OK
-    raise ConfigError(f"unknown conversion direction '{direction}'")
+            rebuilt.append(formats.reconstruct_from_json(jdoc, by_id[jdoc.doc_id]))
+    else:
+        raise ConfigError(f"unknown conversion direction '{direction}'")
+    _write(out_path, serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt])))
+    return EXIT_OK
 
 
 def cmd_clean(reference_path: Path, in_path: Path, out_path: Path,
@@ -464,20 +464,13 @@ def main(argv: list[str] | None = None) -> int:
                                                   exempt=args.exempt)
             return cmd_sample(specs, args.cap_words, args.seed, args.out)
         raise ConfigError(f"unknown command '{args.command}'")
-    except ConlluError as exc:
-        print(f"corefkit: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PlaintextError as exc:
+    except (ConlluError, PlaintextError, JsonFormatError) as exc:
         print(f"corefkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (TokenMismatchError, CleanRefusedError) as exc:
         print(f"corefkit: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:
-        # reconstruct_conllu token mismatches advise running the cleaner
-        if "run clean_output" in str(exc) or "run the output cleaner" in str(exc):
-            print(f"corefkit: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
         print(f"corefkit: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -22,9 +22,12 @@ from __future__ import annotations
 import io
 import re
 import warnings
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .brackets import CLOSE, OPEN, find_crossing, item_order
 from .model import (
     Corpus,
     Document,
@@ -449,79 +452,49 @@ def parse_conllu(source) -> Corpus:
     return Corpus(documents, entities)
 
 
-def _part_suffix_open(part: tuple[int, int] | None) -> str:
-    return f"[{part[0]}/{part[1]}" if part else ""
+def _render_item(kind: str, eid: str, part: tuple[int, int] | None) -> str:
+    tag = eid if part is None else f"{eid}[{part[0]}/{part[1]}"
+    if kind == OPEN:
+        return "(" + tag
+    if part is not None:
+        tag += "]"
+    return tag + ")" if kind == CLOSE else "(" + tag + ")"
 
 
-def _check_no_crossing(eid: str, segments: list[tuple[int, int, int]]) -> None:
-    """Same-id bracket pairs must be nested or disjoint; crossing spans
-    cannot be re-paired by the per-id stack on parsing."""
-    by_sentence: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for sent_index, start, end in segments:
-        by_sentence[sent_index].append((start, end))
-    for spans in by_sentence.values():
-        spans.sort()
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            if s1 < s2 <= e1 < e2:
-                raise ConlluError(
-                    f"mentions of entity '{eid}' cross (spans [{s1},{e1}] and "
-                    f"[{s2},{e2}]); the bracket encoding cannot represent them"
-                )
-
-
-def _entity_strings(document: Document, doc_entities: list[Entity]) -> dict[tuple[int, int], str]:
-    """Per-node Entity attribute values for one document.
-
-    Within a node the canonical order is: closers (inner first), then
-    single-node items, then openers (longer first), so that same-id
-    adjacent and nested mentions re-pair correctly on parsing.
-    """
-    opens: defaultdict[tuple[int, int], list] = defaultdict(list)
-    closes: defaultdict[tuple[int, int], list] = defaultdict(list)
-    singles: defaultdict[tuple[int, int], list] = defaultdict(list)
+def _entity_strings(document: Document, doc_entities: list[Entity]) -> dict[int, str]:
+    """Entity attribute values of one document, keyed by node position
+    counted through the document, in the canonical item order."""
+    offsets = list(accumulate((len(s.nodes) for s in document.sentences), initial=0))
+    spans: list[tuple[str, int, int, tuple[int, int] | None]] = []
     for entity in doc_entities:
-        segments_of_entity: list[tuple[int, int, int]] = []
+        segments_of_entity: list[tuple[int, int]] = []
         for mention in entity.mentions:
             sent_index = mention.start.sentence_index
             sentence = document.sentences[sent_index]
             segments = contiguous_segments(mention.span, sentence)
             total = len(segments)
             for k, segment in enumerate(segments, start=1):
-                part = (k, total) if total > 1 else None
-                start = sentence.position(segment[0])
-                end = sentence.position(segment[-1])
-                segments_of_entity.append((sent_index, start, end))
-                if start == end:
-                    singles[sent_index, start].append((entity.id, part))
-                else:
-                    opens[sent_index, start].append((end, entity.id, part))
-                    closes[sent_index, end].append((start, entity.id, part))
-        _check_no_crossing(entity.id, segments_of_entity)
-
-    values: dict[tuple[int, int], str] = {}
-    for key in set(opens) | set(closes) | set(singles):
-        pieces: list[str] = []
-        for start, eid, part in sorted(closes.get(key, []), key=lambda t: (-t[0], t[1], t[2] or (0, 0))):
-            suffix = f"[{part[0]}/{part[1]}])" if part else ")"
-            pieces.append(f"{eid}{suffix}")
-        for eid, part in sorted(singles.get(key, []), key=lambda t: (t[0], t[1] or (0, 0))):
-            if part:
-                pieces.append(f"({eid}[{part[0]}/{part[1]}])")
-            else:
-                pieces.append(f"({eid})")
-        for end, eid, part in sorted(opens.get(key, []), key=lambda t: (-t[0], t[1], t[2] or (0, 0))):
-            pieces.append(f"({eid}{_part_suffix_open(part)}")
-        values[key] = "".join(pieces)
-    return values
+                start = offsets[sent_index] + sentence.position(segment[0])
+                end = offsets[sent_index] + sentence.position(segment[-1])
+                spans.append((entity.id, start, end, (k, total) if total > 1 else None))
+                segments_of_entity.append((start, end))
+        crossing = find_crossing(segments_of_entity)
+        if crossing:
+            # crossing spans share a sentence; report sentence positions
+            base = offsets[bisect_right(offsets, crossing[0][0]) - 1]
+            (s1, e1), (s2, e2) = ((s - base, e - base) for s, e in crossing)
+            raise ConlluError(
+                f"mentions of entity '{entity.id}' cross (spans [{s1},{e1}] and "
+                f"[{s2},{e2}]); the bracket encoding cannot represent them"
+            )
+    return {
+        pos: "".join(_render_item(*item) for item in items)
+        for pos, items in item_order(spans).items()
+    }
 
 
-def _render_keyvals(mapping: dict[str, str]) -> str:
-    if not mapping:
-        return "_"
-    return "|".join(f"{k}={mapping[k]}" for k in sorted(mapping))
-
-
-def _render_misc(mapping: dict[str, str | None]) -> str:
+def _render_keyvals(mapping: dict[str, str | None]) -> str:
+    """FEATS or MISC column; a None value renders as the bare key."""
     if not mapping:
         return "_"
     pieces = []
@@ -536,17 +509,19 @@ def serialize_conllu(corpus: Corpus) -> str:
     out = io.StringIO()
     for doc_index, (document, doc_entities) in enumerate(corpus.doc_pairs()):
         entity_values = _entity_strings(document, doc_entities)
+        doc_position = 0
         out.write(f"# newdoc id = {document.doc_id}\n")
-        for sent_index, sentence in enumerate(document.sentences):
+        for sentence in document.sentences:
             if sentence.sent_id:
                 out.write(f"# sent_id = {sentence.sent_id}\n")
             mwt_by_first = {a: (a, b, form) for a, b, form in sentence.mwt_ranges}
-            for position, node in enumerate(sentence.nodes):
+            for node in sentence.nodes:
                 if not node.is_empty and node.id.major in mwt_by_first:
                     a, b, form = mwt_by_first[node.id.major]
                     out.write(f"{a}-{b}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_\n")
                 misc = dict(node.misc)
-                entity_value = entity_values.get((sent_index, position))
+                entity_value = entity_values.get(doc_position)
+                doc_position += 1
                 if entity_value:
                     misc["Entity"] = entity_value
                 if node.is_empty:
@@ -571,7 +546,7 @@ def serialize_conllu(corpus: Corpus) -> str:
                             head,
                             deprel,
                             deps,
-                            _render_misc(misc),
+                            _render_keyvals(misc),
                         )
                     )
                     + "\n"

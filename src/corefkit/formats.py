@@ -31,7 +31,10 @@ import unicodedata
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from typing import NoReturn
 
+from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, pair_items
+from .matching import TokenMismatchError
 from .model import (
     Corpus,
     Document,
@@ -45,9 +48,9 @@ from .model import (
 )
 
 _NORMALIZED_EID = re.compile(r"e\d+")
-_ITEM_OPEN = re.compile(r"\[(e\d+)$")
-_ITEM_CLOSE = re.compile(r"(e\d+)\]$")
-_ITEM_SINGLE = re.compile(r"\[(e\d+)\]$")
+_ITEM = re.compile(r"(\[?)(e\d+)(\]?)")
+_ITEM_MARKS = {OPEN: ("[", ""), CLOSE: ("", "]"), SINGLE: ("[", "]")}  # before and after the id
+_ITEM_KINDS = {marks: kind for kind, marks in _ITEM_MARKS.items()}
 
 EMPTY_PREFIX = "##"
 
@@ -66,17 +69,18 @@ class CleanRefusedError(ValueError):
     """The noisy output is too far from the reference to repair safely."""
 
 
+class JsonFormatError(ValueError):
+    """Malformed JSON interchange input."""
+
+
 @dataclass(frozen=True)
 class AnnotationItem:
     kind: str  # "open" | "close" | "open_close"
     entity_id: str
 
     def render(self) -> str:
-        if self.kind == "open":
-            return f"[{self.entity_id}"
-        if self.kind == "close":
-            return f"{self.entity_id}]"
-        return f"[{self.entity_id}]"
+        before, after = _ITEM_MARKS[self.kind]
+        return before + self.entity_id + after
 
 
 @dataclass
@@ -180,31 +184,10 @@ def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
     return run[0], run[-1]
 
 
-def _assign_items(n_tokens: int, spans: list[tuple[str, int, int]]) -> list[list[AnnotationItem]]:
-    """Canonical per-token item lists for (eid, start, end) spans.
-
-    Closers come first (inner spans close before outer ones), then
-    single-token items, then openers (longer spans open first), so
-    same-id adjacency and nesting re-pair correctly on parsing.
-    """
-    opens: dict[int, list[tuple[int, str]]] = {}
-    closes: dict[int, list[tuple[int, str]]] = {}
-    singles: dict[int, list[str]] = {}
-    for eid, start, end in spans:
-        if start == end:
-            singles.setdefault(start, []).append(eid)
-        else:
-            opens.setdefault(start, []).append((end, eid))
-            closes.setdefault(end, []).append((start, eid))
-    items: list[list[AnnotationItem]] = [[] for _ in range(n_tokens)]
-    for pos in closes.keys() | singles.keys() | opens.keys():
-        for start, eid in sorted(closes.get(pos, []), key=lambda t: (-t[0], t[1])):
-            items[pos].append(AnnotationItem("close", eid))
-        for eid in sorted(singles.get(pos, [])):
-            items[pos].append(AnnotationItem("open_close", eid))
-        for end, eid in sorted(opens.get(pos, []), key=lambda t: (-t[0], t[1])):
-            items[pos].append(AnnotationItem("open", eid))
-    return items
+def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int]]) -> None:
+    """Give the tokens the canonical items of (eid, start, end) spans."""
+    for pos, items in item_order([(eid, start, end, None) for eid, start, end in spans]).items():
+        tokens[pos].annotations = [AnnotationItem(kind, eid) for kind, eid, _ in items]
 
 
 def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, int, int]]:
@@ -212,28 +195,23 @@ def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, in
     spans = []
     for entity in entities:
         eid_spans = []
-        for mention in entity.mentions:
-            start, end = _mention_segment(mention, layout)
-            spans.append((ids[entity.id], start, end))
-            eid_spans.append((start, end))
-        eid_spans.sort()
-        for (s1, e1), (s2, e2) in zip(eid_spans, eid_spans[1:]):
-            if s1 < s2 <= e1 < e2:
-                raise ValueError(
-                    f"mentions of entity '{entity.id}' cross; the bracket "
-                    "format cannot represent them"
-                )
+        for mention in entity.mentions:  # a loop keeps the warning's stacklevel
+            eid_spans.append(_mention_segment(mention, layout))
+        if find_crossing(eid_spans):
+            raise ValueError(
+                f"mentions of entity '{entity.id}' cross; the bracket "
+                "format cannot represent them"
+            )
+        spans += [(ids[entity.id], start, end) for start, end in eid_spans]
     return spans
 
 
 def to_plaintext(document: Document, entities: list[Entity]) -> PlainDoc:
     """Render one document (one output line) with bracket annotations."""
     layout = _build_layout(document)
-    items = _assign_items(len(layout.surfaces), _entity_spans(entities, layout))
-    tokens = [
-        PlainToken(surface, items[pos], empty)
-        for pos, (surface, empty) in enumerate(zip(layout.surfaces, layout.is_empty))
-    ]
+    tokens = [PlainToken(surface, [], empty)
+              for surface, empty in zip(layout.surfaces, layout.is_empty)]
+    _annotate(tokens, _entity_spans(entities, layout))
     return PlainDoc(tokens)
 
 
@@ -244,13 +222,9 @@ def corpus_to_plaintext(corpus: Corpus) -> str:
 
 
 def _parse_item(text: str) -> AnnotationItem | None:
-    if _ITEM_SINGLE.fullmatch(text):
-        return AnnotationItem("open_close", text[1:-1])
-    if _ITEM_OPEN.fullmatch(text):
-        return AnnotationItem("open", text[1:])
-    if _ITEM_CLOSE.fullmatch(text):
-        return AnnotationItem("close", text[:-1])
-    return None
+    match = _ITEM.fullmatch(text)
+    kind = match and _ITEM_KINDS.get((match[1], match[3]))
+    return AnnotationItem(kind, match[2]) if kind else None
 
 
 def from_plaintext(line: str) -> PlainDoc:
@@ -280,37 +254,19 @@ def from_plaintext(line: str) -> PlainDoc:
             raise PlaintextError("empty token surface", index)
         tokens.append(PlainToken(surface, items, is_empty))
 
-    stacks: dict[str, list[int]] = {}
-    for index, token in enumerate(tokens):
-        for item in token.annotations:
-            if item.kind == "open":
-                stacks.setdefault(item.entity_id, []).append(index)
-            elif item.kind == "close":
-                if not stacks.get(item.entity_id):
-                    raise PlaintextError(
-                        f"closing bracket for '{item.entity_id}' without an opener", index
-                    )
-                stacks[item.entity_id].pop()
-    for eid, stack in stacks.items():
-        if stack:
-            raise PlaintextError(f"opening bracket for '{eid}' is never closed", stack[-1])
+    _, unmatched, unclosed = pair_items([token.annotations for token in tokens], ())
+    if unmatched:
+        eid, index = unmatched[0]
+        raise PlaintextError(f"closing bracket for '{eid}' without an opener", index)
+    if unclosed:
+        eid, index, _ = unclosed[0]
+        raise PlaintextError(f"opening bracket for '{eid}' is never closed", index)
     return PlainDoc(tokens)
 
 
 def plain_mentions(doc: PlainDoc) -> list[tuple[str, int, int]]:
     """(entity id, start, end) spans decoded from the bracket items."""
-    spans: list[tuple[str, int, int]] = []
-    stacks: dict[str, list[int]] = {}
-    for index, token in enumerate(doc.tokens):
-        for item in token.annotations:
-            if item.kind == "open_close":
-                spans.append((item.entity_id, index, index))
-            elif item.kind == "open":
-                stacks.setdefault(item.entity_id, []).append(index)
-            else:
-                start = stacks[item.entity_id].pop()
-                spans.append((item.entity_id, start, index))
-    return spans
+    return pair_items([token.annotations for token in doc.tokens], ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +290,42 @@ class JsonDoc:
         }
 
 
+class _CheckedJsonDoc(JsonDoc):
+    """A JsonDoc that json_doc_from_value has validated."""
+
+
 def validate_json_doc(doc: JsonDoc) -> None:
-    n = len(doc.tokens)
-    if len(doc.clusters_token_offsets) != len(doc.clusters_text_mentions):
-        raise ValueError(f"document '{doc.doc_id}': cluster lists differ in length")
-    for ci, (offsets, texts) in enumerate(zip(doc.clusters_token_offsets,
-                                              doc.clusters_text_mentions)):
-        if len(offsets) != len(texts):
-            raise ValueError(f"document '{doc.doc_id}': cluster {ci} offset/text lengths differ")
-        for (pair, text) in zip(offsets, texts):
+    """Raise JsonFormatError, naming the document, unless every field has
+    its type (a hand-built JsonDoc may use tuples for lists) and each
+    mention text is the text of its offsets."""
+    def fail(message: str) -> NoReturn:
+        raise JsonFormatError(f"document '{doc.doc_id}': {message}")
+
+    if not isinstance(doc.doc_id, str):
+        raise JsonFormatError(f"document id {doc.doc_id!r} is not a string")
+    tokens, offsets, texts = doc.tokens, doc.clusters_token_offsets, doc.clusters_text_mentions
+    if not (isinstance(tokens, (list, tuple)) and all(isinstance(t, str) for t in tokens)):
+        fail("tokens must be a list of strings")
+    if not (isinstance(offsets, (list, tuple)) and isinstance(texts, (list, tuple))
+            and all(isinstance(c, (list, tuple)) for c in (*offsets, *texts))):
+        fail("clusters_token_offsets and clusters_text_mentions must be lists of lists")
+    if len(offsets) != len(texts):
+        fail("cluster lists differ in length")
+    n = len(tokens)
+    for ci, (cluster_offsets, cluster_texts) in enumerate(zip(offsets, texts)):
+        if len(cluster_offsets) != len(cluster_texts):
+            fail(f"cluster {ci} offset/text lengths differ")
+        for pair, text in zip(cluster_offsets, cluster_texts):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(x) is int for x in pair)):
+                fail(f"offsets {pair!r} in cluster {ci} are not a pair of integers")
             start, end = pair
             if not (0 <= start <= end < n):
-                raise ValueError(
-                    f"document '{doc.doc_id}': offsets [{start}, {end}] out of bounds (n={n})"
-                )
-            expected = " ".join(doc.tokens[start:end + 1])
+                fail(f"offsets [{start}, {end}] out of bounds (n={n})")
+            expected = " ".join(tokens[start:end + 1])
             if text != expected:
-                raise ValueError(
-                    f"document '{doc.doc_id}': mention text '{text}' does not match "
-                    f"tokens '{expected}' at [{start}, {end}]"
-                )
+                fail(f"mention text '{text}' does not match tokens '{expected}' "
+                     f"at [{start}, {end}]")
 
 
 def to_json(document: Document, entities: list[Entity]) -> JsonDoc:
@@ -381,39 +353,35 @@ def corpus_to_json(corpus: Corpus) -> list[dict]:
 
 
 def json_doc_from_value(value: dict) -> JsonDoc:
+    """Validated JsonDoc of one decoded JSON document; it shares the lists
+    of ``value``.  Raises JsonFormatError on malformed input."""
+    if not isinstance(value, dict):
+        raise JsonFormatError(f"a JSON document must be an object, not {type(value).__name__}")
     required = ("doc_id", "tokens", "clusters_token_offsets", "clusters_text_mentions")
     missing = [key for key in required if key not in value]
     if missing:
-        raise ValueError(f"JSON document is missing fields: {missing}")
-    doc = JsonDoc(
-        value["doc_id"],
-        list(value["tokens"]),
-        [[list(pair) for pair in cluster] for cluster in value["clusters_token_offsets"]],
-        [list(c) for c in value["clusters_text_mentions"]],
-    )
+        raise JsonFormatError(f"JSON document is missing fields: {missing}")
+    doc = _CheckedJsonDoc(*(value[key] for key in required))
     validate_json_doc(doc)
     return doc
 
 
-def _json_to_plaindoc(doc: JsonDoc) -> PlainDoc:
-    validate_json_doc(doc)
-    tokens = []
-    for raw in doc.tokens:
-        is_empty = raw.startswith(EMPTY_PREFIX)
-        tokens.append(PlainToken(raw[len(EMPTY_PREFIX):] if is_empty else raw,
-                                 [], is_empty))
-    spans = [
-        (f"e{ci + 1}", pair[0], pair[1])
-        for ci, cluster in enumerate(doc.clusters_token_offsets)
-        for pair in cluster
-    ]
-    for token, items in zip(tokens, _assign_items(len(tokens), spans)):
-        token.annotations = items
-    return PlainDoc(tokens)
-
-
 def reconstruct_from_json(doc: JsonDoc, skeleton: Document) -> tuple[Document, list[Entity]]:
-    return reconstruct_conllu(skeleton, _json_to_plaindoc(doc))
+    """Project JSON clusters onto the skeleton document as entities e1,
+    e2, ...; ``doc`` is validated unless json_doc_from_value built it."""
+    if not isinstance(doc, _CheckedJsonDoc):
+        validate_json_doc(doc)
+    tokens = [
+        PlainToken(raw[len(EMPTY_PREFIX):], [], True) if raw.startswith(EMPTY_PREFIX)
+        else PlainToken(raw, [], False)
+        for raw in doc.tokens
+    ]
+    spans = [
+        (f"e{ci + 1}", start, end)
+        for ci, cluster in enumerate(doc.clusters_token_offsets)
+        for start, end in cluster
+    ]
+    return _reconstruct(skeleton, tokens, spans)
 
 
 def from_json(doc: JsonDoc, skeleton: Document) -> list[Entity]:
@@ -581,6 +549,18 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
 # ---------------------------------------------------------------------------
 # Output cleaner.
 
+def _empties_by_ordinal(tokens: list[PlainToken]) -> dict[int, list[int]]:
+    """Empty-token positions keyed by the surface ordinal before them (-1 first)."""
+    empties: dict[int, list[int]] = {}
+    ordinal = -1
+    for pos, token in enumerate(tokens):
+        if token.is_empty:
+            empties.setdefault(ordinal, []).append(pos)
+        else:
+            ordinal += 1
+    return empties
+
+
 def _tolerant_tokens(noisy: str) -> list[PlainToken]:
     tokens: list[PlainToken] = []
     for raw in noisy.split():
@@ -599,11 +579,9 @@ def _tolerant_tokens(noisy: str) -> list[PlainToken]:
         is_empty = surface.startswith(EMPTY_PREFIX)
         if is_empty:
             surface = surface[len(EMPTY_PREFIX):]
-        if not surface:
-            if is_empty or items:
-                if tokens:
-                    tokens[-1].annotations.extend(items)
-                continue
+        if not surface:  # items of a bare "|..." or "##" piece join the token before
+            if tokens:
+                tokens[-1].annotations.extend(items)
             continue
         tokens.append(PlainToken(surface, items, is_empty))
     return tokens
@@ -629,14 +607,7 @@ def clean_output(reference: Document, noisy: str, *,
     noisy_tokens = _tolerant_tokens(noisy)
     surface_ids = [k for k, t in enumerate(noisy_tokens) if not t.is_empty]
 
-    # trailing empty tokens, keyed by the noisy-surface ordinal before them
-    empties_after: dict[int, list[int]] = {}
-    ordinal = -1
-    for k, token in enumerate(noisy_tokens):
-        if token.is_empty:
-            empties_after.setdefault(ordinal, []).append(k)
-        else:
-            ordinal += 1
+    empties_after = _empties_by_ordinal(noisy_tokens)
 
     # no alignment costs more than n + m, so a larger limit changes nothing
     # and is capped there before it can overflow
@@ -685,50 +656,26 @@ def clean_output(reference: Document, noisy: str, *,
         empty_list.sort()
 
     out_tokens: list[PlainToken] = []
-    out_sentence: list[int] = []
+    out_items: list[list[AnnotationItem]] = []
+    sentence_ends: list[int] = []
 
-    def emit_empty(k: int, sent: int) -> None:
-        out_tokens.append(PlainToken(_nfc(noisy_tokens[k].surface),
-                                     list(noisy_tokens[k].annotations), True))
-        out_sentence.append(sent)
+    def emit(surface: str, items: list[AnnotationItem], empty: bool) -> None:
+        out_tokens.append(PlainToken(surface, [], empty))
+        out_items.append(items)
 
     for k in empties_at.get(None, []):
-        emit_empty(k, ref_sentences[0] if ref_sentences else 0)
+        emit(_nfc(noisy_tokens[k].surface), noisy_tokens[k].annotations, True)
     for j, form in enumerate(ref_forms):
-        out_tokens.append(PlainToken(form, ref_items[j], False))
-        out_sentence.append(ref_sentences[j])
+        emit(form, ref_items[j], False)
         for k in empties_at.get(j, []):
-            emit_empty(k, ref_sentences[j])
+            emit(_nfc(noisy_tokens[k].surface), noisy_tokens[k].annotations, True)
+        if j + 1 < len(ref_forms) and ref_sentences[j + 1] != ref_sentences[j]:
+            sentence_ends.append(len(out_tokens) - 1)
 
-    spans = _repair_brackets(out_tokens, out_sentence)
-    for token, items in zip(out_tokens, _assign_items(len(out_tokens), spans)):
-        token.annotations = items
+    # unmatched closers are dropped; openers left open close at their sentence end
+    spans, _, unclosed = pair_items(out_items, sentence_ends)
+    _annotate(out_tokens, spans + unclosed)
     return PlainDoc(out_tokens)
-
-
-def _repair_brackets(tokens: list[PlainToken], sentence_index: list[int]) -> list[tuple[str, int, int]]:
-    """Bracket repair: unmatched closers are dropped, unmatched openers
-    close at the end of the sentence in which they opened."""
-    spans: list[tuple[str, int, int]] = []
-    stacks: dict[str, list[int]] = {}
-    n = len(tokens)
-    for pos, token in enumerate(tokens):
-        for item in token.annotations:
-            if item.kind == "open_close":
-                spans.append((item.entity_id, pos, pos))
-            elif item.kind == "open":
-                stacks.setdefault(item.entity_id, []).append(pos)
-            else:
-                stack = stacks.get(item.entity_id)
-                if stack:
-                    spans.append((item.entity_id, stack.pop(), pos))
-                # unmatched closer: dropped
-        sentence_ends = pos + 1 == n or sentence_index[pos + 1] != sentence_index[pos]
-        if sentence_ends:
-            for eid, stack in stacks.items():
-                while stack:
-                    spans.append((eid, stack.pop(), pos))
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -738,28 +685,27 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
     """Project cleaned plaintext annotations back onto a CoNLL-U document.
 
     The cleaned surface tokens (empty nodes excluded) must equal the
-    input document's surface tokens.  ``##`` tokens map onto the input
-    document's existing empty nodes where their placement agrees (same
-    preceding token under the plaintext placement rule, in order); any
-    others are inserted as children of the token they follow, with an
-    unlabeled relation.  Heads are re-derived from the dependency tree.
+    input document's surface tokens, else TokenMismatchError.  ``##``
+    tokens map onto the input document's existing empty nodes where
+    their placement agrees (same preceding token under the plaintext
+    placement rule, in order); any others are inserted as children of
+    the token they follow, with an unlabeled relation.  Heads are
+    re-derived from the dependency tree.
     """
-    surface_plain = [t for t in cleaned.tokens if not t.is_empty]
-    expected = input_doc.surface_forms()
-    if [t.surface for t in surface_plain] != expected:
-        raise ValueError(
+    return _reconstruct(input_doc, cleaned.tokens, plain_mentions(cleaned))
+
+
+def _reconstruct(input_doc: Document, tokens: list[PlainToken],
+                 spans: list[tuple[str, int, int]]) -> tuple[Document, list[Entity]]:
+    """Entities of (eid, start, end) spans over tokens, on input_doc."""
+    surface_positions = [pos for pos, t in enumerate(tokens) if not t.is_empty]
+    if [tokens[pos].surface for pos in surface_positions] != input_doc.surface_forms():
+        raise TokenMismatchError(
             f"document '{input_doc.doc_id}': cleaned tokens do not match the "
             "input document; run clean_output first"
         )
 
-    # predicted empties, keyed by the surface ordinal of the token before them
-    pred_empties: dict[int, list[int]] = {}
-    ordinal = -1
-    for pos, token in enumerate(cleaned.tokens):
-        if token.is_empty:
-            pred_empties.setdefault(ordinal, []).append(pos)
-        else:
-            ordinal += 1
+    pred_empties = _empties_by_ordinal(tokens)
 
     # surface ordinal -> (sentence index, node); plain position of each token
     surface_nodes: list[tuple[int, Node]] = []
@@ -789,7 +735,6 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
     # all mints at one anchor share the key so their order survives
     inserts: dict[tuple[int, int, int], list[Node]] = {}
 
-    surface_positions = [pos for pos, t in enumerate(cleaned.tokens) if not t.is_empty]
     for ordinal, pos in enumerate(surface_positions):
         position_to_node[pos] = surface_nodes[ordinal][1].id
 
@@ -799,7 +744,7 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
         minors[anchor_major] = minor
         nid = NodeId(sent_index, anchor_major, minor)
         parent = NodeId(sent_index, anchor_major) if anchor_major >= 1 else None
-        node = Node(id=nid, form=cleaned.tokens[pos].surface, parent=parent, deprel="_")
+        node = Node(id=nid, form=tokens[pos].surface, parent=parent, deprel="_")
         base = base_minor[sent_index].get(anchor_major, 0)
         inserts.setdefault((sent_index, anchor_major, base), []).append(node)
         position_to_node[pos] = nid
@@ -841,7 +786,7 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
 
     document = Document(input_doc.doc_id, new_sentences)
     grouped: dict[str, list] = {}
-    for eid, start, end in plain_mentions(cleaned):
+    for eid, start, end in spans:
         span = [position_to_node[p] for p in range(start, end + 1)]
         grouped.setdefault(eid, []).append(span)
     entities = [

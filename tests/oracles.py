@@ -188,6 +188,35 @@ def oracle_alignment_ops(a, b, pin_shared_ends=True):
     return d[-1][-1], ops
 
 
+def oracle_crossing(spans):
+    """Whether any two (start, end) spans cross, s1 < s2 < e1 < e2,
+    trying every ordered pair."""
+    return any(s1 < s2 < e1 < e2 for s1, e1 in spans for s2, e2 in spans)
+
+
+def oracle_bracket_repair(items, sentence_of):
+    """(eid, start, end) spans of the cleaner's bracket repair, replayed
+    token by token: ``items[pos]`` lists (kind, eid) with kind "open",
+    "close" or "single".  A closer pairs with the latest opener of its
+    eid or is dropped; at the last token of a sentence every opener
+    still open closes there."""
+    open_at = {}
+    spans = []
+    for pos, token_items in enumerate(items):
+        for kind, eid in token_items:
+            if kind == "open":
+                open_at.setdefault(eid, []).append(pos)
+            elif kind == "single":
+                spans.append((eid, pos, pos))
+            elif open_at.get(eid):
+                spans.append((eid, open_at[eid].pop(), pos))
+        if pos + 1 == len(items) or sentence_of[pos + 1] != sentence_of[pos]:
+            for eid, starts in open_at.items():
+                spans += [(eid, start, pos) for start in starts]
+            open_at = {}
+    return spans
+
+
 def oracle_best_matching_weight(weight):
     """Maximum total weight over all injective gold-to-pred matchings."""
     n = len(weight)

@@ -13,7 +13,6 @@ from corefkit.analysis import (
     p95_range,
     render_corpus_stats_table,
     sample_split,
-    system_stats,
     upos_factorized_score,
 )
 from corefkit.metrics import MetricId, SINGLETONS_EXCLUDED, evaluate_corpus
@@ -192,7 +191,7 @@ def test_long_entity_threshold():
 
 def test_system_stats_of_head_only_prediction():
     corpus = random_gold(random.Random(61), n_docs=2)
-    stats = system_stats(heads_only(corpus))
+    stats = corpus_stats(heads_only(corpus))
     assert stats.mentions.max_length <= 1
     assert stats.mentions.avg_length <= 1.0
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from corefkit import formats
 from corefkit.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -189,6 +190,88 @@ def test_convert_json_round_trip(tmp_path):
     for doc_index in range(2):
         assert canonical_clusters(rebuilt.entities[doc_index]) \
             == canonical_clusters(gold.entities[doc_index])
+
+
+def test_convert_from_text_token_mismatch_exits_3(tmp_path, capsys):
+    gold, _ = make_pair(31, n_docs=2)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    lines = corpus_to_plaintext(gold).splitlines()
+    lines[1] = "EXTRA " + lines[1]
+    text = tmp_path / "g.txt"
+    text.write_text("\n".join(lines) + "\n")
+    code = main(["convert", "from-text", "--in", str(text), "--skeleton", str(src),
+                 "--out-file", str(tmp_path / "back.conllu")])
+    assert code == EXIT_MISMATCH
+    assert "do not match the input document" in capsys.readouterr().err
+
+
+def _string_offsets(values):
+    values[0]["clusters_token_offsets"][0][0] = ["0", "0"]
+
+
+def _one_offset(values):
+    values[0]["clusters_token_offsets"][0][0] = [0]
+
+
+def _number_tokens(values):
+    values[0]["tokens"] = 5
+
+
+def _list_document(values):
+    values[1] = ["not", "an", "object"]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_string_offsets, "document 1: document 'doc1': offsets ['0', '0'] in cluster 0"),
+    (_one_offset, "document 1: document 'doc1': offsets [0] in cluster 0"),
+    (_number_tokens, "document 1: document 'doc1': tokens must be a list of strings"),
+    (_list_document, "document 2: a JSON document must be an object, not list"),
+])
+def test_convert_from_json_malformed_document_exits_2(tmp_path, capsys, corrupt, named):
+    gold, _ = make_pair(37, n_docs=2)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    values = json.loads(json.dumps(formats.corpus_to_json(gold)))
+    corrupt(values)
+    jpath = tmp_path / "g.json"
+    jpath.write_text(json.dumps(values))
+    code = main(["convert", "from-json", "--in", str(jpath), "--skeleton", str(src),
+                 "--out-file", str(tmp_path / "back.conllu")])
+    assert code == EXIT_PARSE
+    assert f"corefkit: parse error: {jpath}, {named}" in capsys.readouterr().err
+    assert not (tmp_path / "back.conllu").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[{"doc_id": ', "Expecting value"),
+    ('{"doc_id": "doc1"}', "JSON input must be a list of documents"),
+])
+def test_convert_from_json_unreadable_input_exits_2(tmp_path, capsys, text, message):
+    gold, _ = make_pair(37, n_docs=1)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    jpath = tmp_path / "g.json"
+    jpath.write_text(text)
+    code = main(["convert", "from-json", "--in", str(jpath), "--skeleton", str(src),
+                 "--out-file", str(tmp_path / "back.conllu")])
+    assert code == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_convert_from_json_validates_each_document_once(tmp_path, monkeypatch):
+    gold, _ = make_pair(37, n_docs=2)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    jpath = tmp_path / "g.json"
+    jpath.write_text(json.dumps(formats.corpus_to_json(gold)))
+    validated = []
+    original = formats.validate_json_doc
+    monkeypatch.setattr(formats, "validate_json_doc",
+                        lambda doc: validated.append(doc.doc_id) or original(doc))
+    assert main(["convert", "from-json", "--in", str(jpath), "--skeleton", str(src),
+                 "--out-file", str(tmp_path / "back.conllu")]) == EXIT_OK
+    assert validated == [d.doc_id for d in gold.documents]
 
 
 def test_clean_identity_via_cli(tmp_path):

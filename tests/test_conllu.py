@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corefkit.conllu import ConlluError, parse_conllu, serialize_conllu
-from corefkit.model import NodeId
+from corefkit.model import Corpus, NodeId
 
-from helpers import canonical_clusters, random_gold
+from helpers import canonical_clusters, doc, ent, random_gold, sent
 
 HEADER = "# newdoc id = d1\n# sent_id = s1\n"
 
@@ -50,6 +50,15 @@ def test_cross_sentence_mention_rejected():
             + "# sent_id = s2\n" + line("1", "b", misc="Entity=e1)"))
     with pytest.raises(ConlluError, match="e1"):
         parse_conllu(text)
+
+
+def test_serialize_rejects_crossing_mentions_that_are_not_neighbours():
+    # sorted, neighbours [0,10]-[1,2] nest and [1,2]-[3,12] are disjoint,
+    # but [0,10] and [3,12] cross
+    d = doc("d1", sent(0, [(f"w{k}", 0 if k == 0 else 1, "dep", "X") for k in range(13)]))
+    spans = [[(0, k + 1) for k in range(s, e + 1)] for s, e in [(0, 10), (1, 2), (3, 12)]]
+    with pytest.raises(ConlluError, match=r"entity 'e1' cross \(spans \[0,10\] and \[3,12\]\)"):
+        serialize_conllu(Corpus([d], [[ent("e1", d, *spans)]]))
 
 
 @pytest.mark.parametrize("bad, message", [

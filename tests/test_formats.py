@@ -5,9 +5,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corefkit.conllu import serialize_conllu
+from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.formats import (
     CleanRefusedError,
+    JsonFormatError,
     PlaintextError,
     _core_alignment,
     _word_alignment,
@@ -82,6 +83,15 @@ def test_from_plaintext_errors_carry_token_index():
         from_plaintext("w|[e1 v")
 
 
+def test_from_plaintext_reports_the_first_opened_entity_left_open():
+    # e1 opened first in the line, so it is reported although its open
+    # bracket at token 3 comes after e2's at token 2
+    with pytest.raises(PlaintextError, match="token 3: opening bracket for 'e1'"):
+        from_plaintext("a|[e1 b|e1] c|[e2 d|[e1")
+    with pytest.raises(PlaintextError, match="token 2: closing bracket for 'e2'"):
+        from_plaintext("a|[e1 b c|e2] d|[e1")
+
+
 def test_nested_mentions_bracket_stack():
     plain = from_plaintext("a|[e1 b|[e2] c|e1]")
     spans = plain_mentions(plain)
@@ -129,6 +139,14 @@ def test_json_validation_errors():
     del bad["tokens"]
     with pytest.raises(ValueError, match="missing"):
         json_doc_from_value(bad)
+
+
+def test_reconstruct_from_json_validates_a_hand_built_document():
+    d = simple_doc()
+    jdoc = to_json(d, [ent("e1", d, [(0, 1)])])
+    jdoc.clusters_token_offsets[0][0] = [0, 99]
+    with pytest.raises(JsonFormatError, match="document 'd1': offsets \\[0, 99\\] out of bounds"):
+        reconstruct_from_json(jdoc, d)
 
 
 def test_json_round_trip_preserves_clusters():
@@ -179,6 +197,26 @@ def test_reconstruct_maps_predicted_empties_onto_existing_ones():
     rebuilt, entities = reconstruct_conllu(d, from_plaintext(line))
     assert entities[0].mentions[0].span == (NodeId(0, 2, 1),)
     assert len([n for n in rebuilt.sentences[0].nodes if n.is_empty]) == 1
+
+
+def test_to_plaintext_rejects_crossing_mentions_that_are_not_neighbours():
+    d = doc("d1", sent(0, [(f"w{k}", 0 if k == 0 else 1, "dep", "X") for k in range(13)]))
+    spans = [[(0, k + 1) for k in range(s, e + 1)] for s, e in [(0, 10), (1, 2), (3, 12)]]
+    with pytest.raises(ValueError, match="entity 'e1' cross"):
+        to_plaintext(d, [ent("e1", d, *spans)])
+
+
+def test_cleaned_touching_mentions_convert_to_conllu():
+    # closers come before openers on a token, so spans that share only
+    # their boundary token pair back and are not a crossing
+    d = doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X"), ("c", 1, "dep", "X")]))
+    cleaned = clean_output(d, "a|[e1 b|e1],[e1 c|e1]")
+    assert cleaned.render() == "a|[e1 b|e1],[e1 c|e1]"
+    rebuilt, entities = reconstruct_conllu(d, from_plaintext(cleaned.render()))
+    back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
+    assert [[m.span for m in e.mentions] for e in back.entities[0]] == [
+        [(NodeId(0, 1), NodeId(0, 2)), (NodeId(0, 2), NodeId(0, 3))]
+    ]
 
 
 def test_discontinuous_mention_reduced_with_warning():
