@@ -278,7 +278,8 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
                       stacklevel=2)
         return PRF(0.0, 0.0, 0.0)
     scores = evaluate_corpus(gold_f, pred_f, regime=regime,
-                             singleton_mode=SINGLETONS_EXCLUDED, weights=weights)
+                             singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
+                             conll_only=True)
     return scores[MetricId.CONLL]
 
 
@@ -334,6 +335,7 @@ def long_range_curve(gold: Corpus, pred: Corpus,
             _single_document_corpus(gold, doc_index),
             _single_document_corpus(pred, pred_by_id[document.doc_id]),
             regime=regime, singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
+            conll_only=True,
         )
         qualifying.append((key, doc_index, document.word_count(),
                            scores[MetricId.CONLL].f1))

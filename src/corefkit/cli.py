@@ -56,7 +56,6 @@ class RunConfig:
     singleton_mode: str
     weights: ZeroWeight
     datasets: list[DatasetSpec]
-    seed: int
     out_dir: Path
     jobs: int
 
@@ -110,7 +109,10 @@ def _load_corpus(path: Path) -> Corpus:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_conllu(data)
+    try:
+        return parse_conllu(data)
+    except ConlluError as exc:
+        raise ConlluError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -144,21 +146,28 @@ _VARIANTS = (
 
 
 def _score_dataset(args: tuple) -> tuple[str, dict, dict]:
+    """Primary scores and the CoNLL variants of one dataset.  Each distinct
+    (regime, singletons) pair is evaluated once; the variants need only
+    CoNLL."""
     name, gold_path, pred_path, regime, singleton_mode, w_parent, w_label = args
     weights = ZeroWeight(w_parent, w_label)
     gold = _load_corpus(Path(gold_path))
     pred = _load_corpus(Path(pred_path))
     primary = metrics.evaluate_corpus(gold, pred, regime=regime,
                                       singleton_mode=singleton_mode, weights=weights)
+    evaluated = {(regime, singleton_mode): primary}
     variants = {}
     for key, variant_regime, variant_mode in _VARIANTS:
-        scores = metrics.evaluate_corpus(gold, pred, regime=variant_regime,
-                                         singleton_mode=variant_mode, weights=weights)
-        variants[key] = scores[metrics.MetricId.CONLL]
+        if (variant_regime, variant_mode) not in evaluated:
+            evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
+                gold, pred, regime=variant_regime, singleton_mode=variant_mode,
+                weights=weights, conll_only=True)
+        variants[key] = evaluated[variant_regime, variant_mode][metrics.MetricId.CONLL]
     return name, primary, variants
 
 
 def cmd_score(config: RunConfig) -> int:
+    _require(config.jobs >= 1, f"--jobs must be at least 1, got {config.jobs}")
     _prepare_out_dir(config.out_dir)
     for spec in config.datasets:
         _require(spec.gold is not None and spec.pred is not None,
@@ -299,8 +308,9 @@ def cmd_stats(paths: list[tuple[str, Path]], mode: str, out_dir: Path) -> int:
 
 
 def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
-                config: RunConfig, window_tokens: int, min_p95: int,
+                regime: MatchRegime, weights: ZeroWeight, window_tokens: int, min_p95: int,
                 sort_key: str, tag: str | None, level: str) -> int:
+    """Both kinds score without singletons."""
     _prepare_out_dir(out_dir)
     _require(gold_path.is_file(), f"gold path {gold_path} is not a readable file")
     _require(pred_path.is_file(), f"pred path {pred_path} is not a readable file")
@@ -309,15 +319,14 @@ def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
     if kind == "long-range":
         points = analysis.long_range_curve(
             gold, pred, window_tokens=window_tokens, min_p95=min_p95,
-            sort_key=sort_key, regime=config.regime, weights=config.weights,
+            sort_key=sort_key, regime=regime, weights=weights,
         )
         _write(out_dir / "long_range_curve.tsv", analysis.render_curve_table(points))
         return EXIT_OK
     if kind == "upos":
         _require(tag is not None, "analyze upos needs --tag")
         prf = analysis.upos_factorized_score(gold, pred, tag, level=level,
-                                             regime=config.regime,
-                                             weights=config.weights)
+                                             regime=regime, weights=weights)
         _write(
             out_dir / f"upos_{level}_{tag}.tsv",
             "tag\tlevel\trecall\tprecision\tf1\n"
@@ -357,15 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--regime", choices=[r.value for r in MatchRegime],
                        default="head")
-        p.add_argument("--singletons", choices=["include", "exclude"], default="exclude")
         p.add_argument("--zero-parent-weight", type=float, default=1.0)
         p.add_argument("--zero-label-weight", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
 
     p_score = sub.add_parser("score", help="score predictions against gold data")
     p_score.add_argument("--manifest", type=Path, required=True)
+    p_score.add_argument("--singletons", choices=["include", "exclude"], default="exclude")
+    p_score.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     common(p_score)
 
     p_convert = sub.add_parser("convert", help="convert between CoNLL-U, plaintext and JSON")
@@ -430,7 +438,6 @@ def main(argv: list[str] | None = None) -> int:
                                 else metrics.SINGLETONS_EXCLUDED),
                 weights=ZeroWeight(args.zero_parent_weight, args.zero_label_weight),
                 datasets=parse_manifest(args.manifest),
-                seed=args.seed,
                 out_dir=args.out,
                 jobs=args.jobs,
             )
@@ -446,17 +453,9 @@ def main(argv: list[str] | None = None) -> int:
                      for s in specs]
             return cmd_stats(paths, args.mode, args.out)
         if args.command == "analyze":
-            config = RunConfig(
-                regime=MatchRegime(args.regime),
-                singleton_mode=(metrics.SINGLETONS_INCLUDED if args.singletons == "include"
-                                else metrics.SINGLETONS_EXCLUDED),
-                weights=ZeroWeight(args.zero_parent_weight, args.zero_label_weight),
-                datasets=[],
-                seed=args.seed,
-                out_dir=args.out,
-                jobs=args.jobs,
-            )
-            return cmd_analyze(args.kind, args.gold, args.pred, args.out, config,
+            return cmd_analyze(args.kind, args.gold, args.pred, args.out,
+                               MatchRegime(args.regime),
+                               ZeroWeight(args.zero_parent_weight, args.zero_label_weight),
                                args.window_tokens, args.min_p95, args.sort_key,
                                args.tag, args.level)
         if args.command == "sample":

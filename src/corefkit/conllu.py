@@ -262,18 +262,17 @@ def _parse_head_ref(text: str, sent_index: int, line: int) -> NodeId | None:
 def parse_conllu(source) -> Corpus:
     """Parse CoNLL-U text (str, bytes, or a text file object) into a Corpus.
 
-    Raises ConlluError with a line number on malformed ids, unbalanced
-    entity brackets, references to nonexistent parents, or duplicate
-    sent_ids within a document.
+    Raises ConlluError with a line number on invalid UTF-8, malformed ids,
+    unbalanced entity brackets, references to nonexistent parents, or
+    duplicate sent_ids within a document.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
+    text = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(text, bytes):
+        try:
             text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConlluError(f"invalid UTF-8 ({exc.reason}) at byte {exc.start}",
+                              text.count(b"\n", 0, exc.start) + 1) from None
     text = text.lstrip("﻿")
 
     documents: list[Document] = []

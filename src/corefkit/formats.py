@@ -296,8 +296,9 @@ class _CheckedJsonDoc(JsonDoc):
 
 def validate_json_doc(doc: JsonDoc) -> None:
     """Raise JsonFormatError, naming the document, unless every field has
-    its type (a hand-built JsonDoc may use tuples for lists) and each
-    mention text is the text of its offsets."""
+    its type (a hand-built JsonDoc may use tuples for lists), each
+    mention text is the text of its offsets, and no two mentions of a
+    cluster cross."""
     def fail(message: str) -> NoReturn:
         raise JsonFormatError(f"document '{doc.doc_id}': {message}")
 
@@ -326,6 +327,11 @@ def validate_json_doc(doc: JsonDoc) -> None:
             if text != expected:
                 fail(f"mention text '{text}' does not match tokens '{expected}' "
                      f"at [{start}, {end}]")
+        crossing = find_crossing(cluster_offsets)
+        if crossing:
+            (s1, e1), (s2, e2) = crossing
+            fail(f"mentions [{s1}, {e1}] and [{s2}, {e2}] of cluster {ci} cross; "
+                 "the bracket format cannot represent them")
 
 
 def to_json(document: Document, entities: list[Entity]) -> JsonDoc:

@@ -137,11 +137,17 @@ def match_surface(gold: list[Mention], pred: list[Mention],
                 overlap = len(gspan & pspan)
                 candidates.append((not exact, -overlap, len(pspan), i, j))
     elif regime is MatchRegime.PARTIAL:
+        # a candidate contains the gold head, so look up only those
+        pred_spans = [set(m.span) for m in pred]
+        by_node: dict[NodeId, list[int]] = {}
+        for j, pspan in enumerate(pred_spans):
+            for node in pspan:
+                by_node.setdefault(node, []).append(j)
         for i, m in enumerate(gold):
             gspan = set(m.span)
-            for j, pm in enumerate(pred):
-                pspan = set(pm.span)
-                if pspan <= gspan and m.head in pspan:
+            for j in by_node.get(m.head, []):
+                pspan = pred_spans[j]
+                if pspan <= gspan:
                     exact = gspan == pspan
                     candidates.append((not exact, -len(pspan), len(pspan), i, j))
     return MentionAlignment(gold, pred, _greedy(candidates))

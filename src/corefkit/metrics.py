@@ -91,16 +91,18 @@ def _index_by_identity(mentions: list[Mention]) -> dict[int, int]:
 
 
 def remap_partitions(gold_entities: list[Entity], pred_entities: list[Entity],
-                     alignment: MentionAlignment, singleton_mode: str):
+                     alignment: MentionAlignment, singleton_mode: str | None = None):
     """Project both sides onto a shared element space.
 
     Gold mention i becomes element ("g", i); a matched predicted mention
     becomes its counterpart's element; an unmatched one stays a distinct
     ("p", j) element.  Returns (gold clusters, pred clusters) as lists of
-    frozensets.
+    frozensets.  Singletons are filtered first when ``singleton_mode`` is
+    given; entities from prepare_document are already filtered.
     """
-    gold_entities = filter_singletons(gold_entities, singleton_mode)
-    pred_entities = filter_singletons(pred_entities, singleton_mode)
+    if singleton_mode is not None:
+        gold_entities = filter_singletons(gold_entities, singleton_mode)
+        pred_entities = filter_singletons(pred_entities, singleton_mode)
     gold_ix = _index_by_identity(alignment.gold)
     pred_ix = _index_by_identity(alignment.pred)
     pred_to_gold = alignment.pred_to_gold()
@@ -124,110 +126,97 @@ def remap_partitions(gold_entities: list[Entity], pred_entities: list[Entity],
 
 
 # ---------------------------------------------------------------------------
-# Per-document numerator/denominator counts for each metric.
-
-def _muc_counts(gold_clusters, pred_clusters):
-    def side(keys, responses):
-        element_to_cluster = {}
-        for ci, cluster in enumerate(responses):
-            for element in cluster:
-                element_to_cluster[element] = ci
-        num = den = 0.0
-        for key in keys:
-            touched = {element_to_cluster[e] for e in key if e in element_to_cluster}
-            missing = sum(1 for e in key if e not in element_to_cluster)
-            num += len(key) - (len(touched) + missing)
-            den += len(key) - 1
-        return num, den
-
-    rn, rd = side(gold_clusters, pred_clusters)
-    pn, pd = side(pred_clusters, gold_clusters)
-    return rn, rd, pn, pd
-
-
-def _b3_counts(gold_clusters, pred_clusters):
-    def side(keys, responses):
-        num = 0.0
-        den = 0
-        for key in keys:
-            den += len(key)
-            for response in responses:
-                overlap = len(key & response)
-                if overlap:
-                    num += overlap * overlap / len(key)
-        return num, den
-
-    rn, rd = side(gold_clusters, pred_clusters)
-    pn, pd = side(pred_clusters, gold_clusters)
-    return rn, rd, pn, pd
-
-
-def _phi4(a, b) -> float:
-    return 2 * len(a & b) / (len(a) + len(b))
-
-
-def _ceafe_counts(gold_clusters, pred_clusters):
-    if not gold_clusters or not pred_clusters:
-        return 0.0, len(gold_clusters), 0.0, len(pred_clusters)
-    scores = np.array([[_phi4(g, p) for p in pred_clusters] for g in gold_clusters])
-    rows, cols = linear_sum_assignment(-scores)
-    total = float(scores[rows, cols].sum())
-    return total, len(gold_clusters), total, len(pred_clusters)
-
-
-def _lea_counts(gold_clusters, pred_clusters, singleton_mode: str):
-    def links(size: int) -> float:
-        if size >= 2:
-            return size * (size - 1) / 2
-        # self-link convention, active only when singletons stay in play
-        return 1.0 if singleton_mode == SINGLETONS_INCLUDED else 0.0
-
-    def side(keys, responses):
-        num = den = 0.0
-        for key in keys:
-            den += len(key)
-            total_links = links(len(key))
-            if total_links == 0:
-                continue
-            if len(key) == 1:
-                resolved = 1.0 if any(key & r for r in responses) else 0.0
-            else:
-                resolved = sum(
-                    len(key & r) * (len(key & r) - 1) / 2 for r in responses
-                ) / total_links
-            num += len(key) * resolved
-        return num, den
-
-    rn, rd = side(gold_clusters, pred_clusters)
-    pn, pd = side(pred_clusters, gold_clusters)
-    return rn, rd, pn, pd
-
+# Per-document numerator/denominator counts, from one sparse overlap table.
 
 def _pairs(n: int) -> float:
     return n * (n - 1) / 2
 
 
-def _blanc_counts(gold_clusters, pred_clusters):
-    """Coreference-link and non-coreference-link counts for one document.
+class OverlapTable:
+    """Non-zero cells of the gold x predicted cluster overlap table.
 
-    Uses cluster-intersection arithmetic instead of materializing the
-    quadratic link sets.
+    ``rows[k]`` holds (predicted index, overlap) for gold cluster k in
+    predicted-index order, and ``cols[r]`` holds (gold index, overlap) for
+    predicted cluster r in gold-index order.  Built in O(mentions) from
+    remap_partitions' clusters.  Each metric adds its terms in the order
+    of a loop over all K x R cluster pairs and skips only zero terms, so
+    its floats equal that loop's exactly.
     """
-    gold_elements = frozenset(e for c in gold_clusters for e in c)
-    pred_elements = frozenset(e for c in pred_clusters for e in c)
-    common = gold_elements & pred_elements
-    coref_gold = sum(_pairs(len(c)) for c in gold_clusters)
-    coref_pred = sum(_pairs(len(c)) for c in pred_clusters)
-    coref_both = sum(
-        _pairs(len(g & p)) for g in gold_clusters for p in pred_clusters if g & p
-    )
-    noncoref_gold = _pairs(len(gold_elements)) - coref_gold
-    noncoref_pred = _pairs(len(pred_elements)) - coref_pred
-    gold_coref_common = sum(_pairs(len(c & common)) for c in gold_clusters)
-    pred_coref_common = sum(_pairs(len(c & common)) for c in pred_clusters)
-    noncoref_both = _pairs(len(common)) - gold_coref_common - pred_coref_common + coref_both
-    return (coref_both, coref_gold, coref_pred,
-            noncoref_both, noncoref_gold, noncoref_pred)
+
+    def __init__(self, gold_clusters, pred_clusters):
+        owner = {e: k for k, cluster in enumerate(gold_clusters) for e in cluster}
+        self.gold_sizes = [len(c) for c in gold_clusters]
+        self.pred_sizes = [len(c) for c in pred_clusters]
+        self.rows: list[list[tuple[int, int]]] = [[] for _ in gold_clusters]
+        self.cols: list[list[tuple[int, int]]] = []
+        for r, cluster in enumerate(pred_clusters):
+            col = sorted(Counter(owner[e] for e in cluster if e in owner).items())
+            self.cols.append(col)
+            for k, c in col:
+                self.rows[k].append((r, c))
+
+    def _both(self, side):
+        """(recall num, recall den, precision num, precision den) of a
+        per-side count: gold keys against predicted responses, then the
+        reverse."""
+        return (*side(self.gold_sizes, self.rows), *side(self.pred_sizes, self.cols))
+
+    def muc(self):
+        # a key of n elements split into t touched parts and m missing
+        # elements needs n - (t + m) = (overlap sum) - t links
+        return self._both(lambda sizes, lines: (
+            sum(sum(c for _, c in line) - len(line) for line in lines),
+            sum(size - 1 for size in sizes)))
+
+    def b3(self):
+        def side(sizes, lines):
+            num = 0.0
+            for size, line in zip(sizes, lines):
+                for _, c in line:
+                    num += c * c / size
+            return num, sum(sizes)
+        return self._both(side)
+
+    def lea(self, singleton_mode: str):
+        # self-link convention, active only when singletons stay in play
+        self_links = singleton_mode == SINGLETONS_INCLUDED
+
+        def side(sizes, lines):
+            num = 0.0
+            for size, line in zip(sizes, lines):
+                if size >= 2:
+                    num += size * (sum(c * (c - 1) / 2 for _, c in line) / _pairs(size))
+                elif size == 1 and self_links and line:
+                    num += 1.0
+            return num, sum(sizes)
+        return self._both(side)
+
+    def ceaf_e(self):
+        n_gold, n_pred = len(self.gold_sizes), len(self.pred_sizes)
+        if not n_gold or not n_pred:
+            return 0.0, n_gold, 0.0, n_pred
+        phi4 = np.zeros((n_gold, n_pred))
+        for k, line in enumerate(self.rows):
+            for r, c in line:
+                phi4[k, r] = 2 * c / (self.gold_sizes[k] + self.pred_sizes[r])
+        rows, cols = linear_sum_assignment(-phi4)
+        total = float(phi4[rows, cols].sum())
+        return total, n_gold, total, n_pred
+
+    def blanc(self):
+        """Coreference-link and non-coreference-link counts, from cluster
+        sizes and overlaps instead of the quadratic link sets."""
+        coref_gold = sum(_pairs(size) for size in self.gold_sizes)
+        coref_pred = sum(_pairs(size) for size in self.pred_sizes)
+        coref_both = sum(_pairs(c) for line in self.rows for _, c in line)
+        gold_common = [sum(c for _, c in line) for line in self.rows]
+        pred_common = [sum(c for _, c in line) for line in self.cols]
+        noncoref_gold = _pairs(sum(self.gold_sizes)) - coref_gold
+        noncoref_pred = _pairs(sum(self.pred_sizes)) - coref_pred
+        noncoref_both = (_pairs(sum(gold_common)) - sum(_pairs(n) for n in gold_common)
+                         - sum(_pairs(n) for n in pred_common) + coref_both)
+        return (coref_both, coref_gold, coref_pred,
+                noncoref_both, noncoref_gold, noncoref_pred)
 
 
 def _blanc_prf(counts) -> PRF:
@@ -332,30 +321,33 @@ def _zero_counts(gold_entities, pred_entities, alignment: MentionAlignment):
 # ---------------------------------------------------------------------------
 # Per-document PRF entry points.
 
+def _table(gold_entities, pred_entities, alignment, singleton_mode) -> OverlapTable:
+    return OverlapTable(*remap_partitions(gold_entities, pred_entities, alignment,
+                                          singleton_mode))
+
+
 def score_muc(gold_entities, pred_entities, alignment, singleton_mode=SINGLETONS_EXCLUDED) -> PRF:
-    return _prf(*_muc_counts(*remap_partitions(gold_entities, pred_entities,
-                                               alignment, singleton_mode)), what="muc")
+    return _prf(*_table(gold_entities, pred_entities, alignment, singleton_mode).muc(),
+                what="muc")
 
 
 def score_bcubed(gold_entities, pred_entities, alignment, singleton_mode=SINGLETONS_EXCLUDED) -> PRF:
-    return _prf(*_b3_counts(*remap_partitions(gold_entities, pred_entities,
-                                              alignment, singleton_mode)), what="b3")
+    return _prf(*_table(gold_entities, pred_entities, alignment, singleton_mode).b3(),
+                what="b3")
 
 
 def score_ceaf_e(gold_entities, pred_entities, alignment, singleton_mode=SINGLETONS_EXCLUDED) -> PRF:
-    return _prf(*_ceafe_counts(*remap_partitions(gold_entities, pred_entities,
-                                                 alignment, singleton_mode)), what="ceaf_e")
+    return _prf(*_table(gold_entities, pred_entities, alignment, singleton_mode).ceaf_e(),
+                what="ceaf_e")
 
 
 def score_blanc(gold_entities, pred_entities, alignment, singleton_mode=SINGLETONS_EXCLUDED) -> PRF:
-    return _blanc_prf(_blanc_counts(*remap_partitions(gold_entities, pred_entities,
-                                                      alignment, singleton_mode)))
+    return _blanc_prf(_table(gold_entities, pred_entities, alignment, singleton_mode).blanc())
 
 
 def score_lea(gold_entities, pred_entities, alignment, singleton_mode=SINGLETONS_EXCLUDED) -> PRF:
-    gold_clusters, pred_clusters = remap_partitions(gold_entities, pred_entities,
-                                                    alignment, singleton_mode)
-    return _prf(*_lea_counts(gold_clusters, pred_clusters, singleton_mode), what="lea")
+    return _prf(*_table(gold_entities, pred_entities, alignment,
+                        singleton_mode).lea(singleton_mode), what="lea")
 
 
 def score_conll(muc: PRF, b3: PRF, ceafe: PRF) -> PRF:
@@ -407,50 +399,46 @@ def prepare_document(gold_doc: Document, gold_entities: list[Entity],
 
 
 def evaluate_documents(documents: list[DocumentScoring],
-                       singleton_mode: str = SINGLETONS_EXCLUDED) -> dict[MetricId, PRF]:
-    """Accumulate all metrics over already-aligned document pairs.
+                       singleton_mode: str = SINGLETONS_EXCLUDED,
+                       conll_only: bool = False) -> dict[MetricId, PRF]:
+    """Accumulate the metrics over aligned document pairs.
 
-    Entities passed in are scored as-is apart from singleton filtering,
-    which is idempotent if prepare_document already applied it.
+    The documents come from prepare_document, which already filtered
+    their singletons for ``singleton_mode``.  With ``conll_only``, only
+    MUC, B-cubed, CEAF-e and their CoNLL mean are computed.
     """
-    totals = {
-        MetricId.MUC: [0.0, 0.0, 0.0, 0.0],
-        MetricId.B3: [0.0, 0.0, 0.0, 0.0],
-        MetricId.CEAF_E: [0.0, 0.0, 0.0, 0.0],
-        MetricId.LEA: [0.0, 0.0, 0.0, 0.0],
-        MetricId.MOR: [0.0, 0.0, 0.0, 0.0],
-        MetricId.MD_H: [0.0, 0.0, 0.0, 0.0],
-        MetricId.ZERO_SCORE: [0.0, 0.0, 0.0, 0.0],
-    }
-    blanc = [0.0] * 6
-
-    def add(metric: MetricId, counts) -> None:
-        for k in range(4):
-            totals[metric][k] += counts[k]
+    conll_parts = [MetricId.MUC, MetricId.B3, MetricId.CEAF_E]
+    rest = [] if conll_only else [MetricId.LEA, MetricId.MOR, MetricId.MD_H,
+                                  MetricId.ZERO_SCORE, MetricId.BLANC]
+    totals = {metric: [0.0] * (6 if metric is MetricId.BLANC else 4)
+              for metric in conll_parts + rest}
 
     for doc in documents:
-        gold_kept = filter_singletons(doc.gold_entities, singleton_mode)
-        pred_kept = filter_singletons(doc.pred_entities, singleton_mode)
-        gold_clusters, pred_clusters = remap_partitions(
-            gold_kept, pred_kept, doc.alignment, singleton_mode
-        )
-        add(MetricId.MUC, _muc_counts(gold_clusters, pred_clusters))
-        add(MetricId.B3, _b3_counts(gold_clusters, pred_clusters))
-        add(MetricId.CEAF_E, _ceafe_counts(gold_clusters, pred_clusters))
-        add(MetricId.LEA, _lea_counts(gold_clusters, pred_clusters, singleton_mode))
-        gold_mentions = [m for e in gold_kept for m in e.mentions]
-        pred_mentions = [m for e in pred_kept for m in e.mentions]
-        add(MetricId.MOR, _mor_counts(gold_mentions, pred_mentions, doc.alignment))
-        add(MetricId.MD_H, _mdh_counts(gold_mentions, pred_mentions))
-        add(MetricId.ZERO_SCORE, _zero_counts(gold_kept, pred_kept, doc.alignment))
-        for k, value in enumerate(_blanc_counts(gold_clusters, pred_clusters)):
-            blanc[k] += value
+        table = OverlapTable(*remap_partitions(doc.gold_entities, doc.pred_entities,
+                                               doc.alignment))
+        counts = {MetricId.MUC: table.muc(), MetricId.B3: table.b3(),
+                  MetricId.CEAF_E: table.ceaf_e()}
+        if not conll_only:
+            gold_mentions = [m for e in doc.gold_entities for m in e.mentions]
+            pred_mentions = [m for e in doc.pred_entities for m in e.mentions]
+            counts[MetricId.LEA] = table.lea(singleton_mode)
+            counts[MetricId.MOR] = _mor_counts(gold_mentions, pred_mentions, doc.alignment)
+            counts[MetricId.MD_H] = _mdh_counts(gold_mentions, pred_mentions)
+            counts[MetricId.ZERO_SCORE] = _zero_counts(doc.gold_entities, doc.pred_entities,
+                                                       doc.alignment)
+            counts[MetricId.BLANC] = table.blanc()
+        for metric, values in counts.items():
+            total = totals[metric]
+            for k, value in enumerate(values):
+                total[k] += value
 
-    result = {metric: _prf(*counts, what=metric.value) for metric, counts in totals.items()}
-    result[MetricId.BLANC] = _blanc_prf(blanc)
+    result = {metric: _prf(*counts, what=metric.value) for metric, counts in totals.items()
+              if metric is not MetricId.BLANC}
+    if not conll_only:
+        result[MetricId.BLANC] = _blanc_prf(totals[MetricId.BLANC])
     result[MetricId.CONLL] = score_conll(result[MetricId.MUC], result[MetricId.B3],
                                          result[MetricId.CEAF_E])
-    return {metric: result[metric] for metric in METRIC_ORDER}
+    return {metric: result[metric] for metric in METRIC_ORDER if metric in result}
 
 
 def pair_documents(gold: Corpus, pred: Corpus):
@@ -472,14 +460,16 @@ def pair_documents(gold: Corpus, pred: Corpus):
 def evaluate_corpus(gold: Corpus, pred: Corpus,
                     regime: MatchRegime = MatchRegime.HEAD,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
-                    weights: ZeroWeight = ZeroWeight()) -> dict[MetricId, PRF]:
-    """Score one dataset: all metrics for a gold/predicted corpus pair."""
+                    weights: ZeroWeight = ZeroWeight(),
+                    conll_only: bool = False) -> dict[MetricId, PRF]:
+    """Score one dataset: all metrics for a gold/predicted corpus pair, or
+    with ``conll_only`` just CoNLL and its three parts."""
     prepared = [
         prepare_document(gd, ge, pd, pe, regime=regime, weights=weights,
                          singleton_mode=singleton_mode)
         for gd, ge, pd, pe in pair_documents(gold, pred)
     ]
-    return evaluate_documents(prepared, singleton_mode=singleton_mode)
+    return evaluate_documents(prepared, singleton_mode=singleton_mode, conll_only=conll_only)
 
 
 def aggregate(per_dataset: dict[str, dict[MetricId, PRF]],

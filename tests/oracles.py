@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 
 def prf(rn, rd, pn, pd):
     r = rn / rd if rd else 0.0
@@ -69,6 +72,93 @@ def oracle_ceafe(gold, pred):
     for perm in itertools.permutations(range(len(large)), len(small)):
         best = max(best, sum(phi4(small[i], large[j]) for i, j in enumerate(perm)))
     return prf(best, len(gold), best, len(pred))
+
+
+def oracle_cluster_counts(gold, pred, singletons_included: bool):
+    """Per-document (numerator, denominator) counts of MUC, B3, CEAF-e
+    and LEA, and the six BLANC link counts, from loops over every gold x
+    predicted cluster pair (the dense form the sparse table replaces).
+    Floats are added in cluster-index order."""
+    def muc(keys, responses):
+        element_to_cluster = {e: ci for ci, cluster in enumerate(responses) for e in cluster}
+        num = den = 0.0
+        for key in keys:
+            touched = {element_to_cluster[e] for e in key if e in element_to_cluster}
+            missing = sum(1 for e in key if e not in element_to_cluster)
+            num += len(key) - (len(touched) + missing)
+            den += len(key) - 1
+        return num, den
+
+    def b3(keys, responses):
+        num = 0.0
+        den = 0
+        for key in keys:
+            den += len(key)
+            for response in responses:
+                overlap = len(key & response)
+                if overlap:
+                    num += overlap * overlap / len(key)
+        return num, den
+
+    def lea(keys, responses):
+        num = den = 0.0
+        for key in keys:
+            den += len(key)
+            if len(key) >= 2:
+                resolved = sum(len(key & r) * (len(key & r) - 1) / 2
+                               for r in responses) / (len(key) * (len(key) - 1) / 2)
+            elif len(key) == 1 and singletons_included:
+                resolved = 1.0 if any(key & r for r in responses) else 0.0
+            else:
+                continue
+            num += len(key) * resolved
+        return num, den
+
+    def ceafe():
+        if not gold or not pred:
+            return 0.0, len(gold), 0.0, len(pred)
+        phi4 = np.array([[2 * len(g & p) / (len(g) + len(p)) for p in pred] for g in gold])
+        rows, cols = linear_sum_assignment(-phi4)
+        total = float(phi4[rows, cols].sum())
+        return total, len(gold), total, len(pred)
+
+    def pairs(n):
+        return n * (n - 1) / 2
+
+    gold_elements = frozenset(e for c in gold for e in c)
+    pred_elements = frozenset(e for c in pred for e in c)
+    common = gold_elements & pred_elements
+    coref_gold = sum(pairs(len(c)) for c in gold)
+    coref_pred = sum(pairs(len(c)) for c in pred)
+    coref_both = sum(pairs(len(g & p)) for g in gold for p in pred if g & p)
+    noncoref_both = (pairs(len(common)) - sum(pairs(len(c & common)) for c in gold)
+                     - sum(pairs(len(c & common)) for c in pred) + coref_both)
+    both = {name: side(gold, pred) + side(pred, gold)
+            for name, side in (("muc", muc), ("b3", b3), ("lea", lea))}
+    return {**both, "ceaf_e": ceafe(),
+            "blanc": (coref_both, coref_gold, coref_pred, noncoref_both,
+                      pairs(len(gold_elements)) - coref_gold,
+                      pairs(len(pred_elements)) - coref_pred)}
+
+
+def oracle_partial_pairs(gold, pred):
+    """Partial-regime pairs from a scan of every gold x predicted mention
+    pair: a predicted span inside the gold span that holds the gold head
+    is a candidate.  Candidates are taken greedily: exact spans first,
+    then larger spans, then earlier gold, then earlier predicted index."""
+    candidates = []
+    for i, g in enumerate(gold):
+        for j, p in enumerate(pred):
+            gspan, pspan = set(g.span), set(p.span)
+            if pspan <= gspan and g.head in pspan:
+                candidates.append((gspan != pspan, -len(pspan), i, j))
+    used_gold, used_pred, pairs = set(), set(), []
+    for _, _, i, j in sorted(candidates):
+        if i not in used_gold and j not in used_pred:
+            used_gold.add(i)
+            used_pred.add(j)
+            pairs.append((i, j))
+    return sorted(pairs)
 
 
 def _links(clusters):

@@ -371,3 +371,55 @@ def test_unknown_flag_exits_4(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["score", "--nonsense"])
     assert err.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_score_rejects_jobs_below_one(workspace, capsys, jobs):
+    tmp_path, manifest = workspace
+    code = main(["score", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                 f"--jobs={jobs}"])
+    assert code == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--manifest", "m.txt", "--seed", "1"],
+    ["analyze", "long-range", "--gold", "g", "--pred", "p", "--seed", "1"],
+    ["analyze", "long-range", "--gold", "g", "--pred", "p", "--jobs", "2"],
+    ["analyze", "upos", "--gold", "g", "--pred", "p", "--tag", "NOUN",
+     "--singletons", "include"],
+])
+def test_removed_ignored_flags_exit_4(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_CONFIG
+
+
+def test_score_invalid_utf8_exits_2_naming_path_and_line(workspace, capsys):
+    tmp_path, _ = workspace
+    bad = tmp_path / "bad.conllu"
+    bad.write_bytes(b"# newdoc id = d\n# sent_id = s1\n1\tw\xff\tw\tX\t_\t_\t0\troot\t_\t_\n")
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(f"name = x\ngold = {bad}\npred = {bad}\n")
+    assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path)]) == EXIT_PARSE
+    assert f"corefkit: parse error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_convert_from_json_crossing_cluster_exits_2(tmp_path, capsys):
+    gold, _ = make_pair(37, n_docs=2)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    values = json.loads(json.dumps(formats.corpus_to_json(gold)))
+    tokens = values[0]["tokens"]
+    values[0]["clusters_token_offsets"].append([[0, 2], [1, 3]])
+    values[0]["clusters_text_mentions"].append([" ".join(tokens[0:3]), " ".join(tokens[1:4])])
+    cluster = len(values[0]["clusters_token_offsets"]) - 1
+    jpath = tmp_path / "g.json"
+    jpath.write_text(json.dumps(values))
+    code = main(["convert", "from-json", "--in", str(jpath), "--skeleton", str(src),
+                 "--out-file", str(tmp_path / "back.conllu")])
+    assert code == EXIT_PARSE
+    assert (f"corefkit: parse error: {jpath}, document 1: document '{values[0]['doc_id']}': "
+            f"mentions [0, 2] and [1, 3] of cluster {cluster} cross") in capsys.readouterr().err
+    assert not (tmp_path / "back.conllu").exists()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corefkit.matching import (
     MatchRegime,
@@ -11,10 +12,10 @@ from corefkit.matching import (
     build_alignment,
     match_surface,
 )
-from corefkit.model import Entity, NodeId, make_mention, sort_entity_mentions
+from corefkit.model import Entity, Mention, NodeId, make_mention, sort_entity_mentions
 
 from helpers import doc, ent, random_gold, recluster, sent
-from oracles import oracle_best_matching_weight
+from oracles import oracle_best_matching_weight, oracle_partial_pairs
 
 
 def flat_doc(n_tokens: int, si: int = 0):
@@ -79,6 +80,45 @@ def test_partial_match_prefers_larger_overlap():
     pred = [mention(d, [2]), mention(d, [1, 2, 3])]
     aligned = match_surface(gold, pred, MatchRegime.PARTIAL)
     assert aligned.pairs == [(0, 1)]
+
+
+# two sentences of six tokens, with empty nodes after tokens 2 and 5
+NODES = [NodeId(si, major, minor) for si in (0, 1) for major in range(1, 7)
+         for minor in ((0, 1, 2) if major in (2, 5) else (0,))]
+
+
+@st.composite
+def surface_mentions(draw, inside=None):
+    """A mention over any nodes of NODES, or over a subset of ``inside``
+    when given; spans may skip nodes and may hold empty nodes, the head
+    is a token."""
+    pool = NODES if inside is None else sorted(inside)
+    span = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    tokens = [n for n in span if not n.is_empty]
+    if not tokens:
+        tokens = [draw(st.sampled_from([n for n in pool if not n.is_empty]))]
+        span += tokens
+    return Mention("e", tuple(sorted(span)), draw(st.sampled_from(tokens)), False)
+
+
+@st.composite
+def partial_cases(draw):
+    gold = draw(st.lists(surface_mentions(), max_size=8))
+    pred = []
+    for _ in range(draw(st.integers(0, 10))):
+        if gold and draw(st.booleans()):  # often inside a gold span
+            pred.append(draw(surface_mentions(inside=draw(st.sampled_from(gold)).span)))
+        else:
+            pred.append(draw(surface_mentions()))
+    return gold, draw(st.permutations(pred))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_cases())
+def test_partial_node_index_equals_brute_force_scan(case):
+    gold, pred = case
+    assert match_surface(gold, pred, MatchRegime.PARTIAL).pairs == \
+        oracle_partial_pairs(gold, pred)
 
 
 def test_exact_match_symmetry_is_a_transpose():

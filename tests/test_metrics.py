@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corefkit.matching import MentionAlignment
 from corefkit.metrics import (
@@ -8,8 +9,10 @@ from corefkit.metrics import (
     SINGLETONS_EXCLUDED,
     SINGLETONS_INCLUDED,
     MetricId,
+    OverlapTable,
     aggregate,
     evaluate_corpus,
+    remap_partitions,
     render_records,
     render_score_table,
     score_bcubed,
@@ -30,6 +33,7 @@ from oracles import (
     oracle_b3,
     oracle_blanc,
     oracle_ceafe,
+    oracle_cluster_counts,
     oracle_lea,
     oracle_muc,
 )
@@ -283,6 +287,39 @@ def test_cluster_metrics_match_oracles_on_random_cases():
                 assert abs(got[name].recall - r) < APPROX, (name, mode)
                 assert abs(got[name].precision - pr) < APPROX, (name, mode)
                 assert abs(got[name].f1 - f) < APPROX, (name, mode)
+
+
+@st.composite
+def partition_cases(draw):
+    """Gold and predicted partitions of token positions, either side
+    possibly empty; some predicted positions have no gold mention."""
+    n_gold = draw(st.integers(0, 10))
+    gold_positions = list(range(1, n_gold + 1))
+    matched = draw(st.lists(st.sampled_from(gold_positions), unique=True)) if n_gold else []
+    unmatched = list(range(n_gold + 1, n_gold + 1 + draw(st.integers(0, 4))))
+    pred_positions = draw(st.permutations(matched + unmatched))
+
+    def partition(elements):
+        blocks: dict[int, list[int]] = {}
+        for element in elements:
+            blocks.setdefault(draw(st.integers(0, 4)), []).append(element)
+        return list(blocks.values())
+
+    return partition(gold_positions), partition(pred_positions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_cases(), st.sampled_from([SINGLETONS_INCLUDED, SINGLETONS_EXCLUDED]))
+def test_overlap_table_counts_equal_dense_loops_exactly(case, mode):
+    gold_part, pred_part = case
+    g, p, a = build_case(flat_doc(16), gold_part, pred_part)
+    gold_clusters, pred_clusters = remap_partitions(g, p, a, mode)
+    table = OverlapTable(gold_clusters, pred_clusters)
+    got = {"muc": table.muc(), "b3": table.b3(), "lea": table.lea(mode),
+           "ceaf_e": table.ceaf_e(), "blanc": table.blanc()}
+    # == on floats: the same terms in the same order, not approximately
+    assert got == oracle_cluster_counts(gold_clusters, pred_clusters,
+                                        mode == SINGLETONS_INCLUDED)
 
 
 def _has_anaphoric_zero(corpus: Corpus) -> bool:
