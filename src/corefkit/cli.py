@@ -115,6 +115,18 @@ def _load_corpus(path: Path) -> Corpus:
         raise ConlluError(f"{path}: {exc}") from None
 
 
+def _read_text(path: Path, error: type[ValueError]) -> str:
+    """A plaintext or JSON input; invalid UTF-8 raises ``error`` (exit 2)
+    with the path and line, as CoNLL-U input does."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: invalid UTF-8 ({exc.reason}) "
+                    f"at byte {exc.start}") from None
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -148,7 +160,8 @@ _VARIANTS = (
 def _score_dataset(args: tuple) -> tuple[str, dict, dict]:
     """Primary scores and the CoNLL variants of one dataset.  Each distinct
     (regime, singletons) pair is evaluated once; the variants need only
-    CoNLL."""
+    CoNLL.  The primary run checks each document pair's surface tokens,
+    so the variants skip that check."""
     name, gold_path, pred_path, regime, singleton_mode, w_parent, w_label = args
     weights = ZeroWeight(w_parent, w_label)
     gold = _load_corpus(Path(gold_path))
@@ -161,7 +174,7 @@ def _score_dataset(args: tuple) -> tuple[str, dict, dict]:
         if (variant_regime, variant_mode) not in evaluated:
             evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
                 gold, pred, regime=variant_regime, singleton_mode=variant_mode,
-                weights=weights, conll_only=True)
+                weights=weights, conll_only=True, check_surface=False)
         variants[key] = evaluated[variant_regime, variant_mode][metrics.MetricId.CONLL]
     return name, primary, variants
 
@@ -237,7 +250,7 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
     skeleton = _load_corpus(skeleton_path)
     rebuilt = []  # (document, entities) pairs
     if direction == "from-text":
-        lines = [l for l in in_path.read_text(encoding="utf-8").splitlines() if l.strip()]
+        lines = [l for l in _read_text(in_path, PlaintextError).splitlines() if l.strip()]
         if len(lines) != len(skeleton.documents):
             raise TokenMismatchError(
                 f"{in_path} has {len(lines)} documents but the skeleton has "
@@ -247,7 +260,7 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
             rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
     elif direction == "from-json":
         try:
-            values = json.loads(in_path.read_text(encoding="utf-8"))
+            values = json.loads(_read_text(in_path, JsonFormatError))
         except json.JSONDecodeError as exc:
             raise JsonFormatError(f"{in_path}: {exc}") from None
         if not isinstance(values, list):
@@ -274,7 +287,7 @@ def cmd_clean(reference_path: Path, in_path: Path, out_path: Path,
     _require(reference_path.is_file(), f"reference path {reference_path} is not a readable file")
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     reference = _load_corpus(reference_path)
-    lines = [l for l in in_path.read_text(encoding="utf-8").splitlines() if l.strip()]
+    lines = [l for l in _read_text(in_path, PlaintextError).splitlines() if l.strip()]
     if len(lines) != len(reference.documents):
         raise TokenMismatchError(
             f"{in_path} has {len(lines)} documents but the reference has "
@@ -311,6 +324,7 @@ def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
                 regime: MatchRegime, weights: ZeroWeight, window_tokens: int, min_p95: int,
                 sort_key: str, tag: str | None, level: str) -> int:
     """Both kinds score without singletons."""
+    _require(window_tokens >= 1, f"--window-tokens must be at least 1, got {window_tokens}")
     _prepare_out_dir(out_dir)
     _require(gold_path.is_file(), f"gold path {gold_path} is not a readable file")
     _require(pred_path.is_file(), f"pred path {pred_path} is not a readable file")
@@ -339,6 +353,7 @@ def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
 
 def cmd_sample(datasets: list[DatasetSpec], cap_words: int, seed: int,
                out_dir: Path) -> int:
+    _require(cap_words >= 1, f"--cap-words must be at least 1, got {cap_words}")
     _prepare_out_dir(out_dir)
     for spec in datasets:
         _require(spec.gold is not None, f"dataset '{spec.name}' needs a gold path to sample")

@@ -23,12 +23,13 @@ import io
 import re
 import warnings
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .brackets import CLOSE, OPEN, find_crossing, item_order
+from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order
 from .model import (
+    EMPTY_COLUMN,
     Corpus,
     Document,
     Entity,
@@ -61,7 +62,7 @@ _SKIPPED_ANNOTATIONS = ("Bridge", "SplitAnte")
 
 @dataclass
 class _Item:
-    kind: str  # "open" | "close" | "single"
+    kind: str  # OPEN | CLOSE | SINGLE
     eid: str
     part: tuple[int, int] | None  # (k, n) for discontinuous segments
 
@@ -99,14 +100,14 @@ def _parse_entity_items(value: str, line: int) -> list[_Item]:
             if part is not None:
                 if value.startswith("])", pos):
                     pos += 2
-                    items.append(_Item("single", eid, part))
+                    items.append(_Item(SINGLE, eid, part))
                 else:
-                    items.append(_Item("open", eid, part))
+                    items.append(_Item(OPEN, eid, part))
             elif value.startswith(")", pos):
                 pos += 1
-                items.append(_Item("single", eid, None))
+                items.append(_Item(SINGLE, eid, None))
             else:
-                items.append(_Item("open", eid, None))
+                items.append(_Item(OPEN, eid, None))
         else:
             eid = read_eid()
             part = read_part()
@@ -118,7 +119,7 @@ def _parse_entity_items(value: str, line: int) -> list[_Item]:
                 if not value.startswith(")", pos):
                     raise ConlluError(f"malformed Entity item near '{value[pos:pos + 12]}'", line)
                 pos += 1
-            items.append(_Item("close", eid, part))
+            items.append(_Item(CLOSE, eid, part))
     return items
 
 
@@ -134,10 +135,10 @@ class _EntityDecoder:
         self.mentions: list[tuple[str, int, frozenset[int]]] = []
 
     def feed(self, item: _Item, sent_index: int, position: int, line: int) -> None:
-        if item.kind == "open":
+        if item.kind == OPEN:
             self.open[item.eid].append((position, item.part, line))
             return
-        if item.kind == "single":
+        if item.kind == SINGLE:
             self._segment(item.eid, sent_index, {position}, item.part, line)
             return
         stack = self.open[item.eid]
@@ -190,23 +191,14 @@ class _EntityDecoder:
                 )
 
 
-def _split_keyvals(column: str) -> dict[str, str]:
+def _split_keyvals(column: str, bare: str | None, intern) -> dict[str, str | None]:
+    """FEATS or MISC column; a piece without ``=`` maps to ``bare``."""
     if column == "_":
-        return {}
-    out: dict[str, str] = {}
-    for piece in column.split("|"):
-        key, sep, val = piece.partition("=")
-        out[key] = val if sep else ""
-    return out
-
-
-def _split_misc(column: str) -> dict[str, str | None]:
-    if column == "_":
-        return {}
+        return EMPTY_COLUMN
     out: dict[str, str | None] = {}
     for piece in column.split("|"):
         key, sep, val = piece.partition("=")
-        out[key] = val if sep else None
+        out[intern(key, key)] = intern(val, val) if sep else bare
     return out
 
 
@@ -244,18 +236,25 @@ class _SentenceBuilder:
         self.prev_minor = 0
         self.pending_mwt_end = 0
         self.first_line = 0
+        # major (regular token) or (major, minor) -> the sentence's one NodeId
+        self.ids: dict = {}
+
+    def node_id(self, major: int, minor: int = 0) -> NodeId:
+        key = (major, minor) if minor else major
+        nid = self.ids.get(key)
+        if nid is None:
+            nid = self.ids[key] = NodeId(self.sent_index, major, minor)
+        return nid
 
 
-def _parse_head_ref(text: str, sent_index: int, line: int) -> NodeId | None:
-    if text in ("_", ""):
-        return None
-    if text == "0":
+def _parse_head_ref(text: str, sent: _SentenceBuilder, line: int) -> NodeId | None:
+    if text in ("_", "", "0"):
         return None
     match = _EMPTY_ID_RE.match(text)
     if match:
-        return NodeId(sent_index, int(match.group(1)), int(match.group(2)))
+        return sent.node_id(int(match.group(1)), int(match.group(2)))
     if _REGULAR_ID_RE.match(text):
-        return NodeId(sent_index, int(text))
+        return sent.node_id(int(text))
     raise ConlluError(f"malformed head reference '{text}'", line)
 
 
@@ -265,6 +264,10 @@ def parse_conllu(source) -> Corpus:
     Raises ConlluError with a line number on invalid UTF-8, malformed ids,
     unbalanced entity brackets, references to nonexistent parents, or
     duplicate sent_ids within a document.
+
+    Within a sentence each node id is one NodeId object, shared by the
+    node, the parents pointing at it and the mention spans holding it;
+    equal column strings are one object per parse.
     """
     text = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(text, bytes):
@@ -282,6 +285,7 @@ def parse_conllu(source) -> Corpus:
     synthesized = 0
     skipped_annotations = 0
     seen_doc_ids: set[str] = set()
+    intern = {}.setdefault
 
     def close_sentence(line: int) -> None:
         nonlocal sent
@@ -300,15 +304,14 @@ def parse_conllu(source) -> Corpus:
                     sent.sent_id_line,
                 )
             doc.sent_ids.add(sent.sent_id)
-        sentence = Sentence(sent.nodes, sent.mwt_ranges, sent.sent_id)
-        ids = {(n.id.major, n.id.minor) for n in sentence.nodes}
-        for node in sentence.nodes:
-            if node.parent is not None and (node.parent.major, node.parent.minor) not in ids:
-                raise ConlluError(
-                    f"node {node.id.conllu_id()} references nonexistent parent "
-                    f"{node.parent.conllu_id()}", sent.first_line,
-                )
-        doc.sentences.append(sentence)
+        if len(sent.ids) != len(sent.nodes):  # a parent id that no node took
+            ids = {n.id for n in sent.nodes}
+            node = next(n for n in sent.nodes if n.parent is not None and n.parent not in ids)
+            raise ConlluError(
+                f"node {node.id.conllu_id()} references nonexistent parent "
+                f"{node.parent.conllu_id()}", sent.first_line,
+            )
+        doc.sentences.append(Sentence(sent.nodes, sent.mwt_ranges, sent.sent_id))
         for value, position, line_no in sent.entity_values:
             for item in _parse_entity_items(value, line_no):
                 doc.decoder.feed(item, sent.sent_index, position, line_no)
@@ -374,7 +377,7 @@ def parse_conllu(source) -> Corpus:
                 raise ConlluError(f"overlapping multiword token range '{cid}'", line_no)
             sent.mwt_ranges.append((a, b, form))
             sent.pending_mwt_end = b
-            if "Entity" in _split_misc(misc):
+            if "Entity" in _split_keyvals(misc, None, intern):
                 warnings.warn(
                     f"line {line_no}: Entity annotation on a multiword-token "
                     "range is ignored",
@@ -394,7 +397,7 @@ def parse_conllu(source) -> Corpus:
             if minor != expected:
                 raise ConlluError(f"empty node id '{cid}' breaks the {major}.{expected} sequence", line_no)
             sent.prev_minor = minor
-            nid = NodeId(sent.sent_index, major, minor)
+            nid = sent.node_id(major, minor)
             first_dep = deps.split("|", 1)[0] if deps != "_" else "_"
             if first_dep == "_":
                 parent, dep_label = None, "_"
@@ -402,7 +405,7 @@ def parse_conllu(source) -> Corpus:
                 parent_text, sep, dep_label = first_dep.partition(":")
                 if not sep:
                     raise ConlluError(f"malformed DEPS item '{first_dep}'", line_no)
-                parent = _parse_head_ref(parent_text, sent.sent_index, line_no)
+                parent = _parse_head_ref(parent_text, sent, line_no)
         elif _REGULAR_ID_RE.match(cid):
             major = int(cid)
             if major != sent.prev_major + 1:
@@ -412,29 +415,22 @@ def parse_conllu(source) -> Corpus:
                 )
             sent.prev_major = major
             sent.prev_minor = 0
-            nid = NodeId(sent.sent_index, major)
-            parent = _parse_head_ref(head, sent.sent_index, line_no)
+            nid = sent.node_id(major)
+            parent = _parse_head_ref(head, sent, line_no)
             dep_label = deprel
         else:
             raise ConlluError(f"malformed ID field '{cid}'", line_no)
 
-        misc_map = _split_misc(misc)
+        misc_map = _split_keyvals(misc, None, intern)
         entity_value = misc_map.pop("Entity", None)
         for key in _SKIPPED_ANNOTATIONS:
             if key in misc_map:
                 doc.skipped_annotations += 1
-        node = Node(
-            id=nid,
-            form=form,
-            lemma=lemma,
-            upos=upos,
-            xpos=xpos,
-            feats=_split_keyvals(feats),
-            parent=parent,
-            deprel=dep_label,
-            misc=misc_map,
-        )
-        sent.nodes.append(node)
+        sent.nodes.append(Node(
+            nid, intern(form, form), intern(lemma, lemma), intern(upos, upos),
+            intern(xpos, xpos), _split_keyvals(feats, "", intern), parent,
+            intern(dep_label, dep_label), misc_map or EMPTY_COLUMN,
+        ))
         if entity_value is not None and entity_value != "":
             sent.entity_values.append((entity_value, len(sent.nodes) - 1, line_no))
 
@@ -460,24 +456,57 @@ def _render_item(kind: str, eid: str, part: tuple[int, int] | None) -> str:
     return tag + ")" if kind == CLOSE else "(" + tag + ")"
 
 
+def _check_parts_pair_back(eid: str, spans) -> None:
+    """Raise unless the reader pairs the ``[k/n]`` parts of ``spans``, one
+    entity's written segments, back into the entity's mentions.
+
+    The reader joins part k/n to the first pending mention still waiting
+    for it, so two discontinuous mentions whose parts interleave, such as
+    {2, 6} and {3, 5}, would silently read back as {2, 5} and {3, 6}; and
+    one segment shared by two mentions as different parts does not read.
+    """
+    written, mention = Counter(), set()
+    for _, start, end, part in spans:
+        mention.update(range(start, end + 1))
+        if part is None or part[0] == part[1]:
+            written[frozenset(mention)] += 1
+            mention = set()
+    decoder = _EntityDecoder()
+    try:
+        for pos, items in sorted(item_order(spans).items()):
+            for kind, _, part in items:
+                decoder.feed(_Item(kind, eid, part), 0, pos, 0)
+        read = Counter(positions for _, _, positions in decoder.mentions)
+    except ConlluError:
+        read = None
+    if read != written:
+        raise ConlluError(
+            f"the [k/n] parts of entity '{eid}' would read back as other "
+            "mentions (discontinuous mentions interleave or share a segment); the "
+            "bracket encoding cannot represent them"
+        )
+
+
 def _entity_strings(document: Document, doc_entities: list[Entity]) -> dict[int, str]:
     """Entity attribute values of one document, keyed by node position
     counted through the document, in the canonical item order."""
     offsets = list(accumulate((len(s.nodes) for s in document.sentences), initial=0))
     spans: list[tuple[str, int, int, tuple[int, int] | None]] = []
     for entity in doc_entities:
-        segments_of_entity: list[tuple[int, int]] = []
+        entity_spans: list[tuple[str, int, int, tuple[int, int] | None]] = []
+        gapped = False
         for mention in entity.mentions:
             sent_index = mention.start.sentence_index
             sentence = document.sentences[sent_index]
             segments = contiguous_segments(mention.span, sentence)
             total = len(segments)
+            gapped |= total > 1
             for k, segment in enumerate(segments, start=1):
                 start = offsets[sent_index] + sentence.position(segment[0])
                 end = offsets[sent_index] + sentence.position(segment[-1])
-                spans.append((entity.id, start, end, (k, total) if total > 1 else None))
-                segments_of_entity.append((start, end))
-        crossing = find_crossing(segments_of_entity)
+                entity_spans.append((entity.id, start, end, (k, total) if total > 1 else None))
+        spans.extend(entity_spans)
+        crossing = find_crossing([(start, end) for _, start, end, _ in entity_spans])
         if crossing:
             # crossing spans share a sentence; report sentence positions
             base = offsets[bisect_right(offsets, crossing[0][0]) - 1]
@@ -486,6 +515,8 @@ def _entity_strings(document: Document, doc_entities: list[Entity]) -> dict[int,
                 f"mentions of entity '{entity.id}' cross (spans [{s1},{e1}] and "
                 f"[{s2},{e2}]); the bracket encoding cannot represent them"
             )
+        if gapped:
+            _check_parts_pair_back(entity.id, entity_spans)
     return {
         pos: "".join(_render_item(*item) for item in items)
         for pos, items in item_order(spans).items()

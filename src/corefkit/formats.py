@@ -744,13 +744,14 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
     for ordinal, pos in enumerate(surface_positions):
         position_to_node[pos] = surface_nodes[ordinal][1].id
 
-    def mint(sent_index: int, anchor_major: int, pos: int) -> None:
+    def mint(sent_index: int, anchor: NodeId | None, pos: int) -> None:
+        """Mint an empty node after ``anchor``, its parent (None: before the first token)."""
+        anchor_major = anchor.major if anchor is not None else 0
         minors = next_minor[sent_index]
         minor = minors.get(anchor_major, 0) + 1
         minors[anchor_major] = minor
         nid = NodeId(sent_index, anchor_major, minor)
-        parent = NodeId(sent_index, anchor_major) if anchor_major >= 1 else None
-        node = Node(id=nid, form=tokens[pos].surface, parent=parent, deprel="_")
+        node = Node(id=nid, form=tokens[pos].surface, parent=anchor, deprel="_")
         base = base_minor[sent_index].get(anchor_major, 0)
         inserts.setdefault((sent_index, anchor_major, base), []).append(node)
         position_to_node[pos] = nid
@@ -769,17 +770,17 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
                                 or surface_nodes[ordinal + 1][0] != sent_index)
             if last_of_sentence and ordinal + 1 < len(surface_nodes):
                 candidates += existing_by_anchor[surface_nodes[ordinal + 1][0]].get(0, [])
-            anchor_sent, anchor_major = sent_index, node.id.major
+            anchor_sent, anchor = sent_index, node.id
         else:
             anchor_sent = surface_nodes[0][0] if surface_nodes else 0
-            anchor_major = 0
+            anchor = None
             if input_doc.sentences:
                 candidates += existing_by_anchor[anchor_sent].get(0, [])
         for offset, pos in enumerate(predicted):
             if offset < len(candidates):
                 position_to_node[pos] = candidates[offset].id
             else:
-                mint(anchor_sent, anchor_major, pos)
+                mint(anchor_sent, anchor, pos)
 
     new_sentences: list[Sentence] = []
     for sent_index, sentence in enumerate(input_doc.sentences):

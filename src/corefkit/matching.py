@@ -282,10 +282,13 @@ def check_same_surface(gold_doc: Document, pred_doc: Document) -> None:
 def build_alignment(gold_doc: Document, gold_entities: list[Entity],
                     pred_doc: Document, pred_entities: list[Entity],
                     regime: MatchRegime = MatchRegime.HEAD,
-                    weights: ZeroWeight = ZeroWeight()) -> MentionAlignment:
+                    weights: ZeroWeight = ZeroWeight(),
+                    check_surface: bool = True) -> MentionAlignment:
     """Combined alignment of one document pair: surface matcher on
-    non-zero mentions, dependency-based matcher on zeros."""
-    check_same_surface(gold_doc, pred_doc)
+    non-zero mentions, dependency-based matcher on zeros.  A caller that
+    already ran check_same_surface on the pair passes ``check_surface=False``."""
+    if check_surface:
+        check_same_surface(gold_doc, pred_doc)
     gold = [m for e in gold_entities for m in e.mentions]
     pred = [m for e in pred_entities for m in e.mentions]
     gold_surface = [i for i, m in enumerate(gold) if not m.is_zero]

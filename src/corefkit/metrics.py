@@ -389,12 +389,13 @@ def prepare_document(gold_doc: Document, gold_entities: list[Entity],
                      pred_doc: Document, pred_entities: list[Entity],
                      regime: MatchRegime = MatchRegime.HEAD,
                      weights: ZeroWeight = ZeroWeight(),
-                     singleton_mode: str = SINGLETONS_EXCLUDED) -> DocumentScoring:
+                     singleton_mode: str = SINGLETONS_EXCLUDED,
+                     check_surface: bool = True) -> DocumentScoring:
     """Filter singletons, then align the remaining mentions."""
     gold_kept = filter_singletons(gold_entities, singleton_mode)
     pred_kept = filter_singletons(pred_entities, singleton_mode)
     alignment = build_alignment(gold_doc, gold_kept, pred_doc, pred_kept,
-                                regime=regime, weights=weights)
+                                regime=regime, weights=weights, check_surface=check_surface)
     return DocumentScoring(gold_kept, pred_kept, alignment)
 
 
@@ -461,12 +462,15 @@ def evaluate_corpus(gold: Corpus, pred: Corpus,
                     regime: MatchRegime = MatchRegime.HEAD,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
                     weights: ZeroWeight = ZeroWeight(),
-                    conll_only: bool = False) -> dict[MetricId, PRF]:
+                    conll_only: bool = False,
+                    check_surface: bool = True) -> dict[MetricId, PRF]:
     """Score one dataset: all metrics for a gold/predicted corpus pair, or
-    with ``conll_only`` just CoNLL and its three parts."""
+    with ``conll_only`` just CoNLL and its three parts.  With
+    ``check_surface=False`` the document pairs' surface tokens are taken
+    as already checked (see matching.check_same_surface)."""
     prepared = [
         prepare_document(gd, ge, pd, pe, regime=regime, weights=weights,
-                         singleton_mode=singleton_mode)
+                         singleton_mode=singleton_mode, check_surface=check_surface)
         for gd, ge, pd, pe in pair_documents(gold, pred)
     ]
     return evaluate_documents(prepared, singleton_mode=singleton_mode, conll_only=conll_only)

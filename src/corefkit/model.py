@@ -16,18 +16,23 @@ import warnings
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class NodeId:
     """Position of a node within a document.
 
     ``minor == 0`` marks a regular (surface) token; ``minor >= 1`` marks
     an empty node anchored after token ``major`` (rendered ``major.minor``).
-    Within a sentence, ids are unique and ordered lexicographically.
+    Within a sentence, ids are unique and ordered lexicographically.  A
+    parsed sentence holds one NodeId object per node: the node's ``id``,
+    every ``parent`` pointing at it and every mention span share it.
     """
 
     sentence_index: int
     major: int
     minor: int = 0
+
+    def __reduce__(self):  # a constructor call; frozen slots forbid setting state
+        return NodeId, (self.sentence_index, self.major, self.minor)
 
     @property
     def is_empty(self) -> bool:
@@ -40,12 +45,31 @@ class NodeId:
         return f"{self.sentence_index}:{self.conllu_id()}"
 
 
-@dataclass
+class _EmptyColumn(dict):
+    """An empty dict that refuses additions.  Every empty FEATS or MISC
+    column of a parsed corpus is this one object, so sharing it is safe."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the empty FEATS/MISC value of a parsed node is shared and read-only")
+
+    __setitem__ = setdefault = update = __ior__ = _refuse
+
+    def __reduce__(self):
+        return "EMPTY_COLUMN"
+
+
+EMPTY_COLUMN = _EmptyColumn()
+
+
+@dataclass(slots=True)
 class Node:
     """One CoNLL-U node (surface token or empty node).
 
     ``parent`` is None for the root.  For empty nodes the parent/deprel
-    pair comes from the first item of the DEPS column.
+    pair comes from the first item of the DEPS column.  A parsed node's
+    empty ``feats`` or ``misc`` is the shared, read-only EMPTY_COLUMN.
     """
 
     id: NodeId
@@ -68,36 +92,30 @@ class Sentence:
     """Ordered node list plus multiword-token ranges.
 
     ``mwt_ranges`` holds (first major, last major, surface form) triples;
-    ranges never overlap and cover only regular tokens.
+    ranges never overlap and cover only regular tokens.  Lookups go
+    through one position dict keyed by node id, built on first use.
     """
 
     nodes: list[Node]
     mwt_ranges: list[tuple[int, int, str]] = field(default_factory=list)
     sent_id: str = ""
+    _positions: dict[NodeId, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
-    def _index(self) -> dict[tuple[int, int], Node]:
-        cached = self.__dict__.get("_node_index")
-        if cached is None:
-            cached = {(n.id.major, n.id.minor): n for n in self.nodes}
-            self.__dict__["_node_index"] = cached
-        return cached
-
-    def _positions(self) -> dict[tuple[int, int], int]:
-        cached = self.__dict__.get("_node_positions")
-        if cached is None:
-            cached = {(n.id.major, n.id.minor): i for i, n in enumerate(self.nodes)}
-            self.__dict__["_node_positions"] = cached
-        return cached
+    def _index(self) -> dict[NodeId, int]:
+        if self._positions is None:
+            self._positions = {n.id: i for i, n in enumerate(self.nodes)}
+        return self._positions
 
     def node(self, nid: NodeId) -> Node:
-        return self._index()[(nid.major, nid.minor)]
+        return self.nodes[self._index()[nid]]
 
     def has_node(self, nid: NodeId) -> bool:
-        return (nid.major, nid.minor) in self._index()
+        return nid in self._index()
 
     def position(self, nid: NodeId) -> int:
         """Index of the node in serialization order."""
-        return self._positions()[(nid.major, nid.minor)]
+        return self._index()[nid]
 
     @property
     def tokens(self) -> list[Node]:
@@ -217,13 +235,12 @@ def tree_depth(nid: NodeId, sentence: Sentence) -> int:
     real tree so they lose every tie-break.
     """
     depth = 0
-    seen = {(nid.major, nid.minor)}
+    seen = {nid}
     current = sentence.node(nid)
     while current.parent is not None:
-        key = (current.parent.major, current.parent.minor)
-        if key in seen or not sentence.has_node(current.parent):
+        if current.parent in seen or not sentence.has_node(current.parent):
             return len(sentence.nodes) + 1
-        seen.add(key)
+        seen.add(current.parent)
         depth += 1
         current = sentence.node(current.parent)
     return depth
@@ -237,14 +254,14 @@ def derive_head(span, sentence: Sentence) -> NodeId:
     where every parent points inside (malformed input) falls back to the
     earliest node with a warning.
     """
-    span_t = sorted(set(span))
+    members = set(span)
+    span_t = sorted(members)
     if not span_t:
         raise ValueError("cannot derive a head for an empty span")
-    members = {(n.major, n.minor) for n in span_t}
     candidates = []
     for nid in span_t:
         parent = sentence.node(nid).parent
-        if parent is None or (parent.major, parent.minor) not in members:
+        if parent is None or parent not in members:
             candidates.append(nid)
     if not candidates:
         warnings.warn(
@@ -343,10 +360,10 @@ def mention_is_treelet(mention: Mention, document: Document) -> bool:
     outside the span.
     """
     sentence = document.sentences[mention.start.sentence_index]
-    members = {(n.major, n.minor) for n in mention.span}
+    members = set(mention.span)
     external = 0
     for nid in mention.span:
         parent = sentence.node(nid).parent
-        if parent is None or (parent.major, parent.minor) not in members:
+        if parent is None or parent not in members:
             external += 1
     return external == 1

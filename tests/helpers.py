@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from hypothesis import strategies as st
+
 from corefkit.model import (
     Corpus,
     Document,
@@ -240,3 +242,28 @@ def heads_only(corpus: Corpus, prefix: str = "h") -> Corpus:
             ])))
         pred_entities.append(doc_pred)
     return Corpus(corpus.documents, pred_entities)
+
+
+COLUMN_KEYS = ["Case", "Number", "Gender", "SpaceAfter", "Translit", "Mood"]
+COLUMN_VALUES = ["Nom", "Sing", "Plur", "No", "Masc", "a:b", ""]
+
+
+@st.composite
+def rich_corpora(draw) -> Corpus:
+    """random_gold corpora whose nodes also carry XPOS, FEATS and MISC
+    values (MISC keys without a value among them) and whose sentences
+    may carry a multiword-token range."""
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    corpus = random_gold(rng, n_docs=draw(st.integers(1, 3)))
+    keys, values = st.sampled_from(COLUMN_KEYS), st.sampled_from(COLUMN_VALUES)
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            for node in sentence.nodes:
+                node.xpos = draw(st.sampled_from(["_", "NN", "VBZ"]))
+                node.feats = draw(st.dictionaries(keys, values, max_size=3))
+                node.misc = draw(st.dictionaries(keys, st.none() | values, max_size=2))
+            words = sum(1 for n in sentence.nodes if not n.is_empty)
+            if words >= 2 and draw(st.booleans()):
+                first = draw(st.integers(1, words - 1))
+                sentence.mwt_ranges = [(first, draw(st.integers(first + 1, words)), "mw")]
+    return corpus

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from corefkit import formats
+from corefkit import formats, matching
 from corefkit.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -423,3 +423,49 @@ def test_convert_from_json_crossing_cluster_exits_2(tmp_path, capsys):
     assert (f"corefkit: parse error: {jpath}, document 1: document '{values[0]['doc_id']}': "
             f"mentions [0, 2] and [1, 3] of cluster {cluster} cross") in capsys.readouterr().err
     assert not (tmp_path / "back.conllu").exists()
+
+
+def test_score_checks_each_document_pair_surface_once(workspace, monkeypatch):
+    tmp_path, manifest = workspace
+    checked = []
+    original = matching.check_same_surface
+    monkeypatch.setattr(matching, "check_same_surface",
+                        lambda gold, pred: checked.append(gold.doc_id) or original(gold, pred))
+    for singletons in ("exclude", "include"):
+        checked.clear()
+        assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--singletons", singletons]) == EXIT_OK
+        assert checked == [d.doc_id for spec in parse_manifest(manifest)
+                           for d in parse_conllu(spec.gold.read_bytes()).documents]
+
+
+@pytest.mark.parametrize("command", ["from-text", "from-json", "clean"])
+def test_invalid_utf8_input_exits_2_naming_path_and_line(tmp_path, capsys, command):
+    gold, _ = make_pair(43, n_docs=1)
+    ref = tmp_path / "g.conllu"
+    write_corpus(ref, gold)
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b'[\n"w\xff"]\n' if command == "from-json" else b"a b\nw\xff\n")
+    out = tmp_path / "out"
+    argv = (["clean", "--reference", str(ref)] if command == "clean"
+            else ["convert", command, "--skeleton", str(ref)])
+    assert main(argv + ["--in", str(bad), "--out-file", str(out)]) == EXIT_PARSE
+    assert f"corefkit: parse error: {bad}: line 2: invalid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "long-range", "--window-tokens", "0"], "--window-tokens"),
+    (["analyze", "upos", "--tag", "NOUN", "--window-tokens", "-2"], "--window-tokens"),
+    (["sample", "--cap-words", "0"], "--cap-words"),
+    (["sample", "--cap-words", "-5"], "--cap-words"),
+])
+def test_size_flags_below_one_exit_4(tmp_path, capsys, argv, flag):
+    gold, pred = make_pair(47, n_docs=2)
+    gpath, ppath = tmp_path / "g.conllu", tmp_path / "p.conllu"
+    write_corpus(gpath, gold)
+    write_corpus(ppath, pred)
+    inputs = ["--gold", str(gpath), "--pred", str(ppath)] if argv[0] == "analyze" else [str(gpath)]
+    assert main(argv + inputs + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from corefkit.conllu import ConlluError, parse_conllu, serialize_conllu
 from corefkit.model import Corpus, NodeId
 
-from helpers import canonical_clusters, doc, ent, random_gold, sent
+from helpers import canonical_clusters, doc, ent, random_gold, rich_corpora, sent
 
 HEADER = "# newdoc id = d1\n# sent_id = s1\n"
 
@@ -206,3 +206,48 @@ def test_parse_serialize_preserves_fields():
                        (nb.id, nb.form, nb.lemma, nb.upos, nb.xpos)
                 assert (na.parent, na.deprel, na.feats, na.misc) == \
                        (nb.parent, nb.deprel, nb.feats, nb.misc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rich_corpora())
+def test_serialize_parse_is_a_fixpoint_with_every_column(corpus):
+    once = serialize_conllu(corpus)
+    assert serialize_conllu(parse_conllu(once)) == once
+
+
+def test_serialize_rejects_interleaved_discontinuous_mentions():
+    # part 2/2 at 5 would join the first pending mention, {2}, not {3}
+    d = doc("d1", sent(0, [("w", 0, "root", "X")] + [("w", 1, "dep", "X")] * 6))
+    e1 = ent("e1", d, [(0, 2), (0, 6)], [(0, 3), (0, 5)])
+    with pytest.raises(ConlluError, match="entity 'e1'"):
+        serialize_conllu(Corpus([d], [[e1]]))
+
+
+@st.composite
+def discontinuous_mentions(draw):
+    """A sentence length and (eid, positions) mentions over it, often
+    discontinuous, nested, interleaved or sharing segments."""
+    size = draw(st.integers(2, 8))
+    mentions = draw(st.lists(
+        st.tuples(st.sampled_from(("e1", "e2")),
+                  st.frozensets(st.integers(1, size), min_size=1, max_size=4)),
+        min_size=1, max_size=5))
+    return size, mentions
+
+
+@settings(max_examples=300, deadline=None)
+@given(discontinuous_mentions())
+def test_discontinuous_mentions_read_back_or_the_writer_raises(case):
+    size, mentions = case
+    d = doc("d1", sent(0, [("w", 0, "root", "X")] + [("w", 1, "dep", "X")] * (size - 1)))
+    written = {eid: Counter(tuple(sorted(m)) for e, m in mentions if e == eid)
+               for eid, _ in mentions}
+    entities = [ent(eid, d, *([(0, k) for k in span] for span in spans.elements()))
+                for eid, spans in written.items()]
+    try:
+        text = serialize_conllu(Corpus([d], [entities]))
+    except ConlluError:
+        return
+    read = {e.id: Counter(tuple(n.major for n in m.span) for m in e.mentions)
+            for e in parse_conllu(text).entities[0]}
+    assert read == written

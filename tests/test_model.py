@@ -1,8 +1,14 @@
+import gc
+import pickle
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
+from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.model import (
+    EMPTY_COLUMN,
     NodeId,
     derive_head,
     document_word_index,
@@ -13,7 +19,7 @@ from corefkit.model import (
     Corpus,
 )
 
-from helpers import doc, ent, random_document, sent
+from helpers import doc, ent, random_document, random_gold, rich_corpora, sent, zeroful_corpus
 from oracles import oracle_derive_head
 
 
@@ -139,3 +145,64 @@ def test_entity_helper_orders_mentions():
                            ("c", 1, "obl", "NOUN")]))
     e = ent("e1", d, [(0, 3)], [(0, 1)])
     assert [m.start.major for m in e.mentions] == [1, 3]
+
+
+def test_parse_retains_under_340_bytes_per_word():
+    # 903 B/word before nodes were slotted and ids, strings and empty
+    # FEATS/MISC values shared; about 296 since
+    corpus = random_gold(random.Random(2024), n_docs=40, n_sents=(10, 20))
+    data = serialize_conllu(corpus).encode("utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_conllu(data)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    words = parsed.word_count()
+    assert words == corpus.word_count() > 3_000
+    assert retained / words < 340
+
+
+@settings(max_examples=40, deadline=None)
+@given(rich_corpora())
+def test_parsed_nodes_share_ids_and_strings(corpus):
+    parsed = parse_conllu(serialize_conllu(corpus))
+    strings: dict[str, str] = {}
+    for document, doc_entities in parsed.doc_pairs():
+        for sentence in document.sentences:
+            own = {node.id: node.id for node in sentence.nodes}
+            for node in sentence.nodes:
+                assert node.parent is None or node.parent is own[node.parent]
+                for text in (node.form, node.lemma, node.upos, node.xpos, node.deprel):
+                    assert strings.setdefault(text, text) is text
+        for entity in doc_entities:
+            for mention in entity.mentions:
+                for nid in (*mention.span, mention.head):
+                    assert nid is document.node(nid).id
+
+
+def test_parsed_corpus_survives_pickle():
+    corpus = parse_conllu(serialize_conllu(zeroful_corpus(3)))
+    back = pickle.loads(pickle.dumps(corpus))
+    assert back == corpus
+    assert serialize_conllu(back) == serialize_conllu(corpus)
+    sentence = back.documents[0].sentences[0]
+    child = next(n for n in sentence.nodes if n.parent is not None)
+    assert child.parent is sentence.node(child.parent).id
+    assert sentence.nodes[0].feats is EMPTY_COLUMN
+
+
+def test_nodes_take_no_ad_hoc_attributes_and_empty_columns_are_read_only():
+    node = parse_conllu(serialize_conllu(zeroful_corpus(3))).documents[0].sentences[0].nodes[0]
+    with pytest.raises(AttributeError):
+        node.note = "x"
+    with pytest.raises((AttributeError, TypeError)):  # TypeError on Python 3.11
+        node.id.note = "x"
+    assert node.feats == {} and node.misc == {}
+    with pytest.raises(TypeError):
+        node.feats["Case"] = "Nom"
+    with pytest.raises(TypeError):
+        node.misc.setdefault("SpaceAfter", "No")
+    assert EMPTY_COLUMN == {}
