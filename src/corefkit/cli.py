@@ -42,6 +42,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ManifestError(ValueError):
+    """A manifest that is not valid UTF-8 (exit 2, as other unreadable input)."""
+
+
 @dataclass
 class DatasetSpec:
     name: str
@@ -80,11 +84,7 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
         ))
         stanza.clear()
 
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest: {exc}") from exc
-    for raw in text.splitlines():
+    for raw in _read_text(path, ManifestError).splitlines():
         line = raw.strip()
         if not line:
             flush()
@@ -135,6 +135,15 @@ def _write(path: Path, text: str) -> None:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _zero_weights(args: argparse.Namespace) -> ZeroWeight:
+    """The zero-alignment weights of ``score`` and ``analyze``."""
+    for flag, value in (("--zero-parent-weight", args.zero_parent_weight),
+                        ("--zero-label-weight", args.zero_label_weight)):
+        _require(math.isfinite(value) and value >= 0,
+                 f"{flag} must be finite and at least 0, got {value}")
+    return ZeroWeight(args.zero_parent_weight, args.zero_label_weight)
 
 
 def _prepare_out_dir(out_dir: Path) -> None:
@@ -325,6 +334,7 @@ def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
                 sort_key: str, tag: str | None, level: str) -> int:
     """Both kinds score without singletons."""
     _require(window_tokens >= 1, f"--window-tokens must be at least 1, got {window_tokens}")
+    _require(min_p95 >= 0, f"--min-p95 must be at least 0, got {min_p95}")
     _prepare_out_dir(out_dir)
     _require(gold_path.is_file(), f"gold path {gold_path} is not a readable file")
     _require(pred_path.is_file(), f"pred path {pred_path} is not a readable file")
@@ -451,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
                 regime=MatchRegime(args.regime),
                 singleton_mode=(metrics.SINGLETONS_INCLUDED if args.singletons == "include"
                                 else metrics.SINGLETONS_EXCLUDED),
-                weights=ZeroWeight(args.zero_parent_weight, args.zero_label_weight),
+                weights=_zero_weights(args),
                 datasets=parse_manifest(args.manifest),
                 out_dir=args.out,
                 jobs=args.jobs,
@@ -470,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.kind, args.gold, args.pred, args.out,
                                MatchRegime(args.regime),
-                               ZeroWeight(args.zero_parent_weight, args.zero_label_weight),
+                               _zero_weights(args),
                                args.window_tokens, args.min_p95, args.sort_key,
                                args.tag, args.level)
         if args.command == "sample":
@@ -478,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
                                                   exempt=args.exempt)
             return cmd_sample(specs, args.cap_words, args.seed, args.out)
         raise ConfigError(f"unknown command '{args.command}'")
-    except (ConlluError, PlaintextError, JsonFormatError) as exc:
+    except (ConlluError, PlaintextError, JsonFormatError, ManifestError) as exc:
         print(f"corefkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (TokenMismatchError, CleanRefusedError) as exc:

@@ -23,11 +23,10 @@ import io
 import re
 import warnings
 from bisect import bisect_right
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
 from itertools import accumulate
 
-from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order
+from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, join_parts, pair_items
 from .model import (
     EMPTY_COLUMN,
     Corpus,
@@ -51,7 +50,10 @@ class ConlluError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_EID_RE = re.compile(r"[A-Za-z0-9_]+")
+# one Entity item: an optional "(", the id, "-" attributes (dropped), then
+# an optional "[k/n" part closed by "])", or ")" after an id without one
+_ENTITY_ITEM_RE = re.compile(
+    r"(\(?)(?:([A-Za-z0-9_]+)(?:-[^()\[\]]*)?(?:\[(\d+)/(\d+)(\]\))?|(\)))?)?")
 _EMPTY_ID_RE = re.compile(r"^(\d+)\.(\d+)$")
 _MWT_ID_RE = re.compile(r"^(\d+)-(\d+)$")
 _REGULAR_ID_RE = re.compile(r"^\d+$")
@@ -60,135 +62,72 @@ _REGULAR_ID_RE = re.compile(r"^\d+$")
 _SKIPPED_ANNOTATIONS = ("Bridge", "SplitAnte")
 
 
-@dataclass
-class _Item:
-    kind: str  # OPEN | CLOSE | SINGLE
-    eid: str
-    part: tuple[int, int] | None  # (k, n) for discontinuous segments
-
-
-def _parse_entity_items(value: str, line: int) -> list[_Item]:
-    items: list[_Item] = []
+def _parse_entity_items(value: str, line: int) -> list[tuple[str, str, tuple[int, int] | None]]:
+    """The ``(kind, eid, part)`` items of one Entity value."""
+    items = []
     pos = 0
-    length = len(value)
-
-    def read_eid() -> str:
-        nonlocal pos
-        match = _EID_RE.match(value, pos)
-        if not match:
-            raise ConlluError(f"malformed entity id in Entity item near '{value[pos:pos + 12]}'", line)
+    while pos < len(value):
+        match = _ENTITY_ITEM_RE.match(value, pos)
+        opener, eid, k, n, part_closed, closed = match.groups()
         pos = match.end()
-        # Tolerate and drop -separated attribute fields after the id.
-        attr = re.match(r"-[^()\[\]]*", value[pos:])
-        if attr:
-            pos += attr.end()
-        return match.group()
-
-    def read_part() -> tuple[int, int] | None:
-        nonlocal pos
-        match = re.match(r"\[(\d+)/(\d+)", value[pos:])
-        if not match:
-            return None
-        pos += match.end()
-        return int(match.group(1)), int(match.group(2))
-
-    while pos < length:
-        if value[pos] == "(":
-            pos += 1
-            eid = read_eid()
-            part = read_part()
-            if part is not None:
-                if value.startswith("])", pos):
-                    pos += 2
-                    items.append(_Item(SINGLE, eid, part))
-                else:
-                    items.append(_Item(OPEN, eid, part))
-            elif value.startswith(")", pos):
-                pos += 1
-                items.append(_Item(SINGLE, eid, None))
-            else:
-                items.append(_Item(OPEN, eid, None))
+        if eid is None:
+            raise ConlluError(f"malformed entity id in Entity item near '{value[pos:pos + 12]}'",
+                              line)
+        part = (int(k), int(n)) if k else None
+        if opener:
+            items.append((SINGLE if part_closed or closed else OPEN, eid, part))
+        elif part_closed or closed:
+            items.append((CLOSE, eid, part))
+        elif part:
+            raise ConlluError(f"malformed closing item for entity '{eid}'", line)
         else:
-            eid = read_eid()
-            part = read_part()
-            if part is not None:
-                if not value.startswith("])", pos):
-                    raise ConlluError(f"malformed closing item for entity '{eid}'", line)
-                pos += 2
-            else:
-                if not value.startswith(")", pos):
-                    raise ConlluError(f"malformed Entity item near '{value[pos:pos + 12]}'", line)
-                pos += 1
-            items.append(_Item(CLOSE, eid, part))
+            raise ConlluError(f"malformed Entity item near '{value[pos:pos + 12]}'", line)
     return items
 
 
-class _EntityDecoder:
-    """Tracks bracket state over one document, sentence by sentence."""
+def _sentence_mentions(entity_values, end_line: int) -> list[tuple[str, frozenset[int]]]:
+    """The ``(eid, positions)`` mentions of one sentence's ``(value,
+    position, line)`` Entity values; ``end_line`` ends the sentence.
 
-    def __init__(self):
-        # eid -> stack of (position, part, line) for pending opens
-        self.open: defaultdict[str, list] = defaultdict(list)
-        # eid -> pending discontinuous mentions awaiting further parts
-        self.pending: defaultdict[str, list] = defaultdict(list)
-        # completed (eid, sentence_index, frozenset of positions, first position)
-        self.mentions: list[tuple[str, int, frozenset[int]]] = []
+    Of several errors, the one met first reading the sentence is raised:
+    a malformed value ends the reading, and brackets left open or parts
+    left missing show only at the sentence end.
+    """
+    malformed: list[ConlluError] = []
 
-    def feed(self, item: _Item, sent_index: int, position: int, line: int) -> None:
-        if item.kind == OPEN:
-            self.open[item.eid].append((position, item.part, line))
-            return
-        if item.kind == SINGLE:
-            self._segment(item.eid, sent_index, {position}, item.part, line)
-            return
-        stack = self.open[item.eid]
-        if not stack:
-            raise ConlluError(f"closing bracket for entity '{item.eid}' has no matching opener", line)
-        start, part, _ = stack.pop()
-        if part != item.part:
-            raise ConlluError(
-                f"entity '{item.eid}' closes part {item.part} but part {part} is open", line
-            )
-        self._segment(item.eid, sent_index, set(range(start, position + 1)), part, line)
-
-    def _segment(self, eid: str, sent_index: int, positions: set[int],
-                 part: tuple[int, int] | None, line: int) -> None:
-        if part is None:
-            self.mentions.append((eid, sent_index, frozenset(positions)))
-            return
-        k, n = part
-        if k == 1:
-            entry = {"total": n, "next": 2, "positions": set(positions)}
-            if n == 1:
-                self.mentions.append((eid, sent_index, frozenset(entry["positions"])))
-            else:
-                self.pending[eid].append(entry)
-            return
-        for entry in self.pending[eid]:
-            if entry["next"] == k and entry["total"] == n:
-                entry["positions"] |= positions
-                if k == n:
-                    self.pending[eid].remove(entry)
-                    self.mentions.append((eid, sent_index, frozenset(entry["positions"])))
-                else:
-                    entry["next"] = k + 1
+    def items():
+        for value, position, line in entity_values:
+            try:
+                yield position, _parse_entity_items(value, line)
+            except ConlluError as exc:
+                malformed.append(exc)
                 return
-        raise ConlluError(f"entity '{eid}' part {k}/{n} arrived without part {k - 1}/{n}", line)
 
-    def end_sentence(self, line: int) -> None:
-        for eid, stack in self.open.items():
-            if stack:
-                raise ConlluError(
-                    f"entity '{eid}' opened at line {stack[-1][2]} has no closing "
-                    "bracket before the end of the sentence", line
-                )
-        for eid, entries in self.pending.items():
-            if entries:
-                raise ConlluError(
-                    f"discontinuous mention of entity '{eid}' is missing part "
-                    f"{entries[0]['next']}/{entries[0]['total']} at the end of the sentence",
-                    line,
-                )
+    spans, unmatched, unclosed = pair_items(items())
+    mentions, orphans, missing = join_parts(spans)
+    if not (malformed or unmatched or orphans or unclosed or missing):
+        return mentions
+    line_of = {position: line for _, position, line in entity_values}
+    if unmatched and not (orphans and orphans[0][1] < unmatched[0][1]):
+        eid, pos, part, opener = unmatched[0]
+        if opener is None:
+            raise ConlluError(f"closing bracket for entity '{eid}' has no matching opener",
+                              line_of[pos])
+        raise ConlluError(f"entity '{eid}' closes part {part} but part {opener[1]} is open",
+                          line_of[pos])
+    if orphans:
+        eid, pos, (k, n) = orphans[0]
+        raise ConlluError(f"entity '{eid}' part {k}/{n} arrived without part {k - 1}/{n}",
+                          line_of[pos])
+    if malformed:
+        raise malformed[0]
+    if unclosed:
+        eid, start, _, _ = unclosed[0]
+        raise ConlluError(f"entity '{eid}' opened at line {line_of[start]} has no closing "
+                          "bracket before the end of the sentence", end_line)
+    eid, (k, n) = missing[0]
+    raise ConlluError(f"discontinuous mention of entity '{eid}' is missing part {k}/{n} "
+                      "at the end of the sentence", end_line)
 
 
 def _split_keyvals(column: str, bare: str | None, intern) -> dict[str, str | None]:
@@ -208,13 +147,13 @@ class _DocBuilder:
         self.start_line = line
         self.sentences: list[Sentence] = []
         self.sent_ids: set[str] = set()
-        self.decoder = _EntityDecoder()
+        self.mentions: list[tuple[str, int, frozenset[int]]] = []  # (eid, sentence, positions)
         self.skipped_annotations = 0
 
     def finish(self, documents: list[Document], entities: list[list[Entity]]) -> None:
         document = Document(self.doc_id, self.sentences)
         grouped: dict[str, list[Mention]] = {}
-        for eid, sent_index, positions in self.decoder.mentions:
+        for eid, sent_index, positions in self.mentions:
             sentence = self.sentences[sent_index]
             span = [sentence.nodes[p].id for p in sorted(positions)]
             grouped.setdefault(eid, []).append(make_mention(eid, span, document))
@@ -312,10 +251,9 @@ def parse_conllu(source) -> Corpus:
                 f"{node.parent.conllu_id()}", sent.first_line,
             )
         doc.sentences.append(Sentence(sent.nodes, sent.mwt_ranges, sent.sent_id))
-        for value, position, line_no in sent.entity_values:
-            for item in _parse_entity_items(value, line_no):
-                doc.decoder.feed(item, sent.sent_index, position, line_no)
-        doc.decoder.end_sentence(line)
+        if sent.entity_values:
+            doc.mentions.extend((eid, sent.sent_index, positions) for eid, positions
+                                in _sentence_mentions(sent.entity_values, line))
         sent = None
 
     def ensure_doc(line: int) -> None:
@@ -328,7 +266,12 @@ def parse_conllu(source) -> Corpus:
             )
             doc = _DocBuilder(f"doc_{synthesized}", line)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # CoNLL-U lines end at "\n" only; str.splitlines would also break a
+    # FORM at U+2028, U+0085 and the like
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # a final newline ends the last line and starts none
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             close_sentence(line_no)
@@ -458,28 +401,18 @@ def _render_item(kind: str, eid: str, part: tuple[int, int] | None) -> str:
 
 def _check_parts_pair_back(eid: str, spans) -> None:
     """Raise unless the reader pairs the ``[k/n]`` parts of ``spans``, one
-    entity's written segments, back into the entity's mentions.
+    entity's written segments in mention order, back into the entity's
+    mentions.
 
-    The reader joins part k/n to the first pending mention still waiting
-    for it, so two discontinuous mentions whose parts interleave, such as
-    {2, 6} and {3, 5}, would silently read back as {2, 5} and {3, 6}; and
-    one segment shared by two mentions as different parts does not read.
+    Part k/n joins the first pending mention still waiting for it, so two
+    discontinuous mentions whose parts interleave, such as {2, 6} and
+    {3, 5}, would silently read back as {2, 5} and {3, 6}.
     """
-    written, mention = Counter(), set()
-    for _, start, end, part in spans:
-        mention.update(range(start, end + 1))
-        if part is None or part[0] == part[1]:
-            written[frozenset(mention)] += 1
-            mention = set()
-    decoder = _EntityDecoder()
-    try:
-        for pos, items in sorted(item_order(spans).items()):
-            for kind, _, part in items:
-                decoder.feed(_Item(kind, eid, part), 0, pos, 0)
-        read = Counter(positions for _, _, positions in decoder.mentions)
-    except ConlluError:
-        read = None
-    if read != written:
+    read, unmatched, unclosed = pair_items(sorted(item_order(spans).items()))
+    mentions, orphans, missing = join_parts(read)
+    written = Counter(positions for _, positions in join_parts(spans)[0])
+    if unmatched or unclosed or orphans or missing or Counter(
+            positions for _, positions in mentions) != written:
         raise ConlluError(
             f"the [k/n] parts of entity '{eid}' would read back as other "
             "mentions (discontinuous mentions interleave or share a segment); the "

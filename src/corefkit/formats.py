@@ -31,7 +31,7 @@ import unicodedata
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, pair_items
 from .matching import TokenMismatchError
@@ -73,10 +73,12 @@ class JsonFormatError(ValueError):
     """Malformed JSON interchange input."""
 
 
-@dataclass(frozen=True)
-class AnnotationItem:
+class AnnotationItem(NamedTuple):
+    """A ``(kind, eid, part)`` bracket item; plaintext marks no parts."""
+
     kind: str  # "open" | "close" | "open_close"
     entity_id: str
+    part: None = None
 
     def render(self) -> str:
         before, after = _ITEM_MARKS[self.kind]
@@ -184,13 +186,13 @@ def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
     return run[0], run[-1]
 
 
-def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int]]) -> None:
-    """Give the tokens the canonical items of (eid, start, end) spans."""
-    for pos, items in item_order([(eid, start, end, None) for eid, start, end in spans]).items():
-        tokens[pos].annotations = [AnnotationItem(kind, eid) for kind, eid, _ in items]
+def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int, None]]) -> None:
+    """Give the tokens the canonical items of (eid, start, end, None) spans."""
+    for pos, items in item_order(spans).items():
+        tokens[pos].annotations = [AnnotationItem(*item) for item in items]
 
 
-def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, int, int]]:
+def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, int, int, None]]:
     ids = _normalized_ids(entities)
     spans = []
     for entity in entities:
@@ -202,7 +204,7 @@ def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, in
                 f"mentions of entity '{entity.id}' cross; the bracket "
                 "format cannot represent them"
             )
-        spans += [(ids[entity.id], start, end) for start, end in eid_spans]
+        spans += [(ids[entity.id], start, end, None) for start, end in eid_spans]
     return spans
 
 
@@ -254,19 +256,20 @@ def from_plaintext(line: str) -> PlainDoc:
             raise PlaintextError("empty token surface", index)
         tokens.append(PlainToken(surface, items, is_empty))
 
-    _, unmatched, unclosed = pair_items([token.annotations for token in tokens], ())
+    _, unmatched, unclosed = pair_items(enumerate(token.annotations for token in tokens))
     if unmatched:
-        eid, index = unmatched[0]
+        eid, index, _, _ = unmatched[0]
         raise PlaintextError(f"closing bracket for '{eid}' without an opener", index)
     if unclosed:
-        eid, index, _ = unclosed[0]
+        eid, index, _, _ = unclosed[0]
         raise PlaintextError(f"opening bracket for '{eid}' is never closed", index)
     return PlainDoc(tokens)
 
 
 def plain_mentions(doc: PlainDoc) -> list[tuple[str, int, int]]:
     """(entity id, start, end) spans decoded from the bracket items."""
-    return pair_items([token.annotations for token in doc.tokens], ())[0]
+    spans = pair_items(enumerate(token.annotations for token in doc.tokens))[0]
+    return [(eid, start, end) for eid, start, end, _ in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +682,7 @@ def clean_output(reference: Document, noisy: str, *,
             sentence_ends.append(len(out_tokens) - 1)
 
     # unmatched closers are dropped; openers left open close at their sentence end
-    spans, _, unclosed = pair_items(out_items, sentence_ends)
+    spans, _, unclosed = pair_items(enumerate(out_items), sentence_ends)
     _annotate(out_tokens, spans + unclosed)
     return PlainDoc(out_tokens)
 

@@ -39,8 +39,8 @@ class ZeroWeight:
     w_label_bonus: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.w_parent < 0 or self.w_label_bonus < 0:
-            raise ValueError("zero-alignment weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.w_parent, self.w_label_bonus)):
+            raise ValueError("zero-alignment weights must be finite and non-negative")
         if self.w_parent + self.w_label_bonus <= 0:
             raise ValueError("at least one zero-alignment weight must be positive")
 

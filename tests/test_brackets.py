@@ -79,7 +79,7 @@ def test_item_order_is_canonical():
     assert order[3] == [(CLOSE, "e1", None), (CLOSE, "e1", None), (CLOSE, "e2", None),
                         (SINGLE, "e1", None),
                         (OPEN, "e1", None), (OPEN, "e1", None), (OPEN, "e1", (1, 2))]
-    assert order[4] == [(CLOSE, "e1", None), (CLOSE, "e1", (1, 2))]
+    assert order[4] == [(CLOSE, "e1", (1, 2)), (CLOSE, "e1", None)]
 
 
 @settings(max_examples=400, deadline=None)

@@ -469,3 +469,35 @@ def test_size_flags_below_one_exit_4(tmp_path, capsys, argv, flag):
     assert main(argv + inputs + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "analyze"])
+@pytest.mark.parametrize("flag", ["--zero-parent-weight", "--zero-label-weight"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_zero_weights_must_be_finite_and_non_negative(workspace, capsys, command, flag, value):
+    tmp_path, manifest = workspace
+    spec = parse_manifest(manifest)[1]
+    inputs = (["score", "--manifest", str(manifest)] if command == "score" else
+              ["analyze", "long-range", "--gold", str(spec.gold), "--pred", str(spec.pred)])
+    assert main(inputs + [f"{flag}={value}", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{flag} must be finite and at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rejects_negative_min_p95(tmp_path, capsys):
+    gold, pred = make_pair(53, n_docs=2)
+    gpath, ppath = tmp_path / "g.conllu", tmp_path / "p.conllu"
+    write_corpus(gpath, gold)
+    write_corpus(ppath, pred)
+    assert main(["analyze", "long-range", "--gold", str(gpath), "--pred", str(ppath),
+                 "--min-p95", "-1", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "--min-p95 must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_with_invalid_utf8_exits_2_naming_path_and_line(workspace, capsys):
+    tmp_path, manifest = workspace
+    bad = tmp_path / "bad_manifest.txt"
+    bad.write_bytes(manifest.read_bytes().replace(b"name = beta", b"name = b\xffta"))
+    assert main(["score", "--manifest", str(bad), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"corefkit: parse error: {bad}: line 5: invalid UTF-8" in capsys.readouterr().err

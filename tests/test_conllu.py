@@ -251,3 +251,55 @@ def test_discontinuous_mentions_read_back_or_the_writer_raises(case):
     read = {e.id: Counter(tuple(n.major for n in m.span) for m in e.mentions)
             for e in parse_conllu(text).entities[0]}
     assert read == written
+
+
+NEXT_SENTENCE = "\n# sent_id = s2\n" + line("1", "z")
+
+
+@pytest.mark.parametrize("body, error_line, message", [
+    (line("1", "a") + line("2", "b", "1", "dep", misc="Entity=e1)"),
+     4, "closing bracket for entity 'e1' has no matching opener"),
+    (line("1", "a", misc="Entity=(e1") + line("2", "b", "1", "dep") + NEXT_SENTENCE,
+     5, "entity 'e1' opened at line 3 has no closing bracket before the end of the sentence"),
+    (line("1", "a", misc="Entity=(e1") + line("2", "b", "1", "dep", misc="Entity=(e1"),
+     4, "entity 'e1' opened at line 4 has no closing bracket before the end of the sentence"),
+    (line("1", "a", misc="Entity=(e1[1/2") + line("2", "b", "1", "dep", misc="Entity=e1)"),
+     4, "entity 'e1' closes part None but part (1, 2) is open"),
+    (line("1", "a", misc="Entity=(e1") + line("2", "b", "1", "dep", misc="Entity=e1[1/2])"),
+     4, "entity 'e1' closes part (1, 2) but part None is open"),
+    (line("1", "a", misc="Entity=(e1[2/2])"),
+     3, "entity 'e1' part 2/2 arrived without part 1/2"),
+    (line("1", "a", misc="Entity=(e1[1/3") + line("2", "b", "1", "dep", misc="Entity=e1[1/3])")
+     + line("3", "c", "1", "dep", misc="Entity=(e1[3/3])"),
+     5, "entity 'e1' part 3/3 arrived without part 2/3"),
+    (line("1", "a", misc="Entity=(e1[1/2])") + line("2", "b", "1", "dep") + NEXT_SENTENCE,
+     5, "discontinuous mention of entity 'e1' is missing part 2/2 at the end of the sentence"),
+    (line("1", "a", misc="Entity=(e1[1/2])") + line("2", "b", "1", "dep"),
+     4, "discontinuous mention of entity 'e1' is missing part 2/2 at the end of the sentence"),
+])
+def test_bracket_errors_keep_their_message_and_line(body, error_line, message):
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(HEADER + body)
+    assert err.value.line == error_line
+    assert str(err.value) == f"line {error_line}: {message}"
+
+
+def test_identical_spans_of_one_entity_with_different_parts_read_back():
+    # (e1 and (e1[1/2 open on token 2; their closers on token 4 must come
+    # in reverse opener order for the reader to pair them
+    d = doc("d1", sent(0, [("w", 0, "root", "X")] + [("w", 1, "dep", "X")] * 6))
+    e1 = ent("e1", d, [(0, 2), (0, 3), (0, 4)], [(0, 2), (0, 3), (0, 4), (0, 6)])
+    text = serialize_conllu(Corpus([d], [[e1]]))
+    assert "Entity=e1[1/2])e1)" in text
+    (back,) = parse_conllu(text).entities[0]
+    assert sorted(tuple(n.major for n in m.span) for m in back.mentions) == [(2, 3, 4), (2, 3, 4, 6)]
+
+
+def test_lines_end_at_newline_only():
+    # U+2028 is a line break to str.splitlines, not to CoNLL-U
+    text = HEADER + line("1", "a") + line("2", "c\u2028d", "1", "dep") + line("4", "e")
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(text)
+    assert err.value.line == 5
+    corpus = parse_conllu(HEADER + line("1", "a") + line("2", "c\u2028d", "1", "dep"))
+    assert corpus.documents[0].surface_forms() == ["a", "c\u2028d"]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -314,3 +315,9 @@ def test_alignment_injectivity_validated():
     m1, m2 = mention(d, [1]), mention(d, [2])
     with pytest.raises(ValueError):
         MentionAlignment([m1], [m2, m2], [(0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, -math.inf)])
+def test_zero_weights_must_be_finite_and_non_negative(weights):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ZeroWeight(*weights)
