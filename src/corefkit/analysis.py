@@ -101,12 +101,8 @@ def p95_range(entities: list[Entity], word_view: dict,
     """Nearest-rank 95th percentile of entity ranges (ascending sort,
     index ceil(0.95 n)).  None when no entity qualifies.  All entities
     must live in the document that ``word_view`` indexes."""
-    pool = [e for e in entities if not (exclude_singletons and e.is_singleton)]
-    if not pool:
-        return None
-    ranges = sorted(entity_range(e, word_view) for e in pool)
-    rank = max(1, math.ceil(0.95 * len(ranges)))
-    return ranges[rank - 1]
+    return _nearest_rank_p95([entity_range(e, word_view) for e in entities
+                              if not (exclude_singletons and e.is_singleton)])
 
 
 def head_upos_tags(mention: Mention, document: Document) -> set[str]:

@@ -84,8 +84,8 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
         ))
         stanza.clear()
 
-    for raw in _read_text(path, ManifestError).splitlines():
-        line = raw.strip()
+    for line in _read_lines(path, ManifestError):
+        line = line.strip()
         if not line:
             flush()
             continue
@@ -125,6 +125,12 @@ def _read_text(path: Path, error: type[ValueError]) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: invalid UTF-8 ({exc.reason}) "
                     f"at byte {exc.start}") from None
+
+
+def _read_lines(path: Path, error: type[ValueError]) -> list[str]:
+    """Lines of a text input.  They end at "\\n" only, as in CoNLL-U, so a
+    token may hold U+2028 and the like; a trailing "\\r" is dropped."""
+    return [line.rstrip("\r") for line in _read_text(path, error).split("\n")]
 
 
 def _write(path: Path, text: str) -> None:
@@ -259,7 +265,7 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
     skeleton = _load_corpus(skeleton_path)
     rebuilt = []  # (document, entities) pairs
     if direction == "from-text":
-        lines = [l for l in _read_text(in_path, PlaintextError).splitlines() if l.strip()]
+        lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
         if len(lines) != len(skeleton.documents):
             raise TokenMismatchError(
                 f"{in_path} has {len(lines)} documents but the skeleton has "
@@ -296,7 +302,7 @@ def cmd_clean(reference_path: Path, in_path: Path, out_path: Path,
     _require(reference_path.is_file(), f"reference path {reference_path} is not a readable file")
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     reference = _load_corpus(reference_path)
-    lines = [l for l in _read_text(in_path, PlaintextError).splitlines() if l.strip()]
+    lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
     if len(lines) != len(reference.documents):
         raise TokenMismatchError(
             f"{in_path} has {len(lines)} documents but the reference has "

@@ -53,6 +53,11 @@ _ITEM_MARKS = {OPEN: ("[", ""), CLOSE: ("", "]"), SINGLE: ("[", "]")}  # before 
 _ITEM_KINDS = {marks: kind for kind, marks in _ITEM_MARKS.items()}
 
 EMPTY_PREFIX = "##"
+# FORMs that would not read back: plaintext splits tokens at ASCII
+# whitespace and annotations at "|"; both formats mark empty nodes "##"
+_PLAIN_UNWRITABLE = re.compile(r"[ \t\n\r\f\v|]|\A(?:##|\Z)")
+_PLAIN_TOKEN = re.compile(r"[^ \t\n\r\f\v]+")  # as the cleaner reads them
+_JSON_UNWRITABLE = re.compile(r"\A##")
 
 
 class PlaintextError(ValueError):
@@ -114,7 +119,6 @@ class _Layout:
     surfaces: list[str]
     is_empty: list[bool]
     node_ids: list[NodeId]
-    sentence_index: list[int]
     position_of: dict[NodeId, int]
 
 
@@ -127,30 +131,24 @@ def _placement_anchor(node: Node) -> int:
 
 
 def _build_layout(document: Document) -> _Layout:
-    layout = _Layout([], [], [], [], {})
-    for sent_index, sentence in enumerate(document.sentences):
+    """The token order both formats write and read: each empty node after
+    the token _placement_anchor names, or first in its sentence for 0."""
+    nodes: list[Node] = []
+    for sentence in document.sentences:
         by_anchor: dict[int, list[Node]] = {}
         for node in sentence.nodes:
             if node.is_empty:
                 by_anchor.setdefault(_placement_anchor(node), []).append(node)
-
-        def emit(node: Node, empty: bool) -> None:
-            layout.position_of[node.id] = len(layout.surfaces)
-            layout.surfaces.append(node.form)
-            layout.is_empty.append(empty)
-            layout.node_ids.append(node.id)
-            layout.sentence_index.append(sent_index)
-
-        for node in sorted(by_anchor.get(0, []), key=lambda n: (n.id.major, n.id.minor)):
-            emit(node, True)
+        for group in by_anchor.values():
+            group.sort(key=lambda n: (n.id.major, n.id.minor))
+        nodes += by_anchor.get(0, ())
         for token in sentence.nodes:
-            if token.is_empty:
-                continue
-            emit(token, False)
-            for node in sorted(by_anchor.get(token.id.major, []),
-                               key=lambda n: (n.id.major, n.id.minor)):
-                emit(node, True)
-    return layout
+            if not token.is_empty:
+                nodes.append(token)
+                nodes += by_anchor.get(token.id.major, ())
+    node_ids = [node.id for node in nodes]
+    return _Layout([node.form for node in nodes], [nid.minor > 0 for nid in node_ids],
+                   node_ids, {nid: pos for pos, nid in enumerate(node_ids)})
 
 
 def _normalized_ids(entities: list[Entity]) -> dict[str, str]:
@@ -192,28 +190,47 @@ def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int, None]])
         tokens[pos].annotations = [AnnotationItem(*item) for item in items]
 
 
-def _entity_spans(entities: list[Entity], layout: _Layout) -> list[tuple[str, int, int, None]]:
-    ids = _normalized_ids(entities)
-    spans = []
+def _writable_layout(document: Document, unwritable: re.Pattern,
+                     error: type[ValueError]) -> _Layout:
+    """The document's layout; raises ``error`` on a FORM ``unwritable`` finds."""
+    layout = _build_layout(document)
+    for form, nid in zip(layout.surfaces, layout.node_ids):
+        if unwritable.search(form):
+            raise error(f"document '{document.doc_id}': FORM {form!r} of node "
+                        f"{nid.conllu_id()} in sentence {nid.sentence_index + 1} cannot be written")
+    return layout
+
+
+def _entity_segments(document: Document, entities: list[Entity], layout: _Layout,
+                     error: type[ValueError]) -> list[list[tuple[int, int]]]:
+    """Each entity's [start, end] mention segments in the layout; raises
+    ``error`` when two mentions of one entity cross."""
+    segments = []
     for entity in entities:
         eid_spans = []
         for mention in entity.mentions:  # a loop keeps the warning's stacklevel
             eid_spans.append(_mention_segment(mention, layout))
         if find_crossing(eid_spans):
-            raise ValueError(
-                f"mentions of entity '{entity.id}' cross; the bracket "
-                "format cannot represent them"
+            raise error(
+                f"document '{document.doc_id}': mentions of entity '{entity.id}' cross; "
+                "the bracket format cannot represent them"
             )
-        spans += [(ids[entity.id], start, end, None) for start, end in eid_spans]
-    return spans
+        segments.append(eid_spans)
+    return segments
 
 
 def to_plaintext(document: Document, entities: list[Entity]) -> PlainDoc:
-    """Render one document (one output line) with bracket annotations."""
-    layout = _build_layout(document)
+    """Render one document (one output line) with bracket annotations.
+    Raises PlaintextError on a FORM the format cannot hold, and on two
+    crossing mentions of one entity."""
+    layout = _writable_layout(document, _PLAIN_UNWRITABLE, PlaintextError)
     tokens = [PlainToken(surface, [], empty)
               for surface, empty in zip(layout.surfaces, layout.is_empty)]
-    _annotate(tokens, _entity_spans(entities, layout))
+    ids = _normalized_ids(entities)
+    segments = _entity_segments(document, entities, layout, PlaintextError)
+    _annotate(tokens, [(ids[entity.id], start, end, None)
+                       for entity, eid_spans in zip(entities, segments)
+                       for start, end in eid_spans])
     return PlainDoc(tokens)
 
 
@@ -338,22 +355,17 @@ def validate_json_doc(doc: JsonDoc) -> None:
 
 
 def to_json(document: Document, entities: list[Entity]) -> JsonDoc:
-    layout = _build_layout(document)
+    """One document's JSON value.  Raises JsonFormatError on a FORM that
+    starts with ``##``, and on two crossing mentions of one entity."""
+    layout = _writable_layout(document, _JSON_UNWRITABLE, JsonFormatError)
     rendered = [
         EMPTY_PREFIX + surface if empty else surface
         for surface, empty in zip(layout.surfaces, layout.is_empty)
     ]
-    offsets: list[list[list[int]]] = []
-    texts: list[list[str]] = []
-    for entity in entities:
-        cluster_offsets = []
-        cluster_texts = []
-        for mention in entity.mentions:
-            start, end = _mention_segment(mention, layout)
-            cluster_offsets.append([start, end])
-            cluster_texts.append(" ".join(rendered[start:end + 1]))
-        offsets.append(cluster_offsets)
-        texts.append(cluster_texts)
+    segments = _entity_segments(document, entities, layout, JsonFormatError)
+    offsets = [[[start, end] for start, end in eid_spans] for eid_spans in segments]
+    texts = [[" ".join(rendered[start:end + 1]) for start, end in eid_spans]
+             for eid_spans in segments]
     return JsonDoc(document.doc_id, rendered, offsets, texts)
 
 
@@ -558,12 +570,12 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
 # ---------------------------------------------------------------------------
 # Output cleaner.
 
-def _empties_by_ordinal(tokens: list[PlainToken]) -> dict[int, list[int]]:
+def _empties_by_ordinal(is_empty: list[bool]) -> dict[int, list[int]]:
     """Empty-token positions keyed by the surface ordinal before them (-1 first)."""
     empties: dict[int, list[int]] = {}
     ordinal = -1
-    for pos, token in enumerate(tokens):
-        if token.is_empty:
+    for pos, empty in enumerate(is_empty):
+        if empty:
             empties.setdefault(ordinal, []).append(pos)
         else:
             ordinal += 1
@@ -572,7 +584,7 @@ def _empties_by_ordinal(tokens: list[PlainToken]) -> dict[int, list[int]]:
 
 def _tolerant_tokens(noisy: str) -> list[PlainToken]:
     tokens: list[PlainToken] = []
-    for raw in noisy.split():
+    for raw in _PLAIN_TOKEN.findall(noisy):
         surface, sep, suffix = raw.rpartition("|")
         items: list[AnnotationItem] = []
         if sep:
@@ -616,8 +628,6 @@ def clean_output(reference: Document, noisy: str, *,
     noisy_tokens = _tolerant_tokens(noisy)
     surface_ids = [k for k, t in enumerate(noisy_tokens) if not t.is_empty]
 
-    empties_after = _empties_by_ordinal(noisy_tokens)
-
     # no alignment costs more than n + m, so a larger limit changes nothing
     # and is capped there before it can overflow
     limit = min(max_cost_ratio * max(len(ref_forms), 1), len(ref_forms) + len(surface_ids))
@@ -658,7 +668,7 @@ def clean_output(reference: Document, noisy: str, *,
     # re-anchor noisy empties after the aligned position of the nearest
     # preceding surviving surface token (None = document start)
     empties_at: dict[int | None, list[int]] = {}
-    for ordinal, empty_list in empties_after.items():
+    for ordinal, empty_list in _empties_by_ordinal([t.is_empty for t in noisy_tokens]).items():
         anchor = None if ordinal < 0 else prev_aligned[ordinal]
         empties_at.setdefault(anchor, []).extend(empty_list)
     for empty_list in empties_at.values():
@@ -694,12 +704,11 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
     """Project cleaned plaintext annotations back onto a CoNLL-U document.
 
     The cleaned surface tokens (empty nodes excluded) must equal the
-    input document's surface tokens, else TokenMismatchError.  ``##``
-    tokens map onto the input document's existing empty nodes where
-    their placement agrees (same preceding token under the plaintext
-    placement rule, in order); any others are inserted as children of
-    the token they follow, with an unlabeled relation.  Heads are
-    re-derived from the dependency tree.
+    input document's surface tokens, else TokenMismatchError.  The k-th
+    ``##`` token after a surface token (or before the first) is the k-th
+    empty node the writer places there; any further ones are inserted as
+    children of the token they follow, with an unlabeled relation.
+    Heads are re-derived from the dependency tree.
     """
     return _reconstruct(input_doc, cleaned.tokens, plain_mentions(cleaned))
 
@@ -714,76 +723,30 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
             "input document; run clean_output first"
         )
 
-    pred_empties = _empties_by_ordinal(tokens)
-
-    # surface ordinal -> (sentence index, node); plain position of each token
-    surface_nodes: list[tuple[int, Node]] = []
-    for sent_index, sentence in enumerate(input_doc.sentences):
-        for node in sentence.nodes:
-            if not node.is_empty:
-                surface_nodes.append((sent_index, node))
-
-    existing_by_anchor: list[dict[int, list[Node]]] = []
-    next_minor: list[dict[int, int]] = []
-    base_minor: list[dict[int, int]] = []
-    for sentence in input_doc.sentences:
-        groups: dict[int, list[Node]] = {}
-        minors: dict[int, int] = {}
-        for node in sentence.nodes:
-            if node.is_empty:
-                groups.setdefault(_placement_anchor(node), []).append(node)
-                minors[node.id.major] = max(minors.get(node.id.major, 0), node.id.minor)
-        for nodes in groups.values():
-            nodes.sort(key=lambda n: (n.id.major, n.id.minor))
-        existing_by_anchor.append(groups)
-        next_minor.append(minors)
-        base_minor.append(dict(minors))
-
-    position_to_node: dict[int, NodeId] = {}
-    # (sentence, major, minor) of the node after which new empties go;
-    # all mints at one anchor share the key so their order survives
+    layout = _build_layout(input_doc)
+    surface_ids = [nid for nid, empty in zip(layout.node_ids, layout.is_empty) if not empty]
+    position_to_node = dict(zip(surface_positions, surface_ids))
+    placed = _empties_by_ordinal(layout.is_empty)
+    # (sentence, major, minor) of the node after which new empties go
     inserts: dict[tuple[int, int, int], list[Node]] = {}
 
-    for ordinal, pos in enumerate(surface_positions):
-        position_to_node[pos] = surface_nodes[ordinal][1].id
-
-    def mint(sent_index: int, anchor: NodeId | None, pos: int) -> None:
-        """Mint an empty node after ``anchor``, its parent (None: before the first token)."""
-        anchor_major = anchor.major if anchor is not None else 0
-        minors = next_minor[sent_index]
-        minor = minors.get(anchor_major, 0) + 1
-        minors[anchor_major] = minor
-        nid = NodeId(sent_index, anchor_major, minor)
-        node = Node(id=nid, form=tokens[pos].surface, parent=anchor, deprel="_")
-        base = base_minor[sent_index].get(anchor_major, 0)
-        inserts.setdefault((sent_index, anchor_major, base), []).append(node)
-        position_to_node[pos] = nid
-
-    for ordinal in range(-1, len(surface_nodes)):
-        predicted = pred_empties.get(ordinal, [])
-        if not predicted:
+    for ordinal, positions in _empties_by_ordinal([t.is_empty for t in tokens]).items():
+        existing = [layout.node_ids[p] for p in placed.get(ordinal, [])]
+        for pos, nid in zip(positions, existing):
+            position_to_node[pos] = nid
+        if len(positions) <= len(existing):
             continue
-        # candidates: existing empties placed after this token, then the
-        # next sentence's sentence-initial empties when at a boundary
-        candidates: list[Node] = []
-        if ordinal >= 0:
-            sent_index, node = surface_nodes[ordinal]
-            candidates += existing_by_anchor[sent_index].get(node.id.major, [])
-            last_of_sentence = (ordinal + 1 == len(surface_nodes)
-                                or surface_nodes[ordinal + 1][0] != sent_index)
-            if last_of_sentence and ordinal + 1 < len(surface_nodes):
-                candidates += existing_by_anchor[surface_nodes[ordinal + 1][0]].get(0, [])
-            anchor_sent, anchor = sent_index, node.id
-        else:
-            anchor_sent = surface_nodes[0][0] if surface_nodes else 0
-            anchor = None
-            if input_doc.sentences:
-                candidates += existing_by_anchor[anchor_sent].get(0, [])
-        for offset, pos in enumerate(predicted):
-            if offset < len(candidates):
-                position_to_node[pos] = candidates[offset].id
-            else:
-                mint(anchor_sent, anchor, pos)
+        # the rest become children of the token before them (None: document start)
+        anchor = surface_ids[ordinal] if ordinal >= 0 else None
+        sent_index = surface_ids[max(ordinal, 0)].sentence_index if surface_ids else 0
+        major = anchor.major if anchor is not None else 0
+        base = max((n.id.minor for n in input_doc.sentences[sent_index].nodes
+                    if n.id.major == major), default=0)
+        added = inserts[sent_index, major, base] = []
+        for minor, pos in enumerate(positions[len(existing):], start=base + 1):
+            nid = NodeId(sent_index, major, minor)
+            added.append(Node(id=nid, form=tokens[pos].surface, parent=anchor, deprel="_"))
+            position_to_node[pos] = nid
 
     new_sentences: list[Sentence] = []
     for sent_index, sentence in enumerate(input_doc.sentences):

@@ -11,7 +11,6 @@ be shared freely across parallel workers.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -316,10 +315,6 @@ class WordIndex:
 
     def ordinal(self, doc_index: int, nid: NodeId) -> float:
         return self._per_document[doc_index][nid]
-
-    def anchor(self, doc_index: int, nid: NodeId) -> int:
-        """Ordinal of the nearest preceding regular token (identity for words)."""
-        return int(math.floor(self.ordinal(doc_index, nid)))
 
 
 def global_word_index(corpus: Corpus) -> WordIndex:

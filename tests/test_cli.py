@@ -18,7 +18,7 @@ from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.formats import corpus_to_plaintext
 from corefkit.model import Corpus, Entity
 
-from helpers import canonical_clusters, random_gold, recluster, zeroful_corpus
+from helpers import canonical_clusters, doc, ent, random_gold, recluster, sent, zeroful_corpus
 
 warnings.simplefilter("ignore")
 
@@ -501,3 +501,47 @@ def test_manifest_with_invalid_utf8_exits_2_naming_path_and_line(workspace, caps
     bad.write_bytes(manifest.read_bytes().replace(b"name = beta", b"name = b\xffta"))
     assert main(["score", "--manifest", str(bad), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     assert f"corefkit: parse error: {bad}: line 5: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", ["to-text", "to-json"])
+def test_convert_refuses_crossing_mentions_exit_2(tmp_path, capsys, direction):
+    # the zero 1.1 follows its parent w6, so {1.1, 5, 6} and {1.1, 6, 7}
+    # are the crossing segments [4, 6] and [5, 7] in either format
+    d = doc("d1", sent(0, [(f"w{k}", 0 if k == 1 else 1, "dep", "X") for k in range(1, 9)],
+                       empties=[(1, 1, "Z", 6, "nsubj")]))
+    src, out = tmp_path / "g.conllu", tmp_path / "out"
+    write_corpus(src, Corpus([d], [[ent("e1", d, [(0, 1, 1), (0, 5), (0, 6)],
+                                        [(0, 1, 1), (0, 6), (0, 7)])]]))
+    assert main(["convert", direction, "--in", str(src), "--out-file", str(out)]) == EXIT_PARSE
+    assert "document 'd1': mentions of entity 'e1' cross" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form, direction", [("x|[e1]", "to-text"), ("##x", "to-json")])
+def test_convert_refuses_forms_that_would_not_read_back_exit_2(tmp_path, capsys, form,
+                                                               direction):
+    d = doc("d1", sent(0, [("a", 0, "root", "X"), (form, 1, "dep", "X")]))
+    src, out = tmp_path / "g.conllu", tmp_path / "out"
+    write_corpus(src, Corpus([d], [[]]))
+    assert main(["convert", direction, "--in", str(src), "--out-file", str(out)]) == EXIT_PARSE
+    assert (f"document 'd1': FORM {form!r} of node 2 in sentence 1 cannot be written"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_plaintext_lines_end_at_newline_only(tmp_path):
+    # U+2028 inside a FORM neither ends a plaintext line nor splits a token
+    d = doc("d1", sent(0, [("a\u2028b", 0, "root", "NOUN"), ("c", 1, "dep", "X")]))
+    d2 = doc("d2", sent(0, [("e", 0, "root", "X")]))
+    gold = Corpus([d, d2], [[ent("e1", d, [(0, 1)], [(0, 2)])], [ent("e1", d2, [(0, 1)])]])
+    src, text = tmp_path / "g.conllu", tmp_path / "g.txt"
+    write_corpus(src, gold)
+    assert main(["convert", "to-text", "--in", str(src), "--out-file", str(text)]) == EXIT_OK
+    back, cleaned = tmp_path / "back.conllu", tmp_path / "clean.txt"
+    assert main(["convert", "from-text", "--in", str(text), "--skeleton", str(src),
+                 "--out-file", str(back)]) == EXIT_OK
+    assert [canonical_clusters(e) for e in parse_conllu(back.read_bytes()).entities] \
+        == [canonical_clusters(e) for e in gold.entities]
+    assert main(["clean", "--reference", str(src), "--in", str(text),
+                 "--out-file", str(cleaned)]) == EXIT_OK
+    assert cleaned.read_text(encoding="utf-8") == text.read_text(encoding="utf-8")

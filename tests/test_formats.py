@@ -1,15 +1,18 @@
 import json
 import random
+import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from corefkit.conllu import parse_conllu, serialize_conllu
+from corefkit.brackets import find_crossing
+from corefkit.conllu import ConlluError, parse_conllu, serialize_conllu
 from corefkit.formats import (
     CleanRefusedError,
     JsonFormatError,
     PlaintextError,
+    _build_layout,
     _core_alignment,
     _word_alignment,
     clean_output,
@@ -24,7 +27,7 @@ from corefkit.formats import (
     to_json,
     to_plaintext,
 )
-from corefkit.model import Corpus, NodeId
+from corefkit.model import Corpus, Entity, NodeId, make_mention, sort_entity_mentions
 
 from helpers import canonical_clusters, doc, ent, random_gold, sent
 from oracles import oracle_alignment_ops, oracle_edit_distance
@@ -455,3 +458,87 @@ def test_corpus_level_text_and_json_helpers():
         jdoc = json_doc_from_value(value)
         rebuilt, back = reconstruct_from_json(jdoc, document)
         assert canonical_clusters(back) == canonical_clusters(entities)
+
+
+def test_a_sentence_holding_only_empty_nodes_reads_back():
+    # the zero 1:0.1 sits between two ordinary sentences; both readers
+    # must give the ## token back to it, not mint a node in sentence 0
+    d = doc("d1",
+            sent(0, [("a", 0, "root", "VERB"), ("b", 1, "obj", "NOUN")]),
+            sent(1, [], empties=[(0, 1, "Z", 0, "nsubj")]),
+            sent(2, [("c", 0, "root", "VERB")]))
+    entities = [ent("e1", d, [(0, 2)], [(1, 0, 1)], [(2, 1)])]
+    expected = serialize_conllu(Corpus([d], [entities]))
+    line = to_plaintext(d, entities).render()
+    assert line == "a b|[e1] ##Z|[e1] c|[e1]"
+    for rebuilt, back in (reconstruct_conllu(d, from_plaintext(line)),
+                          reconstruct_from_json(to_json(d, entities), d)):
+        assert serialize_conllu(Corpus([rebuilt], [back])) == expected
+
+
+@st.composite
+def documents_with_placed_empties(draw):
+    """A document whose sentences may open with empty nodes, hold only
+    empty nodes, or carry empty nodes whose parent is another token, with
+    entities whose mentions are runs of the plaintext token order."""
+    sentences = []
+    for si in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 4))
+        tokens = [(f"w{si}{k}", 0 if k == 1 else draw(st.integers(1, k - 1)), "dep", "X")
+                  for k in range(1, n + 1)]
+        anchors = sorted(draw(st.lists(st.integers(0, n), min_size=0 if n else 1, max_size=3)))
+        empties = [(anchor, anchors[:k].count(anchor) + 1, f"Z{si}{k}",
+                    draw(st.integers(0, n)), "nsubj")
+                   for k, anchor in enumerate(anchors)]
+        sentences.append(sent(si, tokens, empties))
+    document = doc("d1", *sentences)
+    layout = _build_layout(document)
+    runs = {}  # sentence -> its layout positions, which are one run
+    for pos, nid in enumerate(layout.node_ids):
+        runs.setdefault(nid.sentence_index, []).append(pos)
+    entities = []
+    for _ in range(draw(st.integers(1, 3))):
+        segments = []
+        for _ in range(draw(st.integers(1, 3))):
+            run = draw(st.sampled_from(sorted(runs.values())))
+            start = draw(st.sampled_from(run))
+            segment = (start, draw(st.sampled_from([p for p in run if p >= start])))
+            if segment not in segments and not find_crossing(segments + [segment]):
+                segments.append(segment)
+        eid = f"e{len(entities) + 1}"
+        entities.append(Entity(eid, sort_entity_mentions([
+            make_mention(eid, layout.node_ids[start:end + 1], document)
+            for start, end in segments])))
+    return document, entities
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_with_placed_empties())
+def test_both_formats_read_back_the_nodes_they_wrote(case):
+    document, entities = case
+    try:
+        expected = serialize_conllu(Corpus([document], [entities]))
+    except ConlluError:
+        assume(False)  # a mention set the CoNLL-U brackets cannot hold
+    line = to_plaintext(document, entities).render()
+    for rebuilt, back in (reconstruct_conllu(document, from_plaintext(line)),
+                          reconstruct_from_json(to_json(document, entities), document)):
+        assert serialize_conllu(Corpus([rebuilt], [back])) == expected
+
+
+@pytest.mark.parametrize("form, plain_ok, json_ok", [
+    ("a b", False, True), ("a|b", False, True), ("x|e1]", False, True),
+    ("x|[e1]", False, True), ("|", False, True), ("", False, True),
+    ("a\tb", False, True), ("a\u00a0b", True, True), ("a\u2028b", True, True),
+    ("##x", False, False), ("x##", True, True),
+])
+def test_writers_refuse_forms_that_would_not_read_back(form, plain_ok, json_ok):
+    d = doc("d1", sent(0, [("a", 0, "root", "X"), (form, 1, "dep", "X")]))
+    for writer, error, ok in ((to_plaintext, PlaintextError, plain_ok),
+                              (to_json, JsonFormatError, json_ok)):
+        if ok:
+            writer(d, [])
+        else:
+            with pytest.raises(error, match=f"document 'd1': FORM {re.escape(repr(form))} "
+                                            "of node 2 in sentence 1 cannot be written"):
+                writer(d, [])
