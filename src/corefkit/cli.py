@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,6 +208,7 @@ def cmd_score(config: RunConfig) -> int:
         for spec in config.datasets
     ]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_score_dataset, tasks))
     else:

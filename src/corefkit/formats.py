@@ -389,7 +389,8 @@ def json_doc_from_value(value: dict) -> JsonDoc:
 
 def reconstruct_from_json(doc: JsonDoc, skeleton: Document) -> tuple[Document, list[Entity]]:
     """Project JSON clusters onto the skeleton document as entities e1,
-    e2, ...; ``doc`` is validated unless json_doc_from_value built it."""
+    e2, ...; ``doc`` is validated unless json_doc_from_value built it.
+    A mention across a sentence boundary raises JsonFormatError."""
     if not isinstance(doc, _CheckedJsonDoc):
         validate_json_doc(doc)
     tokens = [
@@ -402,7 +403,7 @@ def reconstruct_from_json(doc: JsonDoc, skeleton: Document) -> tuple[Document, l
         for ci, cluster in enumerate(doc.clusters_token_offsets)
         for start, end in cluster
     ]
-    return _reconstruct(skeleton, tokens, spans)
+    return _reconstruct(skeleton, tokens, spans, JsonFormatError)
 
 
 def from_json(doc: JsonDoc, skeleton: Document) -> list[Entity]:
@@ -708,14 +709,17 @@ def reconstruct_conllu(input_doc: Document, cleaned: PlainDoc) -> tuple[Document
     ``##`` token after a surface token (or before the first) is the k-th
     empty node the writer places there; any further ones are inserted as
     children of the token they follow, with an unlabeled relation.
-    Heads are re-derived from the dependency tree.
+    Heads are re-derived from the dependency tree.  A mention across a
+    sentence boundary raises PlaintextError.
     """
-    return _reconstruct(input_doc, cleaned.tokens, plain_mentions(cleaned))
+    return _reconstruct(input_doc, cleaned.tokens, plain_mentions(cleaned), PlaintextError)
 
 
 def _reconstruct(input_doc: Document, tokens: list[PlainToken],
-                 spans: list[tuple[str, int, int]]) -> tuple[Document, list[Entity]]:
-    """Entities of (eid, start, end) spans over tokens, on input_doc."""
+                 spans: list[tuple[str, int, int]],
+                 error: type[ValueError]) -> tuple[Document, list[Entity]]:
+    """Entities of (eid, start, end) spans over tokens, on input_doc;
+    raises ``error`` on a span across a sentence boundary."""
     surface_positions = [pos for pos, t in enumerate(tokens) if not t.is_empty]
     if [tokens[pos].surface for pos in surface_positions] != input_doc.surface_forms():
         raise TokenMismatchError(
@@ -761,6 +765,9 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
     grouped: dict[str, list] = {}
     for eid, start, end in spans:
         span = [position_to_node[p] for p in range(start, end + 1)]
+        if len({nid.sentence_index for nid in span}) > 1:
+            raise error(f"document '{input_doc.doc_id}': the mention of '{eid}' over "
+                        f"tokens {start}-{end} crosses a sentence boundary")
         grouped.setdefault(eid, []).append(span)
     entities = [
         Entity(eid, sort_entity_mentions([make_mention(eid, span, document) for span in spans]))

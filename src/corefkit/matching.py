@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy  # scipy.optimize loads on first use, only where an assignment is solved
 
 from .model import Document, Entity, Mention, NodeId
 
@@ -215,7 +215,7 @@ def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
         for p in range(n_pred):
             if weight[g][p] > 0:
                 cost[g, p] = -(weight[g][p] - eps * dpos[g][p])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return sorted(
         (int(g), int(p)) for g, p in zip(rows, cols) if weight[g][p] > 0
     )

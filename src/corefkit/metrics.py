@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy  # scipy.optimize loads on first use, only where an assignment is solved
 
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment
 from .model import Corpus, Document, Entity, Mention
@@ -199,7 +199,7 @@ class OverlapTable:
         for k, line in enumerate(self.rows):
             for r, c in line:
                 phi4[k, r] = 2 * c / (self.gold_sizes[k] + self.pred_sizes[r])
-        rows, cols = linear_sum_assignment(-phi4)
+        rows, cols = scipy.optimize.linear_sum_assignment(-phi4)
         total = float(phi4[rows, cols].sum())
         return total, n_gold, total, n_pred
 

@@ -545,3 +545,22 @@ def test_plaintext_lines_end_at_newline_only(tmp_path):
     assert main(["clean", "--reference", str(src), "--in", str(text),
                  "--out-file", str(cleaned)]) == EXIT_OK
     assert cleaned.read_text(encoding="utf-8") == text.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("direction, text", [
+    ("from-text", "a b|[e1 c|e1]\n"),
+    ("from-json", json.dumps([{"doc_id": "d1", "tokens": ["a", "b", "c"],
+                               "clusters_token_offsets": [[[1, 2]]],
+                               "clusters_text_mentions": [["b c"]]}])),
+], ids=["from-text", "from-json"])
+def test_convert_refuses_a_span_across_sentences_exit_2(tmp_path, capsys, direction, text):
+    d = doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")]),
+            sent(1, [("c", 0, "root", "X")]))
+    src, inp, out = tmp_path / "g.conllu", tmp_path / "in", tmp_path / "out"
+    write_corpus(src, Corpus([d], [[]]))
+    inp.write_text(text, encoding="utf-8")
+    assert main(["convert", direction, "--in", str(inp), "--skeleton", str(src),
+                 "--out-file", str(out)]) == EXIT_PARSE
+    assert ("corefkit: parse error: document 'd1': the mention of 'e1' over tokens 1-2 "
+            "crosses a sentence boundary") in capsys.readouterr().err
+    assert not out.exists()
