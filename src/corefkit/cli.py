@@ -18,6 +18,7 @@ per dataset, stanzas separated by blank lines::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,16 +52,6 @@ class DatasetSpec:
     gold: Path | None
     pred: Path | None
     exempt: bool = False
-
-
-@dataclass
-class RunConfig:
-    regime: MatchRegime
-    singleton_mode: str
-    weights: ZeroWeight
-    datasets: list[DatasetSpec]
-    out_dir: Path
-    jobs: int
 
 
 def parse_manifest(path: Path) -> list[DatasetSpec]:
@@ -171,15 +162,14 @@ _VARIANTS = (
 )
 
 
-def _score_dataset(args: tuple) -> tuple[str, dict, dict]:
+def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight,
+                   spec: DatasetSpec) -> tuple[dict, dict]:
     """Primary scores and the CoNLL variants of one dataset.  Each distinct
     (regime, singletons) pair is evaluated once; the variants need only
     CoNLL.  The primary run checks each document pair's surface tokens,
     so the variants skip that check."""
-    name, gold_path, pred_path, regime, singleton_mode, w_parent, w_label = args
-    weights = ZeroWeight(w_parent, w_label)
-    gold = _load_corpus(Path(gold_path))
-    pred = _load_corpus(Path(pred_path))
+    gold = _load_corpus(spec.gold)
+    pred = _load_corpus(spec.pred)
     primary = metrics.evaluate_corpus(gold, pred, regime=regime,
                                       singleton_mode=singleton_mode, weights=weights)
     evaluated = {(regime, singleton_mode): primary}
@@ -190,41 +180,40 @@ def _score_dataset(args: tuple) -> tuple[str, dict, dict]:
                 gold, pred, regime=variant_regime, singleton_mode=variant_mode,
                 weights=weights, conll_only=True, check_surface=False)
         variants[key] = evaluated[variant_regime, variant_mode][metrics.MetricId.CONLL]
-    return name, primary, variants
+    return primary, variants
 
 
-def cmd_score(config: RunConfig) -> int:
-    _require(config.jobs >= 1, f"--jobs must be at least 1, got {config.jobs}")
-    _prepare_out_dir(config.out_dir)
-    for spec in config.datasets:
+def cmd_score(args: argparse.Namespace) -> int:
+    regime = MatchRegime(args.regime)
+    singleton_mode = (metrics.SINGLETONS_INCLUDED if args.singletons == "include"
+                      else metrics.SINGLETONS_EXCLUDED)
+    weights = _zero_weights(args)
+    datasets = parse_manifest(args.manifest)
+    _require(args.jobs >= 1, f"--jobs must be at least 1, got {args.jobs}")
+    _prepare_out_dir(args.out)
+    for spec in datasets:
         _require(spec.gold is not None and spec.pred is not None,
                  f"dataset '{spec.name}' needs both gold and pred paths")
         _require(spec.gold.is_file(), f"gold path {spec.gold} is not a readable file")
         _require(spec.pred.is_file(), f"pred path {spec.pred} is not a readable file")
 
-    tasks = [
-        (spec.name, str(spec.gold), str(spec.pred), config.regime,
-         config.singleton_mode, config.weights.w_parent, config.weights.w_label_bonus)
-        for spec in config.datasets
-    ]
-    if config.jobs > 1:
+    score = functools.partial(_score_dataset, regime, singleton_mode, weights)
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_score_dataset, tasks))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(score, datasets))
     else:
-        results = [_score_dataset(task) for task in tasks]
-    by_name = {name: (primary, variants) for name, primary, variants in results}
+        results = list(map(score, datasets))
 
-    per_dataset = {spec.name: by_name[spec.name][0] for spec in config.datasets}
-    report = metrics.aggregate(per_dataset, config.singleton_mode, config.regime)
-    _write(config.out_dir / "scores.tsv", metrics.render_score_table(report))
-    _write(config.out_dir / "scores.jsonl", metrics.render_records(report))
+    per_dataset = {spec.name: primary for spec, (primary, _) in zip(datasets, results)}
+    report = metrics.aggregate(per_dataset, singleton_mode, regime)
+    _write(args.out / "scores.tsv", metrics.render_score_table(report))
+    _write(args.out / "scores.jsonl", metrics.render_records(report))
 
     variant_keys = [key for key, _, _ in _VARIANTS]
     lines = ["\t".join(["dataset"] + [f"conll_{k}" for k in variant_keys])]
     sums = {key: [0.0, 0.0, 0.0] for key in variant_keys}
-    for spec in config.datasets:
-        variants = by_name[spec.name][1]
+    for spec, (_, variants) in zip(datasets, results):
         cells = []
         for key in variant_keys:
             prf = variants[key]
@@ -233,38 +222,38 @@ def cmd_score(config: RunConfig) -> int:
             sums[key][1] += prf.precision
             sums[key][2] += prf.f1
         lines.append("\t".join([spec.name] + cells))
-    n = len(config.datasets)
+    n = len(datasets)
     macro_cells = [
         f"{100 * sums[k][0] / n:.2f} / {100 * sums[k][1] / n:.2f} / {100 * sums[k][2] / n:.2f}"
         for k in variant_keys
     ]
     lines.append("\t".join(["macro"] + macro_cells))
-    _write(config.out_dir / "conll_variants.tsv", "\n".join(lines) + "\n")
+    _write(args.out / "conll_variants.tsv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # convert / clean
 
-def cmd_convert(direction: str, in_path: Path, out_path: Path,
-                skeleton_path: Path | None) -> int:
+def cmd_convert(args: argparse.Namespace) -> int:
+    in_path, skeleton_path = args.in_path, args.skeleton
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
-    if direction == "to-text":
+    if args.direction == "to-text":
         corpus = _load_corpus(in_path)
-        _write(out_path, formats.corpus_to_plaintext(corpus))
+        _write(args.out_file, formats.corpus_to_plaintext(corpus))
         return EXIT_OK
-    if direction == "to-json":
+    if args.direction == "to-json":
         corpus = _load_corpus(in_path)
-        _write(out_path, json.dumps(formats.corpus_to_json(corpus),
-                                    ensure_ascii=False, indent=1) + "\n")
+        _write(args.out_file, json.dumps(formats.corpus_to_json(corpus),
+                                         ensure_ascii=False, indent=1) + "\n")
         return EXIT_OK
 
     _require(skeleton_path is not None,
-             f"convert {direction} needs --skeleton with the input CoNLL-U file")
+             f"convert {args.direction} needs --skeleton with the input CoNLL-U file")
     _require(skeleton_path.is_file(), f"skeleton path {skeleton_path} is not a readable file")
     skeleton = _load_corpus(skeleton_path)
     rebuilt = []  # (document, entities) pairs
-    if direction == "from-text":
+    if args.direction == "from-text":
         lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
         if len(lines) != len(skeleton.documents):
             raise TokenMismatchError(
@@ -273,11 +262,13 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
             )
         for line, document in zip(lines, skeleton.documents):
             rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
-    elif direction == "from-json":
+    else:
         try:
             values = json.loads(_read_text(in_path, JsonFormatError))
         except json.JSONDecodeError as exc:
             raise JsonFormatError(f"{in_path}: {exc}") from None
+        except RecursionError:
+            raise JsonFormatError(f"{in_path}: JSON nested too deeply to read") from None
         if not isinstance(values, list):
             raise JsonFormatError(f"{in_path}: JSON input must be a list of documents")
         by_id = {d.doc_id: d for d in skeleton.documents}
@@ -289,95 +280,107 @@ def cmd_convert(direction: str, in_path: Path, out_path: Path,
             if jdoc.doc_id not in by_id:
                 raise TokenMismatchError(f"skeleton has no document '{jdoc.doc_id}'")
             rebuilt.append(formats.reconstruct_from_json(jdoc, by_id[jdoc.doc_id]))
-    else:
-        raise ConfigError(f"unknown conversion direction '{direction}'")
-    _write(out_path, serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt])))
+    _write(args.out_file,
+           serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt])))
     return EXIT_OK
 
 
-def cmd_clean(reference_path: Path, in_path: Path, out_path: Path,
-              max_cost_ratio: float) -> int:
-    _require(math.isfinite(max_cost_ratio) and max_cost_ratio > 0,
-             f"--max-cost-ratio must be finite and greater than 0, got {max_cost_ratio}")
-    _require(reference_path.is_file(), f"reference path {reference_path} is not a readable file")
-    _require(in_path.is_file(), f"input path {in_path} is not a readable file")
-    reference = _load_corpus(reference_path)
-    lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
+def cmd_clean(args: argparse.Namespace) -> int:
+    ratio = args.max_cost_ratio
+    _require(math.isfinite(ratio) and ratio > 0,
+             f"--max-cost-ratio must be finite and greater than 0, got {ratio}")
+    _require(args.reference.is_file(), f"reference path {args.reference} is not a readable file")
+    _require(args.in_path.is_file(), f"input path {args.in_path} is not a readable file")
+    reference = _load_corpus(args.reference)
+    lines = [l for l in _read_lines(args.in_path, PlaintextError) if l.strip(" \t\f\v")]
     if len(lines) != len(reference.documents):
         raise TokenMismatchError(
-            f"{in_path} has {len(lines)} documents but the reference has "
+            f"{args.in_path} has {len(lines)} documents but the reference has "
             f"{len(reference.documents)}"
         )
     cleaned = [
-        formats.clean_output(document, line, max_cost_ratio=max_cost_ratio).render()
+        formats.clean_output(document, line, max_cost_ratio=ratio).render()
         for document, line in zip(reference.documents, lines)
     ]
-    _write(out_path, "\n".join(cleaned) + "\n")
+    _write(args.out_file, "\n".join(cleaned) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # stats / analyze / sample
 
-def cmd_stats(paths: list[tuple[str, Path]], mode: str, out_dir: Path) -> int:
-    _prepare_out_dir(out_dir)
+def _input_specs(paths: list[Path], manifest: Path | None,
+                 exempt: bool = False) -> list[DatasetSpec]:
+    """The datasets of ``stats`` and ``sample``: input paths or a manifest."""
+    if manifest is None:
+        _require(bool(paths), "give input paths or --manifest")
+        return [DatasetSpec(name=p.stem, gold=p, pred=p, exempt=exempt) for p in paths]
+    _require(not paths, "give input paths or --manifest, not both")
+    _require(not exempt, "--exempt applies to input paths only, not to --manifest")
+    return parse_manifest(manifest)
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    specs = _input_specs(args.paths, args.manifest)
+    _prepare_out_dir(args.out)
     rows = {}
-    for name, path in paths:
+    for spec in specs:
+        path = spec.pred if args.mode == "system" and spec.pred else spec.gold
+        _require(path is not None, f"dataset '{spec.name}' needs a gold path")
         _require(path.is_file(), f"stats input {path} is not a readable file")
-        rows[name] = analysis.corpus_stats(_load_corpus(path))
-    if mode == "corpus":
-        _write(out_dir / "stats_corpus.tsv", analysis.render_corpus_stats_table(rows))
+        rows[spec.name] = analysis.corpus_stats(_load_corpus(path))
+    if args.mode == "corpus":
+        _write(args.out / "stats_corpus.tsv", analysis.render_corpus_stats_table(rows))
     else:
-        _write(out_dir / "stats_entities.tsv", analysis.render_entity_stats_table(rows))
-        _write(out_dir / "stats_mentions.tsv", analysis.render_mention_stats_table(rows))
-        _write(out_dir / "stats_singletons.tsv", analysis.render_singleton_stats_table(rows))
-        _write(out_dir / "stats_details.tsv", analysis.render_mention_details_table(rows))
+        _write(args.out / "stats_entities.tsv", analysis.render_entity_stats_table(rows))
+        _write(args.out / "stats_mentions.tsv", analysis.render_mention_stats_table(rows))
+        _write(args.out / "stats_singletons.tsv", analysis.render_singleton_stats_table(rows))
+        _write(args.out / "stats_details.tsv", analysis.render_mention_details_table(rows))
     return EXIT_OK
 
 
-def cmd_analyze(kind: str, gold_path: Path, pred_path: Path, out_dir: Path,
-                regime: MatchRegime, weights: ZeroWeight, window_tokens: int, min_p95: int,
-                sort_key: str, tag: str | None, level: str) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """Both kinds score without singletons."""
-    _require(window_tokens >= 1, f"--window-tokens must be at least 1, got {window_tokens}")
-    _require(min_p95 >= 0, f"--min-p95 must be at least 0, got {min_p95}")
-    _prepare_out_dir(out_dir)
-    _require(gold_path.is_file(), f"gold path {gold_path} is not a readable file")
-    _require(pred_path.is_file(), f"pred path {pred_path} is not a readable file")
-    gold = _load_corpus(gold_path)
-    pred = _load_corpus(pred_path)
-    if kind == "long-range":
+    regime, weights = MatchRegime(args.regime), _zero_weights(args)
+    _require(args.window_tokens >= 1,
+             f"--window-tokens must be at least 1, got {args.window_tokens}")
+    _require(args.min_p95 >= 0, f"--min-p95 must be at least 0, got {args.min_p95}")
+    _prepare_out_dir(args.out)
+    _require(args.gold.is_file(), f"gold path {args.gold} is not a readable file")
+    _require(args.pred.is_file(), f"pred path {args.pred} is not a readable file")
+    gold = _load_corpus(args.gold)
+    pred = _load_corpus(args.pred)
+    if args.kind == "long-range":
         points = analysis.long_range_curve(
-            gold, pred, window_tokens=window_tokens, min_p95=min_p95,
-            sort_key=sort_key, regime=regime, weights=weights,
+            gold, pred, window_tokens=args.window_tokens, min_p95=args.min_p95,
+            sort_key=args.sort_key, regime=regime, weights=weights,
         )
-        _write(out_dir / "long_range_curve.tsv", analysis.render_curve_table(points))
+        _write(args.out / "long_range_curve.tsv", analysis.render_curve_table(points))
         return EXIT_OK
-    if kind == "upos":
-        _require(tag is not None, "analyze upos needs --tag")
-        prf = analysis.upos_factorized_score(gold, pred, tag, level=level,
-                                             regime=regime, weights=weights)
-        _write(
-            out_dir / f"upos_{level}_{tag}.tsv",
-            "tag\tlevel\trecall\tprecision\tf1\n"
-            f"{tag}\t{level}\t{100 * prf.recall:.2f}\t{100 * prf.precision:.2f}\t"
-            f"{100 * prf.f1:.2f}\n",
-        )
-        return EXIT_OK
-    raise ConfigError(f"unknown analysis kind '{kind}'")
+    tag, level = args.tag, args.level
+    _require(tag is not None, "analyze upos needs --tag")
+    prf = analysis.upos_factorized_score(gold, pred, tag, level=level,
+                                         regime=regime, weights=weights)
+    _write(
+        args.out / f"upos_{level}_{tag}.tsv",
+        "tag\tlevel\trecall\tprecision\tf1\n"
+        f"{tag}\t{level}\t{100 * prf.recall:.2f}\t{100 * prf.precision:.2f}\t"
+        f"{100 * prf.f1:.2f}\n",
+    )
+    return EXIT_OK
 
 
-def cmd_sample(datasets: list[DatasetSpec], cap_words: int, seed: int,
-               out_dir: Path) -> int:
-    _require(cap_words >= 1, f"--cap-words must be at least 1, got {cap_words}")
-    _prepare_out_dir(out_dir)
-    for spec in datasets:
+def cmd_sample(args: argparse.Namespace) -> int:
+    specs = _input_specs(args.paths, args.manifest, args.exempt)
+    _require(args.cap_words >= 1, f"--cap-words must be at least 1, got {args.cap_words}")
+    _prepare_out_dir(args.out)
+    for spec in specs:
         _require(spec.gold is not None, f"dataset '{spec.name}' needs a gold path to sample")
         _require(spec.gold.is_file(), f"path {spec.gold} is not a readable file")
         corpus = _load_corpus(spec.gold)
-        sampled = analysis.sample_split(corpus, cap_words=cap_words,
-                                        exempt=spec.exempt, seed=seed)
-        _write(out_dir / f"{spec.name}.conllu", serialize_conllu(sampled))
+        sampled = analysis.sample_split(corpus, cap_words=args.cap_words,
+                                        exempt=spec.exempt, seed=args.seed)
+        _write(args.out / f"{spec.name}.conllu", serialize_conllu(sampled))
     return EXIT_OK
 
 
@@ -406,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--singletons", choices=["include", "exclude"], default="exclude")
     p_score.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     common(p_score)
+    p_score.set_defaults(run=cmd_score)
 
     p_convert = sub.add_parser("convert", help="convert between CoNLL-U, plaintext and JSON")
     p_convert.add_argument("direction", choices=["to-text", "from-text", "to-json", "from-json"])
@@ -413,18 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--out-file", type=Path, required=True)
     p_convert.add_argument("--skeleton", type=Path, default=None,
                            help="input CoNLL-U file for from-text / from-json")
+    p_convert.set_defaults(run=cmd_convert)
 
     p_clean = sub.add_parser("clean", help="repair noisy plaintext output")
     p_clean.add_argument("--reference", type=Path, required=True)
     p_clean.add_argument("--in", dest="in_path", type=Path, required=True)
     p_clean.add_argument("--out-file", type=Path, required=True)
     p_clean.add_argument("--max-cost-ratio", type=float, default=0.5)
+    p_clean.set_defaults(run=cmd_clean)
 
     p_stats = sub.add_parser("stats", help="corpus or system statistics tables")
     p_stats.add_argument("paths", nargs="*", type=Path)
     p_stats.add_argument("--manifest", type=Path, default=None)
     p_stats.add_argument("--mode", choices=["corpus", "system"], default="corpus")
     p_stats.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
+    p_stats.set_defaults(run=cmd_stats)
 
     p_analyze = sub.add_parser("analyze", help="long-range curves and UPOS-factorized scores")
     p_analyze.add_argument("kind", choices=["long-range", "upos"])
@@ -436,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--tag", default=None)
     p_analyze.add_argument("--level", choices=["entity", "mention"], default="entity")
     common(p_analyze)
+    p_analyze.set_defaults(run=cmd_analyze)
 
     p_sample = sub.add_parser("sample", help="cap splits by sampling complete documents")
     p_sample.add_argument("paths", nargs="*", type=Path)
@@ -445,55 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pass splits through unchanged (positional paths only)")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
+    p_sample.set_defaults(run=cmd_sample)
 
     return parser
 
 
-def _specs_from_paths_or_manifest(paths: list[Path], manifest: Path | None,
-                                  exempt: bool = False) -> list[DatasetSpec]:
-    if manifest is not None:
-        return parse_manifest(manifest)
-    if not paths:
-        raise ConfigError("give input paths or --manifest")
-    return [DatasetSpec(name=p.stem, gold=p, pred=p, exempt=exempt) for p in paths]
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "score":
-            config = RunConfig(
-                regime=MatchRegime(args.regime),
-                singleton_mode=(metrics.SINGLETONS_INCLUDED if args.singletons == "include"
-                                else metrics.SINGLETONS_EXCLUDED),
-                weights=_zero_weights(args),
-                datasets=parse_manifest(args.manifest),
-                out_dir=args.out,
-                jobs=args.jobs,
-            )
-            return cmd_score(config)
-        if args.command == "convert":
-            return cmd_convert(args.direction, args.in_path, args.out_file, args.skeleton)
-        if args.command == "clean":
-            return cmd_clean(args.reference, args.in_path, args.out_file,
-                             args.max_cost_ratio)
-        if args.command == "stats":
-            specs = _specs_from_paths_or_manifest(args.paths, args.manifest)
-            paths = [(s.name, s.pred if args.mode == "system" and s.pred else s.gold)
-                     for s in specs]
-            return cmd_stats(paths, args.mode, args.out)
-        if args.command == "analyze":
-            return cmd_analyze(args.kind, args.gold, args.pred, args.out,
-                               MatchRegime(args.regime),
-                               _zero_weights(args),
-                               args.window_tokens, args.min_p95, args.sort_key,
-                               args.tag, args.level)
-        if args.command == "sample":
-            specs = _specs_from_paths_or_manifest(args.paths, args.manifest,
-                                                  exempt=args.exempt)
-            return cmd_sample(specs, args.cap_words, args.seed, args.out)
-        raise ConfigError(f"unknown command '{args.command}'")
+        return args.run(args)
     except (ConlluError, PlaintextError, JsonFormatError, ManifestError) as exc:
         print(f"corefkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -142,13 +142,11 @@ def _split_keyvals(column: str, bare: str | None, intern) -> dict[str, str | Non
 
 
 class _DocBuilder:
-    def __init__(self, doc_id: str, line: int):
+    def __init__(self, doc_id: str):
         self.doc_id = doc_id
-        self.start_line = line
         self.sentences: list[Sentence] = []
         self.sent_ids: set[str] = set()
         self.mentions: list[tuple[str, int, frozenset[int]]] = []  # (eid, sentence, positions)
-        self.skipped_annotations = 0
 
     def finish(self, documents: list[Document], entities: list[list[Entity]]) -> None:
         document = Document(self.doc_id, self.sentences)
@@ -256,7 +254,7 @@ def parse_conllu(source) -> Corpus:
                                 in _sentence_mentions(sent.entity_values, line))
         sent = None
 
-    def ensure_doc(line: int) -> None:
+    def ensure_doc() -> None:
         nonlocal doc, synthesized
         if doc is None:
             synthesized += 1
@@ -264,7 +262,7 @@ def parse_conllu(source) -> Corpus:
                 "content before any '# newdoc id =' comment; synthesizing a document id",
                 stacklevel=3,
             )
-            doc = _DocBuilder(f"doc_{synthesized}", line)
+            doc = _DocBuilder(f"doc_{synthesized}")
 
     # CoNLL-U lines end at "\n" only; str.splitlines would also break a
     # FORM at U+2028, U+0085 and the like
@@ -286,13 +284,12 @@ def parse_conllu(source) -> Corpus:
                     raise ConlluError("newdoc comment must carry 'id = <value>'", line_no)
                 if doc is not None:
                     doc.finish(documents, entities)
-                    skipped_annotations += doc.skipped_annotations
                 if doc_id in seen_doc_ids:
                     raise ConlluError(f"duplicate document id '{doc_id}'", line_no)
                 seen_doc_ids.add(doc_id)
-                doc = _DocBuilder(doc_id, line_no)
+                doc = _DocBuilder(doc_id)
             elif body.startswith("sent_id"):
-                ensure_doc(line_no)
+                ensure_doc()
                 if sent is None:
                     sent = _SentenceBuilder(len(doc.sentences))
                 _, _, value = body.partition("=")
@@ -301,7 +298,7 @@ def parse_conllu(source) -> Corpus:
             # other comments (e.g. '# text =') are dropped by canonicalization
             continue
 
-        ensure_doc(line_no)
+        ensure_doc()
         if sent is None:
             sent = _SentenceBuilder(len(doc.sentences))
         if not sent.first_line:
@@ -368,7 +365,7 @@ def parse_conllu(source) -> Corpus:
         entity_value = misc_map.pop("Entity", None)
         for key in _SKIPPED_ANNOTATIONS:
             if key in misc_map:
-                doc.skipped_annotations += 1
+                skipped_annotations += 1
         sent.nodes.append(Node(
             nid, intern(form, form), intern(lemma, lemma), intern(upos, upos),
             intern(xpos, xpos), _split_keyvals(feats, "", intern), parent,
@@ -380,7 +377,6 @@ def parse_conllu(source) -> Corpus:
     close_sentence(line_no if text else 0)
     if doc is not None:
         doc.finish(documents, entities)
-        skipped_annotations += doc.skipped_annotations
     if skipped_annotations:
         warnings.warn(
             f"skipped {skipped_annotations} non-identity anaphora annotations "

@@ -18,9 +18,11 @@ to the contiguous segment containing the head, with a warning.
 
 The cleaner repairs noisy generated output: it drops unmatched closing
 brackets, closes unmatched openers at the end of the sentence in which
-they opened, and re-anchors all annotations onto the reference token
-sequence through a word-level minimum-edit-distance alignment (empty
-nodes are excluded from the alignment and re-inserted afterwards).
+they opened, taking each ``##`` token's sentence from the readers'
+placement so that every line it writes converts back, and re-anchors
+all annotations onto the reference token sequence through a word-level
+minimum-edit-distance alignment (empty nodes are excluded from the
+alignment and re-inserted afterwards).
 """
 
 from __future__ import annotations
@@ -149,6 +151,27 @@ def _build_layout(document: Document) -> _Layout:
     node_ids = [node.id for node in nodes]
     return _Layout([node.form for node in nodes], [nid.minor > 0 for nid in node_ids],
                    node_ids, {nid: pos for pos, nid in enumerate(node_ids)})
+
+
+def _read_nodes(layout: _Layout, is_empty: list[bool]) -> list[NodeId]:
+    """The node each token of a written document reads as: the k-th ``##``
+    token after a surface token (or before the first) is the layout's k-th
+    empty node there.  A further one gets the id of the surface token
+    before it, or (first sentence, 0, 0) at the document start: it is a
+    new empty node of that token's sentence."""
+    first = next((nid.sentence_index for nid in layout.node_ids if not nid.is_empty), 0)
+    ids, at, anchor = [], 0, NodeId(first, 0, 0)
+    for empty in is_empty:
+        if not empty:
+            while layout.is_empty[at]:  # layout empties that no token took
+                at += 1
+            anchor = layout.node_ids[at]
+        elif at == len(layout.is_empty) or not layout.is_empty[at]:
+            ids.append(anchor)
+            continue
+        ids.append(layout.node_ids[at])
+        at += 1
+    return ids
 
 
 def _normalized_ids(entities: list[Entity]) -> dict[str, str]:
@@ -571,18 +594,6 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
 # ---------------------------------------------------------------------------
 # Output cleaner.
 
-def _empties_by_ordinal(is_empty: list[bool]) -> dict[int, list[int]]:
-    """Empty-token positions keyed by the surface ordinal before them (-1 first)."""
-    empties: dict[int, list[int]] = {}
-    ordinal = -1
-    for pos, empty in enumerate(is_empty):
-        if empty:
-            empties.setdefault(ordinal, []).append(pos)
-        else:
-            ordinal += 1
-    return empties
-
-
 def _tolerant_tokens(noisy: str) -> list[PlainToken]:
     tokens: list[PlainToken] = []
     for raw in _PLAIN_TOKEN.findall(noisy):
@@ -616,16 +627,16 @@ def clean_output(reference: Document, noisy: str, *,
     The result carries the reference surface tokens exactly, with the
     noisy annotations re-anchored and all brackets balanced; ``##``
     tokens from the noisy output are re-inserted after their preceding
-    surface token.  Raises CleanRefusedError when the word-level
-    alignment cost exceeds ``max_cost_ratio`` times the reference length,
-    and ValueError unless that ratio is finite and greater than 0.
+    surface token, and an opener left open closes at the last token of
+    its sentence, as the readers place the tokens.  Raises
+    CleanRefusedError when the word-level alignment cost exceeds
+    ``max_cost_ratio`` times the reference length, and ValueError unless
+    that ratio is finite and greater than 0.
     """
     if not (math.isfinite(max_cost_ratio) and max_cost_ratio > 0):
         raise ValueError(f"max_cost_ratio must be finite and greater than 0, got {max_cost_ratio}")
-    ref_forms = [n.form for s in reference.sentences for n in s.nodes if not n.is_empty]
-    ref_sentences = [
-        si for si, s in enumerate(reference.sentences) for n in s.nodes if not n.is_empty
-    ]
+    layout = _build_layout(reference)
+    ref_forms = [form for form, empty in zip(layout.surfaces, layout.is_empty) if not empty]
     noisy_tokens = _tolerant_tokens(noisy)
     surface_ids = [k for k, t in enumerate(noisy_tokens) if not t.is_empty]
 
@@ -669,15 +680,15 @@ def clean_output(reference: Document, noisy: str, *,
     # re-anchor noisy empties after the aligned position of the nearest
     # preceding surviving surface token (None = document start)
     empties_at: dict[int | None, list[int]] = {}
-    for ordinal, empty_list in _empties_by_ordinal([t.is_empty for t in noisy_tokens]).items():
-        anchor = None if ordinal < 0 else prev_aligned[ordinal]
-        empties_at.setdefault(anchor, []).extend(empty_list)
-    for empty_list in empties_at.values():
-        empty_list.sort()
+    ordinal = -1
+    for k, token in enumerate(noisy_tokens):
+        if not token.is_empty:
+            ordinal += 1
+        else:
+            empties_at.setdefault(None if ordinal < 0 else prev_aligned[ordinal], []).append(k)
 
     out_tokens: list[PlainToken] = []
     out_items: list[list[AnnotationItem]] = []
-    sentence_ends: list[int] = []
 
     def emit(surface: str, items: list[AnnotationItem], empty: bool) -> None:
         out_tokens.append(PlainToken(surface, [], empty))
@@ -689,10 +700,12 @@ def clean_output(reference: Document, noisy: str, *,
         emit(form, ref_items[j], False)
         for k in empties_at.get(j, []):
             emit(_nfc(noisy_tokens[k].surface), noisy_tokens[k].annotations, True)
-        if j + 1 < len(ref_forms) and ref_sentences[j + 1] != ref_sentences[j]:
-            sentence_ends.append(len(out_tokens) - 1)
 
-    # unmatched closers are dropped; openers left open close at their sentence end
+    # unmatched closers are dropped; openers left open close where the
+    # sentence the readers give the tokens changes
+    read = _read_nodes(layout, [t.is_empty for t in out_tokens])
+    sentence_ends = [pos for pos in range(len(read) - 1)
+                     if read[pos].sentence_index != read[pos + 1].sentence_index]
     spans, _, unclosed = pair_items(enumerate(out_items), sentence_ends)
     _annotate(out_tokens, spans + unclosed)
     return PlainDoc(out_tokens)
@@ -720,37 +733,29 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
                  error: type[ValueError]) -> tuple[Document, list[Entity]]:
     """Entities of (eid, start, end) spans over tokens, on input_doc;
     raises ``error`` on a span across a sentence boundary."""
-    surface_positions = [pos for pos, t in enumerate(tokens) if not t.is_empty]
-    if [tokens[pos].surface for pos in surface_positions] != input_doc.surface_forms():
+    if [t.surface for t in tokens if not t.is_empty] != input_doc.surface_forms():
         raise TokenMismatchError(
             f"document '{input_doc.doc_id}': cleaned tokens do not match the "
             "input document; run clean_output first"
         )
 
-    layout = _build_layout(input_doc)
-    surface_ids = [nid for nid, empty in zip(layout.node_ids, layout.is_empty) if not empty]
-    position_to_node = dict(zip(surface_positions, surface_ids))
-    placed = _empties_by_ordinal(layout.is_empty)
+    node_at = _read_nodes(_build_layout(input_doc), [t.is_empty for t in tokens])
+    new_after: dict[NodeId, list[int]] = {}  # surface id (major 0: document start) -> positions
+    for pos, nid in enumerate(node_at):
+        if tokens[pos].is_empty and not nid.is_empty:
+            new_after.setdefault(nid, []).append(pos)
     # (sentence, major, minor) of the node after which new empties go
     inserts: dict[tuple[int, int, int], list[Node]] = {}
-
-    for ordinal, positions in _empties_by_ordinal([t.is_empty for t in tokens]).items():
-        existing = [layout.node_ids[p] for p in placed.get(ordinal, [])]
-        for pos, nid in zip(positions, existing):
-            position_to_node[pos] = nid
-        if len(positions) <= len(existing):
-            continue
-        # the rest become children of the token before them (None: document start)
-        anchor = surface_ids[ordinal] if ordinal >= 0 else None
-        sent_index = surface_ids[max(ordinal, 0)].sentence_index if surface_ids else 0
-        major = anchor.major if anchor is not None else 0
+    for anchor, positions in new_after.items():
+        # children of the token before them, or roots at the document start
+        sent_index, major = anchor.sentence_index, anchor.major
         base = max((n.id.minor for n in input_doc.sentences[sent_index].nodes
                     if n.id.major == major), default=0)
         added = inserts[sent_index, major, base] = []
-        for minor, pos in enumerate(positions[len(existing):], start=base + 1):
-            nid = NodeId(sent_index, major, minor)
-            added.append(Node(id=nid, form=tokens[pos].surface, parent=anchor, deprel="_"))
-            position_to_node[pos] = nid
+        for minor, pos in enumerate(positions, start=base + 1):
+            nid = node_at[pos] = NodeId(sent_index, major, minor)
+            added.append(Node(id=nid, form=tokens[pos].surface,
+                              parent=anchor if major else None, deprel="_"))
 
     new_sentences: list[Sentence] = []
     for sent_index, sentence in enumerate(input_doc.sentences):
@@ -764,7 +769,7 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
     document = Document(input_doc.doc_id, new_sentences)
     grouped: dict[str, list] = {}
     for eid, start, end in spans:
-        span = [position_to_node[p] for p in range(start, end + 1)]
+        span = node_at[start:end + 1]
         if len({nid.sentence_index for nid in span}) > 1:
             raise error(f"document '{input_doc.doc_id}': the mention of '{eid}' over "
                         f"tokens {start}-{end} crosses a sentence boundary")

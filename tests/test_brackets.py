@@ -120,3 +120,72 @@ def test_cleaner_output_is_accepted_and_keeps_the_repaired_spans(case):
     rebuilt, entities = reconstruct_conllu(reference, cleaned)
     back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
     assert canonical_clusters(back.entities[0]) == canonical_clusters(entities)
+
+
+@st.composite
+def noisy_lines_over_leading_empties(draw):
+    """A reference whose sentences may open with empty nodes (0.1, 0.2),
+    and its written tokens with extra ``##`` tokens anywhere and any items
+    on every token."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    leads = draw(st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)))
+    reference = doc("d1", *(
+        sent(si, [(f"w{si}_{k}", 0 if k == 0 else 1, "root" if k == 0 else "dep", "X")
+                  for k in range(n)],
+             empties=[(0, m, f"Z{si}_{m}", 0, "nsubj") for m in range(1, lead + 1)])
+        for si, (n, lead) in enumerate(zip(sizes, leads))
+    ))
+    tokens = []
+    for si, (n, lead) in enumerate(zip(sizes, leads)):
+        tokens += [f"##Z{si}_{m}" for m in range(1, lead + 1)]
+        tokens += [f"w{si}_{k}" for k in range(n)]
+    for at in sorted(draw(st.lists(st.integers(0, len(tokens)), max_size=4)), reverse=True):
+        tokens.insert(at, "##N")
+    items = draw(st.lists(st.lists(ITEM, max_size=2), min_size=len(tokens),
+                          max_size=len(tokens)))
+    return sizes, leads, reference, tokens, items
+
+
+def readers_sentences(sizes, leads, tokens):
+    """The sentence the readers give each token: the k-th ``##`` after a
+    sentence's last token (or before the first token) is the next
+    sentence's k-th leading empty node while it has one; any other ``##``
+    is in the sentence of the token before it."""
+    surface_sentence = [si for si, n in enumerate(sizes) for _ in range(n)]
+    sentence_of, ordinal, k = [], -1, 0
+    for token in tokens:
+        if not token.startswith("##"):
+            ordinal, k = ordinal + 1, 0
+            sentence_of.append(surface_sentence[ordinal])
+            continue
+        before = surface_sentence[ordinal] if ordinal >= 0 else 0
+        if ordinal < 0:
+            opening = 0
+        elif ordinal + 1 < len(surface_sentence) and surface_sentence[ordinal + 1] != before:
+            opening = before + 1
+        else:
+            opening = None
+        sentence_of.append(opening if opening is not None and k < leads[opening] else before)
+        k += 1
+    return sentence_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_lines_over_leading_empties())
+def test_cleaner_output_converts_where_sentences_open_with_empty_nodes(case):
+    """Openers close where the readers' sentence changes, so every span of
+    the cleaned line lies in one sentence and converts to CoNLL-U."""
+    sizes, leads, reference, tokens, items = case
+    noisy = " ".join(
+        token + ("|" + ",".join(SYNTAX[kind].format(eid) for kind, eid in token_items)
+                 if token_items else "")
+        for token, token_items in zip(tokens, items)
+    )
+    cleaned = from_plaintext(clean_output(reference, noisy).render())
+    assert [("##" if t.is_empty else "") + t.surface for t in cleaned.tokens] == tokens
+    sentence_of = readers_sentences(sizes, leads, tokens)
+    assert sorted(plain_mentions(cleaned)) == sorted(oracle_bracket_repair(items, sentence_of))
+
+    rebuilt, entities = reconstruct_conllu(reference, cleaned)
+    back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
+    assert canonical_clusters(back.entities[0]) == canonical_clusters(entities)

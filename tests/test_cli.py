@@ -564,3 +564,53 @@ def test_convert_refuses_a_span_across_sentences_exit_2(tmp_path, capsys, direct
     assert ("corefkit: parse error: document 'd1': the mention of 'e1' over tokens 1-2 "
             "crosses a sentence boundary") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_clean_output_converts_when_a_sentence_opens_with_an_empty_node(tmp_path):
+    # ##Z is the second sentence's 0.1, so the opener on "a" closes on "b"
+    d = doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")]),
+            sent(1, [("c", 0, "root", "X"), ("d", 1, "dep", "X")],
+                 empties=[(0, 1, "Z", 0, "root")]))
+    src, noisy = tmp_path / "g.conllu", tmp_path / "noisy.txt"
+    cleaned, back = tmp_path / "clean.txt", tmp_path / "back.conllu"
+    write_corpus(src, Corpus([d], [[]]))
+    noisy.write_text("a|[e1 b ##Z c d\n", encoding="utf-8")
+    assert main(["clean", "--reference", str(src), "--in", str(noisy),
+                 "--out-file", str(cleaned)]) == EXIT_OK
+    assert cleaned.read_text(encoding="utf-8") == "a|[e1 b|e1] ##Z c d\n"
+    assert main(["convert", "from-text", "--in", str(cleaned), "--skeleton", str(src),
+                 "--out-file", str(back)]) == EXIT_OK
+    assert canonical_clusters(parse_conllu(back.read_bytes()).entities[0]) \
+        == canonical_clusters([ent("e1", d, [(0, 1), (0, 2)])])
+
+
+def test_convert_from_json_nested_too_deeply_exits_2(tmp_path, capsys):
+    gold, _ = make_pair(67, n_docs=1)
+    src, inp, out = tmp_path / "g.conllu", tmp_path / "deep.json", tmp_path / "out"
+    write_corpus(src, gold)
+    inp.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["convert", "from-json", "--in", str(inp), "--skeleton", str(src),
+                 "--out-file", str(out)]) == EXIT_PARSE
+    assert f"corefkit: parse error: {inp}: JSON nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "{gold}", "--manifest", "{manifest}"], "input paths or --manifest, not both"),
+    (["sample", "{gold}", "--manifest", "{manifest}"], "input paths or --manifest, not both"),
+    (["sample", "--manifest", "{manifest}", "--exempt"],
+     "--exempt applies to input paths only, not to --manifest"),
+], ids=["stats-paths-and-manifest", "sample-paths-and-manifest", "sample-manifest-exempt"])
+def test_inputs_that_would_be_ignored_exit_4(workspace, capsys, argv, message):
+    tmp_path, manifest = workspace
+    argv = [arg.format(gold=tmp_path / "a.gold.conllu", manifest=manifest) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stats_dataset_without_paths_exits_4(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("name = x\n", encoding="utf-8")
+    assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "dataset 'x' needs a gold path" in capsys.readouterr().err
