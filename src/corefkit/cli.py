@@ -63,11 +63,14 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
             return
         if "name" not in stanza:
             raise ConfigError(f"manifest {path}: stanza without a 'name' key")
+        name = stanza["name"]  # sample writes {name}.conllu, which must stay in --out
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(f"manifest {path}: dataset name {name!r} is not a plain file name")
         exempt = stanza.get("exempt", "false").lower()
         if exempt not in ("true", "false"):
             raise ConfigError(f"manifest {path}: exempt must be true or false")
         specs.append(DatasetSpec(
-            name=stanza["name"],
+            name=name,
             gold=Path(stanza["gold"]) if "gold" in stanza else None,
             pred=Path(stanza["pred"]) if "pred" in stanza else None,
             exempt=exempt == "true",

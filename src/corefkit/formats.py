@@ -1,9 +1,11 @@
 """Plaintext and JSON interchange formats, output repair, reconstruction.
 
 Plaintext stores each document as a single line of space-separated
-tokens.  Coreference is attached to a token after ``|`` as a
-comma-separated item list: ``[eN`` opens a mention, ``eN]`` closes it,
-``[eN]`` is a single-token mention; unannotated tokens omit the ``|``.
+tokens.  A token's surface is what precedes its first ``|``; its items
+are the comma-separated pieces after its last ``|``: ``[eN`` opens a
+mention, ``eN]`` closes it, ``[eN]`` is a single-token mention;
+unannotated tokens omit the ``|``.  Every other piece is rejected: the
+strict reader raises on it and the cleaner drops it.
 Empty nodes are rendered with a ``##`` prefix and placed directly after
 their syntactic parent (falling back to their anchor token when the
 parent is not a surface token of the sentence).
@@ -16,13 +18,14 @@ four fields: doc_id, tokens, clusters_token_offsets (0-based inclusive
 Both formats are span-bracketed, so discontinuous mentions are reduced
 to the contiguous segment containing the head, with a warning.
 
-The cleaner repairs noisy generated output: it drops unmatched closing
-brackets, closes unmatched openers at the end of the sentence in which
-they opened, taking each ``##`` token's sentence from the readers'
-placement so that every line it writes converts back, and re-anchors
-all annotations onto the reference token sequence through a word-level
-minimum-edit-distance alignment (empty nodes are excluded from the
-alignment and re-inserted afterwards).
+The cleaner repairs noisy generated output against a reference whose
+FORMs the writer accepts: it drops unmatched closing brackets, closes
+unmatched openers at the end of the sentence in which they opened,
+taking each ``##`` token's sentence from the readers' placement so that
+every line it writes converts back, and re-anchors all annotations onto
+the reference token sequence through a word-level minimum-edit-distance
+alignment (empty nodes are excluded from the alignment and re-inserted
+afterwards).
 """
 
 from __future__ import annotations
@@ -269,29 +272,36 @@ def _parse_item(text: str) -> AnnotationItem | None:
     return AnnotationItem(kind, match[2]) if kind else None
 
 
+def _split_token(raw: str) -> tuple[str, list[AnnotationItem], bool, list[str]]:
+    """(surface less its ``##`` prefix, items, whether it is an empty node,
+    rejected pieces) of a token, in the grammar of both readers."""
+    surface, sep, suffix = raw.partition("|")
+    items, rejected = [], []
+    if sep:
+        *rejected, suffix = suffix.split("|")
+        for piece in suffix.split(","):
+            item = _parse_item(piece)
+            if item is None:
+                rejected.append(piece)
+            else:
+                items.append(item)
+    is_empty = surface.startswith(EMPTY_PREFIX)
+    return (surface[len(EMPTY_PREFIX):] if is_empty else surface), items, is_empty, rejected
+
+
 def from_plaintext(line: str) -> PlainDoc:
     """Strictly parse one plaintext document line.
 
-    Raises PlaintextError (with the token index) on unbalanced brackets,
-    malformed entity ids, or empty tokens.
+    Raises PlaintextError (with the token index) on a rejected piece,
+    unbalanced brackets, or empty tokens.
     """
     tokens: list[PlainToken] = []
     for index, raw in enumerate(line.rstrip("\n").split(" ")):
         if not raw:
             raise PlaintextError("empty token (double or trailing space)", index)
-        surface, sep, suffix = raw.rpartition("|")
-        if not sep:
-            surface, suffix = raw, ""
-        items: list[AnnotationItem] = []
-        if sep:
-            for piece in suffix.split(","):
-                item = _parse_item(piece)
-                if item is None:
-                    raise PlaintextError(f"malformed annotation item '{piece}'", index)
-                items.append(item)
-        is_empty = surface.startswith(EMPTY_PREFIX)
-        if is_empty:
-            surface = surface[len(EMPTY_PREFIX):]
+        surface, items, is_empty, rejected = _split_token(raw)
+        if rejected:
+            raise PlaintextError(f"malformed annotation item '{rejected[0]}'", index)
         if not surface:
             raise PlaintextError("empty token surface", index)
         tokens.append(PlainToken(surface, items, is_empty))
@@ -597,21 +607,7 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
 def _tolerant_tokens(noisy: str) -> list[PlainToken]:
     tokens: list[PlainToken] = []
     for raw in _PLAIN_TOKEN.findall(noisy):
-        surface, sep, suffix = raw.rpartition("|")
-        items: list[AnnotationItem] = []
-        if sep:
-            for piece in suffix.split(","):
-                item = _parse_item(piece)
-                if item is not None:
-                    items.append(item)
-            if not items and suffix:
-                # the | was not an annotation separator after all
-                surface = raw
-        else:
-            surface = raw
-        is_empty = surface.startswith(EMPTY_PREFIX)
-        if is_empty:
-            surface = surface[len(EMPTY_PREFIX):]
+        surface, items, is_empty, _ = _split_token(raw)  # rejected pieces are dropped
         if not surface:  # items of a bare "|..." or "##" piece join the token before
             if tokens:
                 tokens[-1].annotations.extend(items)
@@ -628,14 +624,15 @@ def clean_output(reference: Document, noisy: str, *,
     noisy annotations re-anchored and all brackets balanced; ``##``
     tokens from the noisy output are re-inserted after their preceding
     surface token, and an opener left open closes at the last token of
-    its sentence, as the readers place the tokens.  Raises
-    CleanRefusedError when the word-level alignment cost exceeds
-    ``max_cost_ratio`` times the reference length, and ValueError unless
-    that ratio is finite and greater than 0.
+    its sentence, as the readers place the tokens.  Raises PlaintextError
+    on a reference FORM to_plaintext refuses, CleanRefusedError when the
+    word-level alignment cost exceeds ``max_cost_ratio`` times the
+    reference length, and ValueError unless that ratio is finite and
+    greater than 0.
     """
     if not (math.isfinite(max_cost_ratio) and max_cost_ratio > 0):
         raise ValueError(f"max_cost_ratio must be finite and greater than 0, got {max_cost_ratio}")
-    layout = _build_layout(reference)
+    layout = _writable_layout(reference, _PLAIN_UNWRITABLE, PlaintextError)
     ref_forms = [form for form, empty in zip(layout.surfaces, layout.is_empty) if not empty]
     noisy_tokens = _tolerant_tokens(noisy)
     surface_ids = [k for k, t in enumerate(noisy_tokens) if not t.is_empty]

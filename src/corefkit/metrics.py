@@ -195,12 +195,12 @@ class OverlapTable:
         n_gold, n_pred = len(self.gold_sizes), len(self.pred_sizes)
         if not n_gold or not n_pred:
             return 0.0, n_gold, 0.0, n_pred
-        phi4 = np.zeros((n_gold, n_pred))
+        cost = np.zeros((n_gold, n_pred))  # -phi4: negating is exact, so totals keep every bit
         for k, line in enumerate(self.rows):
             for r, c in line:
-                phi4[k, r] = 2 * c / (self.gold_sizes[k] + self.pred_sizes[r])
-        rows, cols = scipy.optimize.linear_sum_assignment(-phi4)
-        total = float(phi4[rows, cols].sum())
+                cost[k, r] = -2 * c / (self.gold_sizes[k] + self.pred_sizes[r])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        total = 0.0 - float(cost[rows, cols].sum())  # not -sum, which gives -0.0 for no overlap
         return total, n_gold, total, n_pred
 
     def blanc(self):

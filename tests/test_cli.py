@@ -75,6 +75,20 @@ def test_manifest_duplicate_names_rejected(tmp_path):
         parse_manifest(manifest)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/x", "{tmp}/abs", "x/"])
+def test_manifest_name_that_is_not_a_plain_file_name_exits_4(workspace, capsys, name):
+    tmp_path, _ = workspace
+    name = name.format(tmp=tmp_path)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"name = {name}\ngold = {tmp_path / 'a.gold.conllu'}\n",
+                        encoding="utf-8")
+    out = tmp_path / "mdir" / "sub" / "out"
+    assert main(["sample", "--manifest", str(manifest), "--out", str(out)]) == EXIT_CONFIG
+    assert f"manifest {manifest}: dataset name {name!r} is not a plain file name" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "mdir").exists()
+
+
 def test_score_perfect_prediction_reports_100(workspace):
     tmp_path, manifest = workspace
     out = tmp_path / "out"
@@ -614,3 +628,45 @@ def test_stats_dataset_without_paths_exits_4(tmp_path, capsys):
     manifest.write_text("name = x\n", encoding="utf-8")
     assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "dataset 'x' needs a gold path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noisy, expected", [
+    ("a ##Z|[e1]|e1]|e1] b", "a ##Z b"),
+    ("a ##Z|[e1]|e1] b", "a ##Z b"),
+    ("##Zpro|[e3]|x a b", "##Zpro a b"),
+])
+def test_clean_drops_pieces_outside_the_token_grammar_and_converts(tmp_path, noisy, expected):
+    # a "##" token's surface ends at its first "|", so it reads back as written
+    src, inp = tmp_path / "g.conllu", tmp_path / "noisy.txt"
+    cleaned, back = tmp_path / "clean.txt", tmp_path / "back.conllu"
+    write_corpus(src, Corpus([doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")]))],
+                             [[]]))
+    inp.write_text(noisy + "\n", encoding="utf-8")
+    assert main(["clean", "--reference", str(src), "--in", str(inp),
+                 "--out-file", str(cleaned)]) == EXIT_OK
+    assert cleaned.read_text(encoding="utf-8") == expected + "\n"
+    assert main(["convert", "from-text", "--in", str(cleaned), "--skeleton", str(src),
+                 "--out-file", str(back)]) == EXIT_OK
+
+
+def test_clean_refuses_a_reference_form_the_writer_refuses_exit_2(tmp_path, capsys):
+    d = doc("d1", sent(0, [("a|b", 0, "root", "X"), ("c", 1, "dep", "X"),
+                           ("##x", 1, "dep", "X")]))
+    src, inp, out = tmp_path / "g.conllu", tmp_path / "noisy.txt", tmp_path / "clean.txt"
+    write_corpus(src, Corpus([d], [[]]))
+    inp.write_text("a|b|[e1 c|e1] ##x\n", encoding="utf-8")
+    assert main(["clean", "--reference", str(src), "--in", str(inp),
+                 "--out-file", str(out)]) == EXIT_PARSE
+    assert ("corefkit: parse error: document 'd1': FORM 'a|b' of node 1 in sentence 1 "
+            "cannot be written") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_from_text_rejects_a_piece_between_two_bars_exit_2(tmp_path, capsys):
+    src, inp, out = tmp_path / "g.conllu", tmp_path / "in.txt", tmp_path / "out"
+    write_corpus(src, Corpus([doc("d1", sent(0, [("a", 0, "root", "X")]))], [[]]))
+    inp.write_text("a|b|[e1]\n", encoding="utf-8")
+    assert main(["convert", "from-text", "--in", str(inp), "--skeleton", str(src),
+                 "--out-file", str(out)]) == EXIT_PARSE
+    assert "token 0: malformed annotation item 'b'" in capsys.readouterr().err
+    assert not out.exists()

@@ -25,9 +25,7 @@ INPUTS = {
     "json": (json.dumps(corpus_to_json(GOLD), ensure_ascii=False, indent=1) + "\n").encode(),
     "manifest": b"name = fuzz\ngold = {gold}\npred = {pred}\n",
 }
-# every command line, with {name} standing for the path of that input;
-# sample reads its input by path, so a mutated manifest never names the
-# file it writes
+# every command line, with {name} standing for the path of that input
 COMMANDS = [
     ["score", "--manifest", "{manifest}"],
     ["convert", "to-text", "--in", "{gold}", "--out-file", "{out}/g.txt"],
@@ -42,6 +40,7 @@ COMMANDS = [
     ["analyze", "long-range", "--gold", "{gold}", "--pred", "{pred}", "--min-p95", "0"],
     ["analyze", "upos", "--gold", "{gold}", "--pred", "{pred}", "--tag", "NOUN"],
     ["sample", "{gold}", "--cap-words", "20"],
+    ["sample", "--manifest", "{manifest}", "--cap-words", "20"],
 ]
 PIECES = [b"[", b"]", b"|", b"##", b",", b"=", b"-", b"_", b"#", b"0", b"1.1", b"99", b"\t",
           b" ", b"\n", b"\n\n", b"\r", b"\xff", b"{", b"}", b'"', b"(e1", b"e2)", b"[e1",

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -427,6 +428,41 @@ def test_clean_idempotence_and_exactness_on_random_corruptions():
         again = clean_output(document, cleaned.render())
         assert again.render() == cleaned.render()
         from_plaintext(cleaned.render())  # strictly valid
+
+
+# stray separators, brackets and item pieces a generator may leave in a token
+STRAY = ["|", ",", "[", "]", "##", "[e1", "e1]", "[e2]", "e9", "|[e1", "|e1]", "|x"]
+
+
+@st.composite
+def noisy_plaintext(draw):
+    """A document and its plaintext line with stray pieces put into its
+    surface and ``##`` tokens, and new tokens carrying them."""
+    corpus = random_gold(random.Random(draw(st.integers(0, 200))), n_docs=1)
+    document = corpus.documents[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tokens = to_plaintext(document, corpus.entities[0]).render().split(" ")
+    for _ in range(draw(st.integers(1, 6))):
+        pieces = "".join(draw(st.lists(st.sampled_from(STRAY), min_size=1, max_size=3)))
+        pos = draw(st.integers(0, len(tokens)))
+        if pos < len(tokens) and draw(st.booleans()):
+            at = draw(st.integers(0, len(tokens[pos])))
+            tokens[pos] = tokens[pos][:at] + pieces + tokens[pos][at:]
+        else:
+            tokens.insert(pos, draw(st.sampled_from(["x", "##Z"])) + pieces)
+    return document, " ".join(tokens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(noisy_plaintext())
+def test_every_line_clean_writes_converts_and_cleans_to_itself(case):
+    document, noisy = case
+    line = clean_output(document, noisy, max_cost_ratio=1e9).render()  # never refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reconstruct_conllu(document, from_plaintext(line))
+    assert clean_output(document, line).render() == line
 
 
 def test_clean_refuses_wrong_document():

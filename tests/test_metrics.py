@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -320,6 +321,13 @@ def test_overlap_table_counts_equal_dense_loops_exactly(case, mode):
     # == on floats: the same terms in the same order, not approximately
     assert got == oracle_cluster_counts(gold_clusters, pred_clusters,
                                         mode == SINGLETONS_INCLUDED)
+
+
+def test_ceafe_without_overlap_is_positive_zero():
+    # -0.0 would print as -0.00
+    recall_num, _, precision_num, _ = OverlapTable([[0], [1, 2]], [[3], [4]]).ceaf_e()
+    assert (math.copysign(1, recall_num), math.copysign(1, precision_num)) == (1, 1)
+    assert f"{100 * recall_num:.2f}" == "0.00"
 
 
 def _has_anaphoric_zero(corpus: Corpus) -> bool:
