@@ -26,10 +26,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import analysis, formats, metrics
-from .conllu import ConlluError, parse_conllu, serialize_conllu
-from .formats import CleanRefusedError, JsonFormatError, PlaintextError
-from .matching import MatchRegime, TokenMismatchError, ZeroWeight
+from .errors import (CleanRefusedError, ConlluError, JsonFormatError, PlaintextError,
+                     TokenMismatchError)
+from .matching import MatchRegime, ZeroWeight
 from .model import Corpus
 
 EXIT_OK = 0
@@ -98,6 +97,7 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
 
 
 def _load_corpus(path: Path) -> Corpus:
+    from .conllu import parse_conllu
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -157,27 +157,25 @@ def _prepare_out_dir(out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # score
 
-_VARIANTS = (
-    ("head_excl", MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
-    ("partial_excl", MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
-    ("exact_excl", MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
-    ("head_incl", MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
-)
-
-
 def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight,
                    spec: DatasetSpec) -> tuple[dict, dict]:
     """Primary scores and the CoNLL variants of one dataset.  Each distinct
     (regime, singletons) pair is evaluated once; the variants need only
     CoNLL.  The primary run checks each document pair's surface tokens,
     so the variants skip that check."""
+    from . import metrics
     gold = _load_corpus(spec.gold)
     pred = _load_corpus(spec.pred)
     primary = metrics.evaluate_corpus(gold, pred, regime=regime,
                                       singleton_mode=singleton_mode, weights=weights)
     evaluated = {(regime, singleton_mode): primary}
-    variants = {}
-    for key, variant_regime, variant_mode in _VARIANTS:
+    variants = {}  # the columns of conll_variants.tsv, in order
+    for key, variant_regime, variant_mode in (
+        ("head_excl", MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
+        ("partial_excl", MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
+        ("exact_excl", MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
+        ("head_incl", MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
+    ):
         if (variant_regime, variant_mode) not in evaluated:
             evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
                 gold, pred, regime=variant_regime, singleton_mode=variant_mode,
@@ -187,6 +185,7 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from . import metrics
     regime = MatchRegime(args.regime)
     singleton_mode = (metrics.SINGLETONS_INCLUDED if args.singletons == "include"
                       else metrics.SINGLETONS_EXCLUDED)
@@ -213,7 +212,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     _write(args.out / "scores.tsv", metrics.render_score_table(report))
     _write(args.out / "scores.jsonl", metrics.render_records(report))
 
-    variant_keys = [key for key, _, _ in _VARIANTS]
+    variant_keys = list(results[0][1])
     lines = ["\t".join(["dataset"] + [f"conll_{k}" for k in variant_keys])]
     sums = {key: [0.0, 0.0, 0.0] for key in variant_keys}
     for spec, (_, variants) in zip(datasets, results):
@@ -239,6 +238,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 # convert / clean
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from . import formats
+    from .conllu import serialize_conllu
     in_path, skeleton_path = args.in_path, args.skeleton
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     if args.direction == "to-text":
@@ -289,6 +290,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_clean(args: argparse.Namespace) -> int:
+    from . import formats
     ratio = args.max_cost_ratio
     _require(math.isfinite(ratio) and ratio > 0,
              f"--max-cost-ratio must be finite and greater than 0, got {ratio}")
@@ -324,6 +326,7 @@ def _input_specs(paths: list[Path], manifest: Path | None,
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analysis
     specs = _input_specs(args.paths, args.manifest)
     _prepare_out_dir(args.out)
     rows = {}
@@ -344,6 +347,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Both kinds score without singletons."""
+    from . import analysis
     regime, weights = MatchRegime(args.regime), _zero_weights(args)
     _require(args.window_tokens >= 1,
              f"--window-tokens must be at least 1, got {args.window_tokens}")
@@ -374,6 +378,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import analysis
+    from .conllu import serialize_conllu
     specs = _input_specs(args.paths, args.manifest, args.exempt)
     _require(args.cap_words >= 1, f"--cap-words must be at least 1, got {args.cap_words}")
     _prepare_out_dir(args.out)

@@ -27,6 +27,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, join_parts, pair_items
+from .errors import ConlluError
 from .model import (
     EMPTY_COLUMN,
     Corpus,
@@ -40,14 +41,6 @@ from .model import (
     make_mention,
     sort_entity_mentions,
 )
-
-
-class ConlluError(ValueError):
-    """Malformed CoNLL-U input, reported with a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 # one Entity item: an optional "(", the id, "-" attributes (dropped), then

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, pair_items
-from .matching import TokenMismatchError
+from .errors import CleanRefusedError, JsonFormatError, PlaintextError, TokenMismatchError
 from .model import (
     Corpus,
     Document,
@@ -59,28 +59,13 @@ _ITEM_KINDS = {marks: kind for kind, marks in _ITEM_MARKS.items()}
 
 EMPTY_PREFIX = "##"
 # FORMs that would not read back: plaintext splits tokens at ASCII
-# whitespace and annotations at "|"; both formats mark empty nodes "##"
-_PLAIN_UNWRITABLE = re.compile(r"[ \t\n\r\f\v|]|\A(?:##|\Z)")
+# whitespace and annotations at "|"; both formats mark empty nodes "##".
+# Each rule is a pattern for one FORM and one for all of a document's
+# FORMs joined and enclosed by "\0", which there stands for a FORM's ends
+_PLAIN_UNWRITABLE = (re.compile(r"[ \t\n\r\f\v|]|\A(?:##|\Z)"),
+                     re.compile(r"[ \t\n\r\f\v|]|\0(?:##|\0)"))
 _PLAIN_TOKEN = re.compile(r"[^ \t\n\r\f\v]+")  # as the cleaner reads them
-_JSON_UNWRITABLE = re.compile(r"\A##")
-
-
-class PlaintextError(ValueError):
-    """Malformed plaintext input, reported with a 0-based token index."""
-
-    def __init__(self, message: str, token_index: int | None = None):
-        self.token_index = token_index
-        if token_index is not None:
-            message = f"token {token_index}: {message}"
-        super().__init__(message)
-
-
-class CleanRefusedError(ValueError):
-    """The noisy output is too far from the reference to repair safely."""
-
-
-class JsonFormatError(ValueError):
-    """Malformed JSON interchange input."""
+_JSON_UNWRITABLE = (re.compile(r"\A##"), re.compile(r"\0##"))
 
 
 class AnnotationItem(NamedTuple):
@@ -216,12 +201,17 @@ def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int, None]])
         tokens[pos].annotations = [AnnotationItem(*item) for item in items]
 
 
-def _writable_layout(document: Document, unwritable: re.Pattern,
+def _writable_layout(document: Document, unwritable: tuple[re.Pattern, re.Pattern],
                      error: type[ValueError]) -> _Layout:
-    """The document's layout; raises ``error`` on a FORM ``unwritable`` finds."""
+    """The document's layout; raises ``error`` on the first FORM that the
+    one-FORM pattern of ``unwritable`` finds.  The all-FORMs pattern first
+    searches every FORM at once; a hit there may be no single FORM's."""
     layout = _build_layout(document)
+    form_rule, document_rule = unwritable
+    if not document_rule.search("\0" + "\0".join(layout.surfaces) + "\0"):
+        return layout
     for form, nid in zip(layout.surfaces, layout.node_ids):
-        if unwritable.search(form):
+        if form_rule.search(form):
             raise error(f"document '{document.doc_id}': FORM {form!r} of node "
                         f"{nid.conllu_id()} in sentence {nid.sentence_index + 1} cannot be written")
     return layout

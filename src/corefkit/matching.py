@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy  # scipy.optimize loads on first use, only where an assignment is solved
 
+from .errors import TokenMismatchError
 from .model import Document, Entity, Mention, NodeId
 
 
@@ -43,10 +44,6 @@ class ZeroWeight:
             raise ValueError("zero-alignment weights must be finite and non-negative")
         if self.w_parent + self.w_label_bonus <= 0:
             raise ValueError("at least one zero-alignment weight must be positive")
-
-
-class TokenMismatchError(ValueError):
-    """Gold and predicted files disagree on the surface token sequence."""
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -158,6 +161,21 @@ def test_score_parse_failure_exits_2(tmp_path):
     manifest.write_text(f"name = x\ngold = {bad}\npred = {bad}\n")
     assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path)]) \
         == EXIT_PARSE
+
+
+def test_score_parse_error_in_a_worker_exits_2(workspace):
+    """An error raised in a --jobs worker is pickled back to the CLI
+    process, which has not loaded the module that raised it."""
+    tmp_path, manifest = workspace
+    bad = tmp_path / "b.gold.conllu"
+    bad.write_text("# newdoc id = d\n# sent_id = 1\n1\tx\n\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "corefkit.cli", "score", "--manifest", str(manifest),
+         "--out", str(tmp_path / "out"), "--jobs", "2"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith(f"corefkit: parse error: {bad}: line 3: ")
 
 
 def test_missing_path_exits_4(tmp_path):

@@ -1,7 +1,10 @@
-"""What each command imports: scipy.optimize loads on the first solved
-assignment and the process pool only for score --jobs above 1, so the
-commands that solve none start without them.  One fresh interpreter per
-case, because this test process has long loaded both."""
+"""What each command imports.  ``import corefkit`` loads no submodule:
+a public name loads its module on first use.  The CLI loads at start
+only the modules it maps exit codes and options with (errors, matching,
+model), and each command the modules it runs.  scipy.optimize loads on
+the first solved assignment and the process pool only for score --jobs
+above 1, so the commands that solve none start without them.  One fresh
+interpreter per case, because this test process has long loaded them all."""
 
 import json
 import os
@@ -20,21 +23,25 @@ from helpers import recluster, zeroful_corpus
 ROOT = Path(__file__).resolve().parent.parent
 LAZY = ("scipy.optimize", "concurrent.futures.process")
 
-# argv is None for a bare import; the last stdout line reports the exit
-# code and which of LAZY are loaded
+# argv is None for a bare import of corefkit.cli and a module name for
+# an import of that module; the last stdout line reports the exit code and
+# which of LAZY, numpy and the corefkit modules are loaded
 _PROBE = f"""
 import json, sys
 argv = json.loads(sys.argv[1])
 code = None
 if argv is None:
     import corefkit.cli
+elif isinstance(argv, str):
+    __import__(argv)
 else:
     from corefkit.cli import main
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [m for m in {LAZY!r} if m in sys.modules]]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                              if m in {LAZY!r} or m == "numpy" or m.startswith("corefkit"))]))
 """
 
 
@@ -52,14 +59,24 @@ def inputs(tmp_path_factory):
     return path
 
 
-def _loaded_after(argv, cwd: Path) -> list[str]:
+def _run(code: str, arg, cwd: Path):
+    """The JSON value of the last stdout line of ``code`` run in a fresh
+    interpreter with ``arg`` as JSON in its argv."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(arg)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert code in (None, 0), done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_after(argv, cwd: Path) -> list[str]:
+    code, loaded = _run(_PROBE, argv, cwd)
+    assert code in (None, 0)
     return loaded
+
+
+def _loaded_after(argv, cwd: Path) -> list[str]:
+    return [m for m in _modules_after(argv, cwd) if m in LAZY]
 
 
 @pytest.mark.parametrize("argv", [
@@ -82,3 +99,104 @@ def test_commands_that_solve_no_assignment_load_neither(inputs, argv):
 def test_score_loads_the_assignment_solver_only(inputs):
     assert _loaded_after(["score", "--manifest", "manifest.txt", "--out", "score"],
                          inputs) == ["scipy.optimize"]
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("corefkit", ["corefkit"]),
+    ("corefkit.formats", ["corefkit", "corefkit.brackets", "corefkit.errors",
+                          "corefkit.formats", "corefkit.model"]),
+])
+def test_an_import_loads_only_what_the_module_uses_and_not_numpy(inputs, module, loaded):
+    assert _modules_after(module, inputs) == loaded
+
+
+@pytest.mark.parametrize("argv", [None, ["--help"]], ids=["import", "help"])
+def test_the_cli_starts_with_errors_matching_and_model_only(inputs, argv):
+    assert [m for m in _modules_after(argv, inputs) if m.startswith("corefkit")] == [
+        "corefkit", "corefkit.cli", "corefkit.errors", "corefkit.matching", "corefkit.model"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["convert", "to-text", "--in", "gold.conllu", "--out-file", "out.txt"],
+     ("metrics", "analysis")),
+    (["convert", "from-text", "--in", "gold.txt", "--skeleton", "gold.conllu",
+      "--out-file", "from_text.conllu"], ("metrics", "analysis")),
+    (["convert", "to-json", "--in", "gold.conllu", "--out-file", "out.json"],
+     ("metrics", "analysis")),
+    (["convert", "from-json", "--in", "gold.json", "--skeleton", "gold.conllu",
+      "--out-file", "from_json.conllu"], ("metrics", "analysis")),
+    (["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
+     ("metrics", "analysis")),
+    (["score", "--manifest", "manifest.txt", "--out", "score"], ("formats", "analysis")),
+    (["stats", "gold.conllu", "--out", "stats"], ("formats",)),
+    (["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
+      "--out", "analyze"], ("formats",)),
+], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "stats", "analyze"])
+def test_each_command_loads_only_the_modules_it_runs(inputs, argv, unused):
+    loaded = _modules_after(argv, inputs)
+    assert "corefkit.conllu" in loaded
+    assert not {f"corefkit.{m}" for m in unused} & set(loaded)
+
+
+# The public names of the package and the submodule defining each; the
+# errors were defined in conllu, formats and matching before errors.py
+PUBLIC = {
+    "analysis": ["CorpusStats", "EntityStats", "MentionStats", "RangeCurvePoint",
+                 "corpus_stats", "derive_input_variant", "entity_range", "head_upos_tags",
+                 "long_range_curve", "p95_range", "sample_split", "upos_factorized_score"],
+    "conllu": ["parse_conllu", "serialize_conllu"],
+    "errors": ["CleanRefusedError", "ConlluError", "JsonFormatError", "PlaintextError",
+               "TokenMismatchError"],
+    "formats": ["AnnotationItem", "JsonDoc", "PlainDoc", "PlainToken", "clean_output",
+                "corpus_to_json", "corpus_to_plaintext", "from_json", "from_plaintext",
+                "json_doc_from_value", "reconstruct_conllu", "reconstruct_from_json",
+                "to_json", "to_plaintext"],
+    "matching": ["MatchRegime", "MentionAlignment", "ZeroWeight", "align_zeros",
+                 "build_alignment", "match_surface"],
+    "metrics": ["PRF", "SINGLETONS_EXCLUDED", "SINGLETONS_INCLUDED", "MetricId", "ScoreReport",
+                "aggregate", "evaluate_corpus", "evaluate_documents", "render_records",
+                "render_score_table", "score_bcubed", "score_blanc", "score_ceaf_e",
+                "score_conll", "score_lea", "score_md_h", "score_mor", "score_muc",
+                "score_zero_anaphora"],
+    "model": ["Corpus", "Document", "Entity", "Mention", "Node", "NodeId", "Sentence",
+              "WordIndex", "derive_head", "global_word_index", "make_mention"],
+}
+SUBMODULES = ["analysis", "brackets", "conllu", "formats", "matching", "metrics", "model"]
+MOVED_ERRORS = [("conllu", "ConlluError"), ("formats", "PlaintextError"),
+                ("formats", "JsonFormatError"), ("formats", "CleanRefusedError"),
+                ("matching", "TokenMismatchError"), ("formats", "TokenMismatchError")]
+
+# the last stdout line: __all__, dir(), the names `import *` binds, the
+# public names that are not their module's object, and the moved errors
+# whose old path is another class than the one in corefkit.errors
+_API_PROBE = """
+import importlib, json, sys
+public, submodules, moved = json.loads(sys.argv[1])
+import corefkit
+namespace = {}
+exec("from corefkit import *", namespace)
+def defined(module, name):
+    return getattr(importlib.import_module("corefkit." + module), name)
+print(json.dumps([
+    corefkit.__all__,
+    dir(corefkit),
+    [name for name in namespace if name != "__builtins__"],
+    [name for module, names in public.items() for name in names
+     if namespace[name] is not defined(module, name)]
+    + [name for name in submodules if namespace[name] is not sys.modules["corefkit." + name]],
+    [[module, name] for module, name in moved
+     if defined(module, name) is not defined("errors", name)],
+]))
+"""
+
+
+def test_the_public_api_resolves_every_name_to_its_module(tmp_path):
+    names, listed, bound, elsewhere, split = _run(
+        _API_PROBE, [PUBLIC, SUBMODULES, MOVED_ERRORS], tmp_path)
+    expected = {name for names in PUBLIC.values() for name in names} | set(SUBMODULES)
+    assert len(expected) == 76
+    assert len(names) == 76 and set(names) == expected
+    assert expected <= set(listed)
+    assert set(bound) == expected
+    assert elsewhere == []
+    assert split == []
