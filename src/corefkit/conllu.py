@@ -38,7 +38,9 @@ from .model import (
     NodeId,
     Sentence,
     contiguous_segments,
-    make_mention,
+    head_position,
+    lazy_depths,
+    parent_positions,
     sort_entity_mentions,
 )
 
@@ -49,7 +51,6 @@ _ENTITY_ITEM_RE = re.compile(
     r"(\(?)(?:([A-Za-z0-9_]+)(?:-[^()\[\]]*)?(?:\[(\d+)/(\d+)(\]\))?|(\)))?)?")
 _EMPTY_ID_RE = re.compile(r"^(\d+)\.(\d+)$")
 _MWT_ID_RE = re.compile(r"^(\d+)-(\d+)$")
-_REGULAR_ID_RE = re.compile(r"^\d+$")
 
 # MISC keys that carry anaphora annotations this toolkit does not score.
 _SKIPPED_ANNOTATIONS = ("Bridge", "SplitAnte")
@@ -124,9 +125,8 @@ def _sentence_mentions(entity_values, end_line: int) -> list[tuple[str, frozense
 
 
 def _split_keyvals(column: str, bare: str | None, intern) -> dict[str, str | None]:
-    """FEATS or MISC column; a piece without ``=`` maps to ``bare``."""
-    if column == "_":
-        return EMPTY_COLUMN
+    """FEATS or MISC column other than ``_``; a piece without ``=`` maps
+    to ``bare``."""
     out: dict[str, str | None] = {}
     for piece in column.split("|"):
         key, sep, val = piece.partition("=")
@@ -144,10 +144,16 @@ class _DocBuilder:
     def finish(self, documents: list[Document], entities: list[list[Entity]]) -> None:
         document = Document(self.doc_id, self.sentences)
         grouped: dict[str, list[Mention]] = {}
-        for eid, sent_index, positions in self.mentions:
-            sentence = self.sentences[sent_index]
-            span = [sentence.nodes[p].id for p in sorted(positions)]
-            grouped.setdefault(eid, []).append(make_mention(eid, span, document))
+        sentence_at = -1
+        for eid, sent_index, positions in self.mentions:  # a sentence's mentions are adjacent
+            if sent_index != sentence_at:
+                sentence_at, nodes = sent_index, self.sentences[sent_index].nodes
+                parents = parent_positions(nodes)
+                depths = lazy_depths(parents)
+            ordered = sorted(positions)
+            head = nodes[head_position(ordered, parents, depths)].id
+            span = tuple([nodes[p].id for p in ordered])
+            grouped.setdefault(eid, []).append(Mention(eid, span, head, head.is_empty))
         documents.append(document)
         entities.append(
             [Entity(eid, sort_entity_mentions(ms)) for eid, ms in grouped.items()]
@@ -166,7 +172,8 @@ class _SentenceBuilder:
         self.prev_minor = 0
         self.pending_mwt_end = 0
         self.first_line = 0
-        # major (regular token) or (major, minor) -> the sentence's one NodeId
+        # major (regular token) or (major, minor) -> the sentence's one
+        # NodeId; parse_conllu inlines the lookup for regular tokens
         self.ids: dict = {}
 
     def node_id(self, major: int, minor: int = 0) -> NodeId:
@@ -180,11 +187,11 @@ class _SentenceBuilder:
 def _parse_head_ref(text: str, sent: _SentenceBuilder, line: int) -> NodeId | None:
     if text in ("_", "", "0"):
         return None
+    if text.isdecimal():
+        return sent.node_id(int(text))
     match = _EMPTY_ID_RE.match(text)
     if match:
         return sent.node_id(int(match.group(1)), int(match.group(2)))
-    if _REGULAR_ID_RE.match(text):
-        return sent.node_id(int(text))
     raise ConlluError(f"malformed head reference '{text}'", line)
 
 
@@ -264,10 +271,10 @@ def parse_conllu(source) -> Corpus:
         lines.pop()  # a final newline ends the last line and starts none
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r")
-        if not line.strip():
+        if not line or line.isspace():
             close_sentence(line_no)
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             body = line[1:].strip()
             if body.startswith("newdoc"):
                 close_sentence(line_no)
@@ -291,8 +298,8 @@ def parse_conllu(source) -> Corpus:
             # other comments (e.g. '# text =') are dropped by canonicalization
             continue
 
-        ensure_doc()
         if sent is None:
+            ensure_doc()
             sent = _SentenceBuilder(len(doc.sentences))
         if not sent.first_line:
             sent.first_line = line_no
@@ -301,25 +308,50 @@ def parse_conllu(source) -> Corpus:
             raise ConlluError(f"expected 10 tab-separated columns, got {len(columns)}", line_no)
         cid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
 
-        mwt = _MWT_ID_RE.match(cid)
-        if mwt:
-            a, b = int(mwt.group(1)), int(mwt.group(2))
-            if a != sent.prev_major + 1 or b < a:
-                raise ConlluError(f"malformed multiword token range '{cid}'", line_no)
-            if sent.pending_mwt_end >= a:
-                raise ConlluError(f"overlapping multiword token range '{cid}'", line_no)
-            sent.mwt_ranges.append((a, b, form))
-            sent.pending_mwt_end = b
-            if "Entity" in _split_keyvals(misc, None, intern):
-                warnings.warn(
-                    f"line {line_no}: Entity annotation on a multiword-token "
-                    "range is ignored",
-                    stacklevel=2,
+        # a regular id or HEAD is what str.isdecimal() accepts, exactly the
+        # strings r"^\d+$" matches here; isdigit() would also take "²",
+        # which int() refuses
+        if cid.isdecimal():
+            major = int(cid)
+            if major != sent.prev_major + 1:
+                raise ConlluError(
+                    f"token id '{cid}' does not continue the sequence after {sent.prev_major}",
+                    line_no,
                 )
-            continue
-
-        empty = _EMPTY_ID_RE.match(cid)
-        if empty:
+            sent.prev_major = major
+            sent.prev_minor = 0
+            ids = sent.ids
+            nid = ids.get(major)
+            if nid is None:
+                nid = ids[major] = NodeId(sent.sent_index, major)
+            if head.isdecimal() and head != "0":
+                parent_major = int(head)
+                parent = ids.get(parent_major)
+                if parent is None:
+                    parent = ids[parent_major] = NodeId(sent.sent_index, parent_major)
+            else:
+                parent = _parse_head_ref(head, sent, line_no)
+            dep_label = deprel
+        else:
+            mwt = _MWT_ID_RE.match(cid)
+            if mwt:
+                a, b = int(mwt.group(1)), int(mwt.group(2))
+                if a != sent.prev_major + 1 or b < a:
+                    raise ConlluError(f"malformed multiword token range '{cid}'", line_no)
+                if sent.pending_mwt_end >= a:
+                    raise ConlluError(f"overlapping multiword token range '{cid}'", line_no)
+                sent.mwt_ranges.append((a, b, form))
+                sent.pending_mwt_end = b
+                if misc != "_" and "Entity" in _split_keyvals(misc, None, intern):
+                    warnings.warn(
+                        f"line {line_no}: Entity annotation on a multiword-token "
+                        "range is ignored",
+                        stacklevel=2,
+                    )
+                continue
+            empty = _EMPTY_ID_RE.match(cid)
+            if not empty:
+                raise ConlluError(f"malformed ID field '{cid}'", line_no)
             major, minor = int(empty.group(1)), int(empty.group(2))
             if major != sent.prev_major:
                 raise ConlluError(
@@ -339,33 +371,23 @@ def parse_conllu(source) -> Corpus:
                 if not sep:
                     raise ConlluError(f"malformed DEPS item '{first_dep}'", line_no)
                 parent = _parse_head_ref(parent_text, sent, line_no)
-        elif _REGULAR_ID_RE.match(cid):
-            major = int(cid)
-            if major != sent.prev_major + 1:
-                raise ConlluError(
-                    f"token id '{cid}' does not continue the sequence after {sent.prev_major}",
-                    line_no,
-                )
-            sent.prev_major = major
-            sent.prev_minor = 0
-            nid = sent.node_id(major)
-            parent = _parse_head_ref(head, sent, line_no)
-            dep_label = deprel
-        else:
-            raise ConlluError(f"malformed ID field '{cid}'", line_no)
 
-        misc_map = _split_keyvals(misc, None, intern)
-        entity_value = misc_map.pop("Entity", None)
-        for key in _SKIPPED_ANNOTATIONS:
-            if key in misc_map:
-                skipped_annotations += 1
+        if misc == "_":
+            misc_map = EMPTY_COLUMN
+        else:
+            misc_map = _split_keyvals(misc, None, intern)
+            entity_value = misc_map.pop("Entity", None)
+            if entity_value:
+                sent.entity_values.append((entity_value, len(sent.nodes), line_no))
+            for key in _SKIPPED_ANNOTATIONS:
+                if key in misc_map:
+                    skipped_annotations += 1
+            misc_map = misc_map or EMPTY_COLUMN
         sent.nodes.append(Node(
             nid, intern(form, form), intern(lemma, lemma), intern(upos, upos),
-            intern(xpos, xpos), _split_keyvals(feats, "", intern), parent,
-            intern(dep_label, dep_label), misc_map or EMPTY_COLUMN,
+            intern(xpos, xpos), EMPTY_COLUMN if feats == "_" else _split_keyvals(feats, "", intern),
+            parent, intern(dep_label, dep_label), misc_map,
         ))
-        if entity_value is not None and entity_value != "":
-            sent.entity_values.append((entity_value, len(sent.nodes) - 1, line_no))
 
     close_sentence(line_no if text else 0)
     if doc is not None:

@@ -13,25 +13,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Position of a node within a document.
 
     ``minor == 0`` marks a regular (surface) token; ``minor >= 1`` marks
     an empty node anchored after token ``major`` (rendered ``major.minor``).
     Within a sentence, ids are unique and ordered lexicographically.  A
-    parsed sentence holds one NodeId object per node: the node's ``id``,
-    every ``parent`` pointing at it and every mention span share it.
+    named tuple: it compares, hashes and pickles as the plain tuple
+    ``(sentence_index, major, minor)``, all in C.  A parsed sentence holds
+    one NodeId object per node: the node's ``id``, every ``parent``
+    pointing at it and every mention span share it.
     """
 
     sentence_index: int
     major: int
     minor: int = 0
-
-    def __reduce__(self):  # a constructor call; frozen slots forbid setting state
-        return NodeId, (self.sentence_index, self.major, self.minor)
 
     @property
     def is_empty(self) -> bool:
@@ -92,7 +91,8 @@ class Sentence:
 
     ``mwt_ranges`` holds (first major, last major, surface form) triples;
     ranges never overlap and cover only regular tokens.  Lookups go
-    through one position dict keyed by node id, built on first use.
+    through one position dict keyed by node id, built on first use;
+    parsing does not build it.
     """
 
     nodes: list[Node]
@@ -227,49 +227,93 @@ def sort_entity_mentions(mentions: list[Mention]) -> list[Mention]:
     return sorted(mentions, key=lambda m: (m.start, m.end))
 
 
-def tree_depth(nid: NodeId, sentence: Sentence) -> int:
-    """Steps from the node to the sentence root along parent links.
+def parent_positions(nodes: list[Node], index: dict[NodeId, int] | None = None) -> list[int | None]:
+    """Each node's parent as a position in ``nodes``: -1 for a root, None
+    for a parent that is not in the sentence.  ``index`` maps node ids to
+    positions; without it one is built and dropped."""
+    if index is None:
+        index = {n.id: i for i, n in enumerate(nodes)}
+    return [-1 if n.parent is None else index.get(n.parent) for n in nodes]
 
-    Malformed inputs (cycles, dangling parents) get a depth past any
-    real tree so they lose every tie-break.
+
+def tree_depths(parents: list[int | None]) -> list[int]:
+    """Steps from each node to the sentence root, by position, from
+    ``parent_positions``.
+
+    A node on a cycle or above a dangling parent gets ``len(parents) + 1``,
+    a depth past any real tree, so it loses every tie-break.
     """
-    depth = 0
-    seen = {nid}
-    current = sentence.node(nid)
-    while current.parent is not None:
-        if current.parent in seen or not sentence.has_node(current.parent):
-            return len(sentence.nodes) + 1
-        seen.add(current.parent)
-        depth += 1
-        current = sentence.node(current.parent)
-    return depth
+    bad = len(parents) + 1
+    depths: list[int | None] = [None] * len(parents)  # -1 while on the walk
+    for start in range(len(parents)):
+        walk = []
+        pos = start
+        while pos is not None and pos >= 0 and depths[pos] is None:
+            depths[pos] = -1
+            walk.append(pos)
+            pos = parents[pos]
+        if pos is None:
+            depth = bad  # dangling parent
+        elif pos < 0:
+            depth = -1  # the walk reached a root
+        else:
+            depth = bad if depths[pos] == -1 else depths[pos]  # -1: a cycle
+        for pos in reversed(walk):
+            if depth < bad:
+                depth += 1
+            depths[pos] = depth
+    return depths
 
 
-def derive_head(span, sentence: Sentence) -> NodeId:
-    """Pick the span node whose parent lies outside the span.
+def lazy_depths(parents: list[int | None]):
+    """A callable returning ``tree_depths(parents)``, computed on its first
+    call: one table per sentence, and none where no span needs it."""
+    table: list[int] = []
 
-    Among several candidates the one with the smallest tree depth wins;
-    remaining ties break on the earliest (major, minor) position.  A span
-    where every parent points inside (malformed input) falls back to the
-    earliest node with a warning.
+    def depths() -> list[int]:
+        if not table:
+            table.extend(tree_depths(parents))
+        return table
+    return depths
+
+
+def head_position(ordered: list[int], parents, depths) -> int:
+    """The head rule over sentence positions.
+
+    ``ordered`` holds a span's positions in node-id order and
+    ``parents[p]`` the parent position of each (see ``parent_positions``).
+    The head is the span node whose parent lies outside the span; among
+    several candidates the smallest tree depth wins, then the earliest.
+    ``depths()`` returns the sentence's ``tree_depths`` table and is called
+    only when two or more candidates remain.  A span where every parent
+    points inside (malformed input) falls back to its earliest node with a
+    warning.
     """
-    members = set(span)
-    span_t = sorted(members)
-    if not span_t:
-        raise ValueError("cannot derive a head for an empty span")
-    candidates = []
-    for nid in span_t:
-        parent = sentence.node(nid).parent
-        if parent is None or parent not in members:
-            candidates.append(nid)
+    members = set(ordered)
+    candidates = [p for p in ordered if parents[p] not in members]
+    if len(candidates) == 1:
+        return candidates[0]
     if not candidates:
         warnings.warn(
             "span has no node with an external parent; falling back to its "
             "earliest node",
-            stacklevel=2,
+            stacklevel=3,
         )
-        return span_t[0]
-    return min(candidates, key=lambda n: (tree_depth(n, sentence), n.major, n.minor))
+        return ordered[0]
+    return min(candidates, key=depths().__getitem__)
+
+
+def derive_head(span, sentence: Sentence) -> NodeId:
+    """Pick the span node whose parent lies outside the span (see
+    ``head_position``); ties break on the earliest (major, minor)."""
+    span_t = sorted(set(span))
+    if not span_t:
+        raise ValueError("cannot derive a head for an empty span")
+    nodes, index = sentence.nodes, sentence._index()
+    ordered = [index[nid] for nid in span_t]
+    parents = dict(zip(ordered, parent_positions([nodes[p] for p in ordered], index)))
+    position = head_position(ordered, parents, lambda: tree_depths(parent_positions(nodes, index)))
+    return nodes[position].id
 
 
 def document_word_index(document: Document, start: int = 1) -> tuple[dict[NodeId, float], int]:

@@ -535,6 +535,20 @@ def test_manifest_with_invalid_utf8_exits_2_naming_path_and_line(workspace, caps
     assert f"corefkit: parse error: {bad}: line 5: invalid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cid, head, message", [
+    ("\u00b2", "0", "line 2: malformed ID field '\u00b2'"),
+    ("1", "\u00b2", "line 2: malformed head reference '\u00b2'"),
+])
+def test_convert_refuses_superscript_digit_ids_exit_2(tmp_path, capsys, cid, head, message):
+    src, out = tmp_path / "g.conllu", tmp_path / "out.txt"
+    src.write_text(f"# newdoc id = d1\n{cid}\ta\t_\t_\t_\t_\t{head}\troot\t_\t_\n",
+                   encoding="utf-8")
+    assert main(["convert", "to-text", "--in", str(src), "--out-file", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"corefkit: parse error: {src}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("direction", ["to-text", "to-json"])
 def test_convert_refuses_crossing_mentions_exit_2(tmp_path, capsys, direction):
     # the zero 1.1 follows its parent w6, so {1.1, 5, 6} and {1.1, 6, 7}

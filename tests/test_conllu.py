@@ -71,6 +71,32 @@ def test_malformed_input_errors(bad, message):
         parse_conllu(HEADER + bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (line("\u00b2", "a"), "line 3: malformed ID field '\u00b2'"),
+    (line("1", "a") + line("2", "b", head="\u00b2", deprel="dep"),
+     "line 4: malformed head reference '\u00b2'"),
+    (line("1\u00b2", "a"), "line 3: malformed ID field '1\u00b2'"),
+    (line("1", "a") + line("1.\u00b2", "z", head="_", deprel="_", deps="1:dep"),
+     "line 4: malformed ID field '1.\u00b2'"),
+])
+def test_superscript_digits_are_not_ids(bad, message):
+    # "\u00b2" passes str.isdigit but not str.isdecimal, and int() refuses it
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(HEADER + bad)
+    assert str(err.value) == message
+
+
+def test_arabic_indic_digits_read_as_ids_and_heads():
+    # \d and str.isdecimal accept every decimal digit (Unicode Nd)
+    text = (HEADER + line("\u0661", "a") + line("\u0662", "b", head="\u0663", deprel="dep")
+            + line("\u0663", "c", head="\u0661", deprel="dep")
+            + line("\u0663.\u0661", "z", head="_", deprel="_", deps="\u0662:dep"))
+    sentence = parse_conllu(text).documents[0].sentences[0]
+    one, two, three = NodeId(0, 1), NodeId(0, 2), NodeId(0, 3)
+    assert [(n.id, n.parent) for n in sentence.nodes] == [
+        (one, None), (two, three), (three, one), (NodeId(0, 3, 1), two)]
+
+
 def test_duplicate_sent_id_rejected():
     text = (HEADER + line("1", "a") + "\n# sent_id = s1\n" + line("1", "b"))
     with pytest.raises(ConlluError, match="duplicate sent_id"):
