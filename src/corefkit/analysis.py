@@ -22,6 +22,7 @@ from .metrics import (
     MetricId,
     PRF,
     evaluate_corpus,
+    pair_documents,
 )
 from .model import (
     Corpus,
@@ -118,6 +119,10 @@ def head_upos_tags(mention: Mention, document: Document) -> set[str]:
     return tags
 
 
+_ENTITY_BUCKETS = ("1", "2", "3", "4", "5+")  # mentions per entity
+_MENTION_BUCKETS = ("0", "1", "2", "3", "4", "5+")  # surface words per mention
+
+
 def _bucket(length: int, floor_key: int, cap: int = 5) -> str:
     if length >= cap:
         return f"{cap}+"
@@ -136,7 +141,7 @@ def entity_stats(entities_with_ranges: list[tuple[Entity, int]], words: int) -> 
     """Statistics over (entity, range) pairs; ranges must come from each
     entity's own document view."""
     lengths = [len(e.mentions) for e, _ in entities_with_ranges]
-    histogram = {key: 0 for key in ("1", "2", "3", "4", "5+")}
+    histogram = dict.fromkeys(_ENTITY_BUCKETS, 0)
     for length in lengths:
         histogram[_bucket(length, 1)] += 1
     return EntityStats(
@@ -154,7 +159,7 @@ def mention_stats(mentions: list[Mention], document_of: dict[int, Document],
     """Statistics over mentions; ``document_of`` maps id(mention) to its
     document for tree lookups."""
     lengths = [m.surface_length() for m in mentions]
-    histogram = {key: 0 for key in ("0", "1", "2", "3", "4", "5+")}
+    histogram = dict.fromkeys(_MENTION_BUCKETS, 0)
     for length in lengths:
         histogram[_bucket(length, 0)] += 1
     n = len(mentions)
@@ -253,7 +258,8 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
     UPOS (or a flat child's UPOS) equals the tag.  mention level: keep
     only such mentions; entities reduced to a single mention drop out of
     the singleton-excluded scoring.  Returns the head-match CoNLL score
-    excluding singletons.
+    excluding singletons.  A tag in no mention head warns and scores 0;
+    the documents are paired and checked as for any other tag.
     """
     def tag_matches(mention: Mention, document: Document) -> bool:
         return tag in head_upos_tags(mention, document)
@@ -272,7 +278,6 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
     if not any(gold_f.entities) and not any(pred_f.entities):
         warnings.warn(f"UPOS tag '{tag}' occurs in no mention head; degenerate score",
                       stacklevel=2)
-        return PRF(0.0, 0.0, 0.0)
     scores = evaluate_corpus(gold_f, pred_f, regime=regime,
                              singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
                              conll_only=True)
@@ -281,10 +286,6 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
 
 # ---------------------------------------------------------------------------
 # Long-range performance curve.
-
-def _single_document_corpus(corpus: Corpus, doc_index: int) -> Corpus:
-    return Corpus([corpus.documents[doc_index]], [corpus.entities[doc_index]])
-
 
 def max_adjacent_gap(entities: list[Entity], word_view: dict) -> int:
     """Largest surface-word distance between adjacent mentions of any
@@ -305,31 +306,29 @@ def long_range_curve(gold: Corpus, pred: Corpus,
                      weights: ZeroWeight = ZeroWeight()) -> list[RangeCurvePoint]:
     """Per-document primary scores bucketed by entity range.
 
-    Documents whose gold p95 range exceeds ``min_p95`` are sorted
-    ascending by ``sort_key`` ("p95" or "max_adjacent_gap") and tiled
-    into disjoint windows of at most ``window_tokens`` words; each point
-    reports the unweighted mean document CoNLL F1 and the mean sort-key
-    value of its documents.
+    Documents are paired by id as in ``evaluate_corpus``, so both
+    corpora must hold the same ids.  Documents whose gold p95 range
+    exceeds ``min_p95`` are sorted ascending by ``sort_key`` ("p95" or
+    "max_adjacent_gap") and tiled into disjoint windows of at most
+    ``window_tokens`` words; each point reports the unweighted mean
+    document CoNLL F1 and the mean sort-key value of its documents.
     """
     if sort_key not in ("p95", "max_adjacent_gap"):
         raise ValueError(f"unknown sort key '{sort_key}'")
     index = global_word_index(gold)
-    pred_by_id = {d.doc_id: i for i, d in enumerate(pred.documents)}
 
     qualifying = []
-    for doc_index, (document, doc_entities) in enumerate(gold.doc_pairs()):
+    for doc_index, (document, doc_entities, pred_doc, pred_entities) in enumerate(
+            pair_documents(gold, pred)):
         view = index.view(doc_index)
         p95 = p95_range(doc_entities, view)
         if p95 is None or p95 <= min_p95:
             continue
-        if document.doc_id not in pred_by_id:
-            raise ValueError(f"prediction is missing document '{document.doc_id}'")
         key = p95 if sort_key == "p95" else max_adjacent_gap(
             [e for e in doc_entities if not e.is_singleton], view
         )
         scores = evaluate_corpus(
-            _single_document_corpus(gold, doc_index),
-            _single_document_corpus(pred, pred_by_id[document.doc_id]),
+            Corpus([document], [doc_entities]), Corpus([pred_doc], [pred_entities]),
             regime=regime, singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
             conll_only=True,
         )
@@ -415,112 +414,89 @@ def sample_split(split: Corpus, cap_words: int = 25_000, exempt: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Table rendering (tab-separated, header row; percentages to 1 decimal,
-# per-1k rates to integers).
+# Table rendering: tab-separated, a header row, every line ending in "\n";
+# per-1k rates to integers, averages, percentages and mean ranges to 1
+# decimal, scores as percentages to 2.  The statistics tables share the
+# size and length-histogram columns.
 
-def _fmt_rate(value: float) -> str:
-    return f"{value:.0f}"
-
-
-def _fmt_avg(value: float) -> str:
-    return f"{value:.1f}"
+def _tsv(header: list[str], rows) -> str:
+    return "".join("\t".join(cells) + "\n" for cells in [header, *rows])
 
 
-def _fmt_pct(value: float) -> str:
-    return f"{value:.1f}"
+_ENTITY_SIZE = ["ent_count", "ent_per_1k", "ent_max_len", "ent_avg_len", "ent_p95_range"]
+_MENTION_SIZE = ["men_count", "men_per_1k", "men_max_len", "men_avg_len"]
+
+
+def _size_cells(stats: EntityStats | MentionStats) -> list[str]:
+    """Count, per-1k rate, maximum and average length, and for entities
+    the p95 range."""
+    cells = [str(stats.total), f"{stats.per_1k_words:.0f}", str(stats.max_length),
+             f"{stats.avg_length:.1f}"]
+    if isinstance(stats, EntityStats):
+        cells.append(str(stats.p95_range) if stats.p95_range is not None else "-")
+    return cells
+
+
+def _histogram_cells(stats: EntityStats | MentionStats, buckets: tuple[str, ...]) -> list[str]:
+    """Each length bucket's share of the entities or mentions."""
+    total = max(stats.total, 1)
+    return [f"{100 * stats.length_histogram[bucket] / total:.1f}" for bucket in buckets]
 
 
 def render_corpus_stats_table(rows: dict[str, CorpusStats]) -> str:
-    header = [
-        "dataset", "docs", "sents", "words", "empty_nodes",
-        "ent_count", "ent_per_1k", "ent_max_len", "ent_avg_len", "ent_p95_range",
-        "men_count", "men_per_1k", "men_max_len", "men_avg_len",
-    ]
-    lines = ["\t".join(header)]
-    for name, stats in rows.items():
-        entities, mentions = stats.entities, stats.mentions
-        lines.append("\t".join([
-            name, str(stats.docs), str(stats.sentences), str(stats.words),
-            str(stats.empty_nodes),
-            str(entities.total), _fmt_rate(entities.per_1k_words),
-            str(entities.max_length), _fmt_avg(entities.avg_length),
-            str(entities.p95_range) if entities.p95_range is not None else "-",
-            str(mentions.total), _fmt_rate(mentions.per_1k_words),
-            str(mentions.max_length), _fmt_avg(mentions.avg_length),
-        ]))
-    return "\n".join(lines) + "\n"
+    header = ["dataset", "docs", "sents", "words", "empty_nodes", *_ENTITY_SIZE, *_MENTION_SIZE]
+    return _tsv(header, ([name, str(stats.docs), str(stats.sentences), str(stats.words),
+                          str(stats.empty_nodes), *_size_cells(stats.entities),
+                          *_size_cells(stats.mentions)]
+                         for name, stats in rows.items()))
+
+
+def _system_table(size_columns: list[str], buckets: tuple[str, ...],
+                  views: dict[str, EntityStats | MentionStats]) -> str:
+    header = ["system", *size_columns, *[f"len{b.replace('+', 'plus')}_pct" for b in buckets]]
+    return _tsv(header, ([name, *_size_cells(stats), *_histogram_cells(stats, buckets)]
+                         for name, stats in views.items()))
 
 
 def render_entity_stats_table(rows: dict[str, CorpusStats]) -> str:
-    header = ["system", "ent_count", "ent_per_1k", "ent_max_len", "ent_avg_len",
-              "ent_p95_range", "len1_pct", "len2_pct", "len3_pct", "len4_pct",
-              "len5plus_pct"]
-    lines = ["\t".join(header)]
-    for name, stats in rows.items():
-        entities = stats.entities_with_singletons
-        total = max(entities.total, 1)
-        histogram = entities.length_histogram
-        lines.append("\t".join([
-            name, str(entities.total), _fmt_rate(entities.per_1k_words),
-            str(entities.max_length), _fmt_avg(entities.avg_length),
-            str(entities.p95_range) if entities.p95_range is not None else "-",
-            *[_fmt_pct(100 * histogram[key] / total) for key in ("1", "2", "3", "4", "5+")],
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _render_mention_block(rows: dict[str, CorpusStats], singleton: bool) -> str:
-    header = ["system", "men_count", "men_per_1k", "men_max_len", "men_avg_len",
-              "len0_pct", "len1_pct", "len2_pct", "len3_pct", "len4_pct",
-              "len5plus_pct"]
-    lines = ["\t".join(header)]
-    for name, stats in rows.items():
-        mentions = stats.singleton_mentions if singleton else stats.mentions
-        total = max(mentions.total, 1)
-        histogram = mentions.length_histogram
-        lines.append("\t".join([
-            name, str(mentions.total), _fmt_rate(mentions.per_1k_words),
-            str(mentions.max_length), _fmt_avg(mentions.avg_length),
-            *[_fmt_pct(100 * histogram[key] / total)
-              for key in ("0", "1", "2", "3", "4", "5+")],
-        ]))
-    return "\n".join(lines) + "\n"
+    return _system_table(_ENTITY_SIZE, _ENTITY_BUCKETS,
+                         {name: stats.entities_with_singletons for name, stats in rows.items()})
 
 
 def render_mention_stats_table(rows: dict[str, CorpusStats]) -> str:
-    return _render_mention_block(rows, singleton=False)
+    return _system_table(_MENTION_SIZE, _MENTION_BUCKETS,
+                         {name: stats.mentions for name, stats in rows.items()})
 
 
 def render_singleton_stats_table(rows: dict[str, CorpusStats]) -> str:
-    return _render_mention_block(rows, singleton=True)
+    return _system_table(_MENTION_SIZE, _MENTION_BUCKETS,
+                         {name: stats.singleton_mentions for name, stats in rows.items()})
 
 
 _UPOS_COLUMNS = ["NOUN", "PRON", "PROPN", "DET", "ADJ", "VERB", "ADV", "NUM", "_"]
 
 
 def render_mention_details_table(rows: dict[str, CorpusStats]) -> str:
-    header = ["system", "w_empty_pct", "w_gap_pct", "non_tree_pct"] \
-        + _UPOS_COLUMNS + ["other"]
-    lines = ["\t".join(header)]
+    header = ["system", "w_empty_pct", "w_gap_pct", "non_tree_pct", *_UPOS_COLUMNS, "other"]
+    table = []
     for name, stats in rows.items():
         mentions = stats.mentions
         distribution = mentions.head_upos_distribution
         other = sum(v for tag, v in distribution.items() if tag not in _UPOS_COLUMNS)
-        lines.append("\t".join([
-            name,
-            _fmt_pct(mentions.pct_with_empty),
-            _fmt_pct(mentions.pct_with_gap),
-            _fmt_pct(mentions.pct_non_treelet),
-            *[_fmt_pct(distribution.get(tag, 0.0)) for tag in _UPOS_COLUMNS],
-            _fmt_pct(other),
-        ]))
-    return "\n".join(lines) + "\n"
+        values = [mentions.pct_with_empty, mentions.pct_with_gap, mentions.pct_non_treelet,
+                  *[distribution.get(tag, 0.0) for tag in _UPOS_COLUMNS], other]
+        table.append([name, *[f"{value:.1f}" for value in values]])
+    return _tsv(header, table)
 
 
 def render_curve_table(points: list[RangeCurvePoint]) -> str:
-    lines = ["\t".join(["window_p95_range", "mean_conll_f1", "window_tokens"])]
-    for point in points:
-        lines.append(
-            f"{point.window_p95_range:.1f}\t{100 * point.mean_conll_f1:.2f}\t{point.window_tokens}"
-        )
-    return "\n".join(lines) + "\n"
+    return _tsv(["window_p95_range", "mean_conll_f1", "window_tokens"],
+                ([f"{point.window_p95_range:.1f}", f"{100 * point.mean_conll_f1:.2f}",
+                  str(point.window_tokens)] for point in points))
+
+
+def render_upos_table(tag: str, level: str, prf: PRF) -> str:
+    """The one-row table of ``analyze upos``."""
+    return _tsv(["tag", "level", "recall", "precision", "f1"],
+                [[tag, level, *(f"{100 * value:.2f}"
+                                for value in (prf.recall, prf.precision, prf.f1))]])

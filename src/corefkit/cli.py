@@ -171,10 +171,10 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
     evaluated = {(regime, singleton_mode): primary}
     variants = {}  # the columns of conll_variants.tsv, in order
     for key, variant_regime, variant_mode in (
-        ("head_excl", MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
-        ("partial_excl", MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
-        ("exact_excl", MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
-        ("head_incl", MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
+        ("conll_head_excl", MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
+        ("conll_partial_excl", MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
+        ("conll_exact_excl", MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
+        ("conll_head_incl", MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
     ):
         if (variant_regime, variant_mode) not in evaluated:
             evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
@@ -211,26 +211,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     report = metrics.aggregate(per_dataset, singleton_mode, regime)
     _write(args.out / "scores.tsv", metrics.render_score_table(report))
     _write(args.out / "scores.jsonl", metrics.render_records(report))
-
-    variant_keys = list(results[0][1])
-    lines = ["\t".join(["dataset"] + [f"conll_{k}" for k in variant_keys])]
-    sums = {key: [0.0, 0.0, 0.0] for key in variant_keys}
-    for spec, (_, variants) in zip(datasets, results):
-        cells = []
-        for key in variant_keys:
-            prf = variants[key]
-            cells.append(f"{100 * prf.recall:.2f} / {100 * prf.precision:.2f} / {100 * prf.f1:.2f}")
-            sums[key][0] += prf.recall
-            sums[key][1] += prf.precision
-            sums[key][2] += prf.f1
-        lines.append("\t".join([spec.name] + cells))
-    n = len(datasets)
-    macro_cells = [
-        f"{100 * sums[k][0] / n:.2f} / {100 * sums[k][1] / n:.2f} / {100 * sums[k][2] / n:.2f}"
-        for k in variant_keys
-    ]
-    lines.append("\t".join(["macro"] + macro_cells))
-    _write(args.out / "conll_variants.tsv", "\n".join(lines) + "\n")
+    variants = metrics.aggregate({spec.name: v for spec, (_, v) in zip(datasets, results)})
+    _write(args.out / "conll_variants.tsv", metrics.render_score_table(variants))
     return EXIT_OK
 
 
@@ -240,7 +222,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_convert(args: argparse.Namespace) -> int:
     from . import formats
     from .conllu import serialize_conllu
-    in_path, skeleton_path = args.in_path, args.skeleton
+    in_path = args.in_path
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     if args.direction == "to-text":
         corpus = _load_corpus(in_path)
@@ -252,10 +234,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
                                          ensure_ascii=False, indent=1) + "\n")
         return EXIT_OK
 
-    _require(skeleton_path is not None,
-             f"convert {args.direction} needs --skeleton with the input CoNLL-U file")
-    _require(skeleton_path.is_file(), f"skeleton path {skeleton_path} is not a readable file")
-    skeleton = _load_corpus(skeleton_path)
+    _require(args.skeleton.is_file(), f"skeleton path {args.skeleton} is not a readable file")
+    skeleton = _load_corpus(args.skeleton)
     rebuilt = []  # (document, entities) pairs
     if args.direction == "from-text":
         lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
@@ -349,9 +329,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Both kinds score without singletons."""
     from . import analysis
     regime, weights = MatchRegime(args.regime), _zero_weights(args)
-    _require(args.window_tokens >= 1,
-             f"--window-tokens must be at least 1, got {args.window_tokens}")
-    _require(args.min_p95 >= 0, f"--min-p95 must be at least 0, got {args.min_p95}")
+    if args.kind == "long-range":
+        _require(args.window_tokens >= 1,
+                 f"--window-tokens must be at least 1, got {args.window_tokens}")
+        _require(args.min_p95 >= 0, f"--min-p95 must be at least 0, got {args.min_p95}")
     _prepare_out_dir(args.out)
     _require(args.gold.is_file(), f"gold path {args.gold} is not a readable file")
     _require(args.pred.is_file(), f"pred path {args.pred} is not a readable file")
@@ -364,16 +345,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         _write(args.out / "long_range_curve.tsv", analysis.render_curve_table(points))
         return EXIT_OK
-    tag, level = args.tag, args.level
-    _require(tag is not None, "analyze upos needs --tag")
-    prf = analysis.upos_factorized_score(gold, pred, tag, level=level,
+    prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
                                          regime=regime, weights=weights)
-    _write(
-        args.out / f"upos_{level}_{tag}.tsv",
-        "tag\tlevel\trecall\tprecision\tf1\n"
-        f"{tag}\t{level}\t{100 * prf.recall:.2f}\t{100 * prf.precision:.2f}\t"
-        f"{100 * prf.f1:.2f}\n",
-    )
+    _write(args.out / f"upos_{args.level}_{args.tag}.tsv",
+           analysis.render_upos_table(args.tag, args.level, prf))
     return EXIT_OK
 
 
@@ -421,11 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.set_defaults(run=cmd_score)
 
     p_convert = sub.add_parser("convert", help="convert between CoNLL-U, plaintext and JSON")
-    p_convert.add_argument("direction", choices=["to-text", "from-text", "to-json", "from-json"])
-    p_convert.add_argument("--in", dest="in_path", type=Path, required=True)
-    p_convert.add_argument("--out-file", type=Path, required=True)
-    p_convert.add_argument("--skeleton", type=Path, default=None,
-                           help="input CoNLL-U file for from-text / from-json")
+    directions = p_convert.add_subparsers(dest="direction", required=True)
+    for direction in ("to-text", "from-text", "to-json", "from-json"):
+        p = directions.add_parser(direction)
+        p.add_argument("--in", dest="in_path", type=Path, required=True)
+        if direction.startswith("from-"):
+            p.add_argument("--skeleton", type=Path, required=True,
+                           help="the input CoNLL-U file the output annotates")
+        p.add_argument("--out-file", type=Path, required=True)
     p_convert.set_defaults(run=cmd_convert)
 
     p_clean = sub.add_parser("clean", help="repair noisy plaintext output")
@@ -443,15 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(run=cmd_stats)
 
     p_analyze = sub.add_parser("analyze", help="long-range curves and UPOS-factorized scores")
-    p_analyze.add_argument("kind", choices=["long-range", "upos"])
-    p_analyze.add_argument("--gold", type=Path, required=True)
-    p_analyze.add_argument("--pred", type=Path, required=True)
-    p_analyze.add_argument("--window-tokens", type=int, default=50_000, metavar="N")
-    p_analyze.add_argument("--min-p95", type=int, default=100, metavar="N")
-    p_analyze.add_argument("--sort-key", choices=["p95", "max_adjacent_gap"], default="p95")
-    p_analyze.add_argument("--tag", default=None)
-    p_analyze.add_argument("--level", choices=["entity", "mention"], default="entity")
-    common(p_analyze)
+    kinds = p_analyze.add_subparsers(dest="kind", required=True)
+    p_range = kinds.add_parser("long-range", help="CoNLL F1 by entity range")
+    p_upos = kinds.add_parser("upos", help="CoNLL score restricted to a head UPOS tag")
+    for p in (p_range, p_upos):
+        p.add_argument("--gold", type=Path, required=True)
+        p.add_argument("--pred", type=Path, required=True)
+        common(p)
+    p_range.add_argument("--window-tokens", type=int, default=50_000, metavar="N")
+    p_range.add_argument("--min-p95", type=int, default=100, metavar="N")
+    p_range.add_argument("--sort-key", choices=["p95", "max_adjacent_gap"], default="p95")
+    p_upos.add_argument("--tag", required=True)
+    p_upos.add_argument("--level", choices=["entity", "mention"], default="entity")
     p_analyze.set_defaults(run=cmd_analyze)
 
     p_sample = sub.add_parser("sample", help="cap splits by sampling complete documents")

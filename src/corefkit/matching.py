@@ -66,10 +66,6 @@ class MentionAlignment:
             raise ValueError("a predicted mention occurs in two pairs")
 
     @property
-    def matched(self) -> list[tuple[Mention, Mention]]:
-        return [(self.gold[g], self.pred[p]) for g, p in self.pairs]
-
-    @property
     def unmatched_gold(self) -> list[Mention]:
         used = {g for g, _ in self.pairs}
         return [m for i, m in enumerate(self.gold) if i not in used]

@@ -70,10 +70,11 @@ METRIC_ORDER = [
 
 @dataclass
 class ScoreReport:
-    """Per-dataset scores plus their unweighted macro average."""
+    """Per-dataset scores plus their unweighted macro average.  A metric
+    is a MetricId, or a plain string naming a derived score."""
 
-    per_dataset: dict[str, dict[MetricId, PRF]]
-    macro: dict[MetricId, PRF]
+    per_dataset: dict[str, dict[MetricId | str, PRF]]
+    macro: dict[MetricId | str, PRF]
     singleton_mode: str
     regime: MatchRegime
 
@@ -476,7 +477,7 @@ def evaluate_corpus(gold: Corpus, pred: Corpus,
     return evaluate_documents(prepared, singleton_mode=singleton_mode, conll_only=conll_only)
 
 
-def aggregate(per_dataset: dict[str, dict[MetricId, PRF]],
+def aggregate(per_dataset: dict[str, dict[MetricId | str, PRF]],
               singleton_mode: str = SINGLETONS_EXCLUDED,
               regime: MatchRegime = MatchRegime.HEAD) -> ScoreReport:
     """Unweighted macro average of every metric component across datasets."""
@@ -486,7 +487,8 @@ def aggregate(per_dataset: dict[str, dict[MetricId, PRF]],
     for name, scores in per_dataset.items():
         for metric in metrics:
             if metric not in scores:
-                raise ValueError(f"dataset '{name}' is missing metric '{metric.value}'")
+                raise ValueError(f"dataset '{name}' is missing metric "
+                                 f"'{getattr(metric, 'value', metric)}'")
     n = len(per_dataset)
     macro = {
         metric: PRF(
@@ -507,9 +509,11 @@ def _cell(prf: PRF) -> str:
 
 
 def render_score_table(report: ScoreReport) -> str:
-    """Tab-separated dataset x metric table, three numbers per cell."""
-    metrics = [m for m in METRIC_ORDER if all(m in s for s in report.per_dataset.values())]
-    lines = ["\t".join(["dataset"] + [m.value for m in metrics])]
+    """Tab-separated dataset x metric table, three numbers per cell, then
+    the macro row.  Columns: the macro's metrics that every dataset has,
+    in its order, each headed by its value (a plain string key: itself)."""
+    metrics = [m for m in report.macro if all(m in s for s in report.per_dataset.values())]
+    lines = ["\t".join(["dataset"] + [getattr(m, "value", m) for m in metrics])]
     for name, scores in report.per_dataset.items():
         lines.append("\t".join([name] + [_cell(scores[m]) for m in metrics]))
     lines.append("\t".join(["macro"] + [_cell(report.macro[m]) for m in metrics]))

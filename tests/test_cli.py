@@ -399,6 +399,57 @@ def test_analyze_long_range_and_upos(tmp_path):
     assert upos[1].startswith("NOUN\tentity\t")
 
 
+@pytest.mark.parametrize("argv", [
+    ["long-range"], ["long-range", "--min-p95", "0"], ["upos", "--tag", "NOUN"],
+], ids=["long-range", "long-range-min-p95-0", "upos"])
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_analyze_pairs_documents_as_score_does_exit_4(tmp_path, capsys, argv, side):
+    corpora = dict(zip(("gold", "pred"), make_pair(61, n_docs=3)))
+    short = corpora[side]
+    corpora[side] = Corpus(short.documents[:2], short.entities[:2])  # doc3 on one side only
+    gpath, ppath = tmp_path / "g.conllu", tmp_path / "p.conllu"
+    write_corpus(gpath, corpora["gold"])
+    write_corpus(ppath, corpora["pred"])
+    assert main(["analyze", *argv, "--gold", str(gpath), "--pred", str(ppath),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "document ids differ between gold and prediction" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.tsv"))
+
+
+TABLES = ["scores.tsv", "conll_variants.tsv", "stats_corpus.tsv", "stats_entities.tsv",
+          "stats_mentions.tsv", "stats_singletons.tsv", "stats_details.tsv",
+          "long_range_curve.tsv", "upos_mention_PRON.tsv"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_table_ends_in_newline_with_a_cell_per_column(tmp_path, seed):
+    rng = random.Random(seed)
+    stanzas = []
+    for k in range(rng.randint(1, 7)):
+        gold = random_gold(rng, n_docs=rng.randint(1, 3), empty_parent_mode="anchor")
+        gpath, ppath = tmp_path / f"g{k}.conllu", tmp_path / f"p{k}.conllu"
+        write_corpus(gpath, gold)
+        write_corpus(ppath, recluster(rng, gold))
+        stanzas.append(f"name = set{k}\ngold = {gpath}\npred = {ppath}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(stanzas), encoding="utf-8")
+    out = str(tmp_path / "out")
+    pair = ["--gold", str(tmp_path / "g0.conllu"), "--pred", str(tmp_path / "p0.conllu")]
+    for argv in (["score", "--manifest", str(manifest)],
+                 ["stats", "--manifest", str(manifest), "--mode", "corpus"],
+                 ["stats", "--manifest", str(manifest), "--mode", "system"],
+                 ["analyze", "long-range", *pair, "--min-p95", "0", "--window-tokens", "40"],
+                 ["analyze", "upos", *pair, "--tag", "PRON", "--level", "mention"]):
+        assert main(argv + ["--out", out]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.tsv")) == sorted(TABLES)
+    for name in TABLES:
+        text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+        header, *rows = [line.split("\t") for line in text[:-1].split("\n")]
+        assert rows, name
+        assert all(len(row) == len(header) for row in rows), name
+
+
 def test_unknown_flag_exits_4(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["score", "--nonsense"])
@@ -488,7 +539,6 @@ def test_invalid_utf8_input_exits_2_naming_path_and_line(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("argv, flag", [
     (["analyze", "long-range", "--window-tokens", "0"], "--window-tokens"),
-    (["analyze", "upos", "--tag", "NOUN", "--window-tokens", "-2"], "--window-tokens"),
     (["sample", "--cap-words", "0"], "--cap-words"),
     (["sample", "--cap-words", "-5"], "--cap-words"),
 ])
@@ -501,6 +551,31 @@ def test_size_flags_below_one_exit_4(tmp_path, capsys, argv, flag):
     assert main(argv + inputs + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "upos", "--tag", "NOUN", "--window-tokens", "-2"], "--window-tokens"),
+    (["analyze", "long-range", "--tag", "NOUN", "--level", "mention"], "--tag"),
+    (["analyze", "upos", "--sort-key", "max_adjacent_gap", "--tag", "NOUN"], "--sort-key"),
+    (["analyze", "upos"], "--tag"),
+    (["convert", "to-text", "--skeleton", "{gold}"], "--skeleton"),
+    (["convert", "to-json", "--skeleton", "{gold}"], "--skeleton"),
+    (["convert", "from-text"], "--skeleton"),
+], ids=["upos-window-tokens", "long-range-tag", "upos-sort-key", "upos-without-tag",
+        "to-text-skeleton", "to-json-skeleton", "from-text-without-skeleton"])
+def test_flags_the_mode_does_not_read_exit_4_before_any_output(tmp_path, capsys, argv, flag):
+    gold, pred = make_pair(47, n_docs=2)
+    gpath, ppath = tmp_path / "g.conllu", tmp_path / "p.conllu"
+    write_corpus(gpath, gold)
+    write_corpus(ppath, pred)
+    out = tmp_path / "out"
+    inputs = (["--gold", str(gpath), "--pred", str(ppath), "--out", str(out)]
+              if argv[0] == "analyze" else ["--in", str(gpath), "--out-file", str(out)])
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(gold=gpath) for arg in argv] + inputs)
+    assert err.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["score", "analyze"])
