@@ -63,7 +63,7 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
         if "name" not in stanza:
             raise ConfigError(f"manifest {path}: stanza without a 'name' key")
         name = stanza["name"]  # sample writes {name}.conllu, which must stay in --out
-        if name in ("", ".", "..") or os.path.basename(name) != name:
+        if not _is_plain_file_name(name):
             raise ConfigError(f"manifest {path}: dataset name {name!r} is not a plain file name")
         exempt = stanza.get("exempt", "false").lower()
         if exempt not in ("true", "false"):
@@ -94,6 +94,12 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
     if len(set(names)) != len(names):
         raise ConfigError(f"manifest {path}: dataset names are not unique")
     return specs
+
+
+def _is_plain_file_name(name: str) -> bool:
+    """Whether ``name`` names a file in the current directory, so an output
+    path built from it stays in --out."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
 def _load_corpus(path: Path) -> Corpus:
@@ -192,12 +198,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     weights = _zero_weights(args)
     datasets = parse_manifest(args.manifest)
     _require(args.jobs >= 1, f"--jobs must be at least 1, got {args.jobs}")
-    _prepare_out_dir(args.out)
     for spec in datasets:
         _require(spec.gold is not None and spec.pred is not None,
                  f"dataset '{spec.name}' needs both gold and pred paths")
         _require(spec.gold.is_file(), f"gold path {spec.gold} is not a readable file")
         _require(spec.pred.is_file(), f"pred path {spec.pred} is not a readable file")
+    _prepare_out_dir(args.out)
 
     score = functools.partial(_score_dataset, regime, singleton_mode, weights)
     if args.jobs > 1:
@@ -308,13 +314,13 @@ def _input_specs(paths: list[Path], manifest: Path | None,
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import analysis
     specs = _input_specs(args.paths, args.manifest)
-    _prepare_out_dir(args.out)
-    rows = {}
-    for spec in specs:
-        path = spec.pred if args.mode == "system" and spec.pred else spec.gold
-        _require(path is not None, f"dataset '{spec.name}' needs a gold path")
+    paths = {spec.name: spec.pred if args.mode == "system" and spec.pred else spec.gold
+             for spec in specs}
+    for name, path in paths.items():
+        _require(path is not None, f"dataset '{name}' needs a gold path")
         _require(path.is_file(), f"stats input {path} is not a readable file")
-        rows[spec.name] = analysis.corpus_stats(_load_corpus(path))
+    _prepare_out_dir(args.out)
+    rows = {name: analysis.corpus_stats(_load_corpus(path)) for name, path in paths.items()}
     if args.mode == "corpus":
         _write(args.out / "stats_corpus.tsv", analysis.render_corpus_stats_table(rows))
     else:
@@ -333,9 +339,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _require(args.window_tokens >= 1,
                  f"--window-tokens must be at least 1, got {args.window_tokens}")
         _require(args.min_p95 >= 0, f"--min-p95 must be at least 0, got {args.min_p95}")
-    _prepare_out_dir(args.out)
+    else:  # the tag names the output file, which must stay in --out
+        _require(_is_plain_file_name(args.tag), f"--tag {args.tag!r} is not a plain file name")
     _require(args.gold.is_file(), f"gold path {args.gold} is not a readable file")
     _require(args.pred.is_file(), f"pred path {args.pred} is not a readable file")
+    _prepare_out_dir(args.out)
     gold = _load_corpus(args.gold)
     pred = _load_corpus(args.pred)
     if args.kind == "long-range":
@@ -357,10 +365,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     from .conllu import serialize_conllu
     specs = _input_specs(args.paths, args.manifest, args.exempt)
     _require(args.cap_words >= 1, f"--cap-words must be at least 1, got {args.cap_words}")
-    _prepare_out_dir(args.out)
     for spec in specs:
         _require(spec.gold is not None, f"dataset '{spec.name}' needs a gold path to sample")
         _require(spec.gold.is_file(), f"path {spec.gold} is not a readable file")
+    _prepare_out_dir(args.out)
+    for spec in specs:
         corpus = _load_corpus(spec.gold)
         sampled = analysis.sample_split(corpus, cap_words=args.cap_words,
                                         exempt=spec.exempt, seed=args.seed)

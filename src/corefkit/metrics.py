@@ -21,9 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.optimize loads on first use, only where an assignment is solved
 
-from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment
+from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
 from .model import Corpus, Document, Entity, Mention
 
 logger = logging.getLogger(__name__)
@@ -196,12 +195,13 @@ class OverlapTable:
         n_gold, n_pred = len(self.gold_sizes), len(self.pred_sizes)
         if not n_gold or not n_pred:
             return 0.0, n_gold, 0.0, n_pred
-        cost = np.zeros((n_gold, n_pred))  # -phi4: negating is exact, so totals keep every bit
-        for k, line in enumerate(self.rows):
-            for r, c in line:
-                cost[k, r] = -2 * c / (self.gold_sizes[k] + self.pred_sizes[r])
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        total = 0.0 - float(cost[rows, cols].sum())  # not -sum, which gives -0.0 for no overlap
+        # -phi4, negated exactly; a pair without overlap costs 0
+        cost = [{r: -2 * c / (self.gold_sizes[k] + self.pred_sizes[r]) for r, c in line}
+                for k, line in enumerate(self.rows)]
+        rows, cols = solve_assignment(cost, n_pred, background=0.0)
+        # numpy's pairwise sum of the chosen cells in row order, as the dense
+        # table's cost[rows, cols].sum(); not -sum, which gives -0.0 for no overlap
+        total = 0.0 - float(np.array([cost[k].get(r, 0.0) for k, r in zip(rows, cols)]).sum())
         return total, n_gold, total, n_pred
 
     def blanc(self):

@@ -324,6 +324,29 @@ def oracle_best_matching_weight(weight):
     return best
 
 
+def oracle_assignment(rows, n_cols, background):
+    """scipy's (rows, cols) on the dense table of a sparse one: ``rows[i]``
+    maps a column to its cost, and every other cell costs ``background``."""
+    cost = np.full((len(rows), n_cols), background)
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cost[i, j] = c
+    picked_rows, picked_cols = linear_sum_assignment(cost)
+    return picked_rows.tolist(), picked_cols.tolist()
+
+
+def oracle_ceafe_total_dense(gold, pred):
+    """CEAF-e's summed phi4 as the dense -phi4 table and numpy's sum of its
+    chosen cells give it, to the bit."""
+    cost = np.zeros((len(gold), len(pred)))
+    for k, g in enumerate(gold):
+        for r, p in enumerate(pred):
+            if g & p:
+                cost[k, r] = -2 * len(g & p) / (len(g) + len(p))
+    rows, cols = linear_sum_assignment(cost)
+    return 0.0 - float(cost[rows, cols].sum())
+
+
 def oracle_derive_head(span, sentence):
     """External-parent scan with parent-chain depths, written separately."""
     members = set(span)

@@ -187,6 +187,42 @@ def test_missing_path_exits_4(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "--manifest", "{manifest}"],
+    ["stats", "{missing}"],
+    ["stats", "--manifest", "{manifest}", "--mode", "system"],
+    ["analyze", "long-range", "--gold", "{gold}", "--pred", "{missing}"],
+    ["analyze", "upos", "--gold", "{missing}", "--pred", "{gold}", "--tag", "NOUN"],
+    ["sample", "{gold}", "{missing}"],
+    ["sample", "--manifest", "{manifest}"],
+], ids=["score", "stats", "stats-manifest", "analyze-long-range", "analyze-upos", "sample",
+        "sample-manifest"])
+def test_missing_input_exits_4_without_making_the_output_directory(tmp_path, capsys, argv):
+    gold, missing = tmp_path / "g.conllu", tmp_path / "missing.conllu"
+    write_corpus(gold, make_pair(47, n_docs=1)[0])
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"name = a\ngold = {gold}\npred = {gold}\n\n"
+                        f"name = b\ngold = {missing}\npred = {missing}\n", encoding="utf-8")
+    out = tmp_path / "out" / "sub"
+    argv = [arg.format(gold=gold, missing=missing, manifest=manifest) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert f"{missing} is not a readable file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tag", ["", ".", "..", "x/../../escaped", "{tmp}/abs", "NOUN/"])
+def test_analyze_upos_tag_that_is_not_a_plain_file_name_exits_4(tmp_path, capsys, tag):
+    gold = tmp_path / "g.conllu"
+    write_corpus(gold, make_pair(47, n_docs=1)[0])
+    tag = tag.format(tmp=tmp_path)
+    out = tmp_path / "out" / "sub"
+    assert main(["analyze", "upos", "--gold", str(gold), "--pred", str(gold), "--tag", tag,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert f"--tag {tag!r} is not a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["g.conllu"]
+
+
 def test_convert_text_round_trip(tmp_path):
     gold, _ = make_pair(31, n_docs=2)
     src = tmp_path / "g.conllu"

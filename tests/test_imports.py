@@ -1,10 +1,11 @@
 """What each command imports.  ``import corefkit`` loads no submodule:
 a public name loads its module on first use.  The CLI loads at start
 only the modules it maps exit codes and options with (errors, matching,
-model), and each command the modules it runs.  scipy.optimize loads on
-the first solved assignment and the process pool only for score --jobs
-above 1, so the commands that solve none start without them.  One fresh
-interpreter per case, because this test process has long loaded them all."""
+model), and each command the modules it runs.  No command loads
+scipy.optimize: the assignments of CEAF-e and of zero alignment are
+solved by corefkit.matching.solve_assignment.  The process pool loads
+only for score --jobs above 1.  One fresh interpreter per case, because
+this test process has long loaded them all."""
 
 import json
 import os
@@ -17,8 +18,9 @@ import pytest
 
 from corefkit.conllu import serialize_conllu
 from corefkit.formats import corpus_to_json, corpus_to_plaintext
+from corefkit.model import Corpus
 
-from helpers import recluster, zeroful_corpus
+from helpers import doc, ent, recluster, sent, zeroful_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 LAZY = ("scipy.optimize", "concurrent.futures.process")
@@ -54,7 +56,14 @@ def inputs(tmp_path_factory):
         serialize_conllu(recluster(random.Random(8), gold)), encoding="utf-8")
     (path / "gold.txt").write_text(corpus_to_plaintext(gold), encoding="utf-8")
     (path / "gold.json").write_text(json.dumps(corpus_to_json(gold)), encoding="utf-8")
-    (path / "manifest.txt").write_text("name = d\ngold = gold.conllu\npred = pred.conllu\n",
+    # one sentence of 7 zeros on a side, so zero alignment solves an assignment
+    tokens = [("w1", 0, "root", "VERB")] + [(f"w{k}", 1, "obj", "NOUN") for k in range(2, 9)]
+    zeros = doc("z1", sent(0, tokens, [(1, k, f"Z{k}", 1, "nsubj") for k in range(1, 8)]))
+    (path / "zeros.conllu").write_text(serialize_conllu(Corpus([zeros], [
+        [ent(f"e{k}", zeros, [(0, k + 1)], [(0, 1, k)]) for k in range(1, 8)]])),
+        encoding="utf-8")
+    (path / "manifest.txt").write_text("name = d\ngold = gold.conllu\npred = pred.conllu\n\n"
+                                       "name = z\ngold = zeros.conllu\npred = zeros.conllu\n",
                                        encoding="utf-8")
     return path
 
@@ -82,6 +91,7 @@ def _loaded_after(argv, cwd: Path) -> list[str]:
 @pytest.mark.parametrize("argv", [
     None,
     ["--help"],
+    ["score", "--manifest", "manifest.txt", "--out", "score"],
     ["convert", "to-text", "--in", "gold.conllu", "--out-file", "out.txt"],
     ["convert", "from-text", "--in", "gold.txt", "--skeleton", "gold.conllu",
      "--out-file", "from_text.conllu"],
@@ -90,15 +100,14 @@ def _loaded_after(argv, cwd: Path) -> list[str]:
      "--out-file", "from_json.conllu"],
     ["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
     ["stats", "gold.conllu", "--out", "stats"],
-], ids=["import", "help", "to-text", "from-text", "to-json", "from-json", "clean",
-        "stats"])
-def test_commands_that_solve_no_assignment_load_neither(inputs, argv):
+    ["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
+     "--min-p95", "0", "--out", "analyze"],
+    ["analyze", "upos", "--gold", "gold.conllu", "--pred", "pred.conllu", "--tag", "NOUN",
+     "--out", "analyze"],
+], ids=["import", "help", "score", "to-text", "from-text", "to-json", "from-json", "clean",
+        "stats", "analyze-long-range", "analyze-upos"])
+def test_no_command_loads_scipy_optimize_or_the_process_pool(inputs, argv):
     assert _loaded_after(argv, inputs) == []
-
-
-def test_score_loads_the_assignment_solver_only(inputs):
-    assert _loaded_after(["score", "--manifest", "manifest.txt", "--out", "score"],
-                         inputs) == ["scipy.optimize"]
 
 
 @pytest.mark.parametrize("module, loaded", [

@@ -12,11 +12,12 @@ from corefkit.matching import (
     align_zeros,
     build_alignment,
     match_surface,
+    solve_assignment,
 )
 from corefkit.model import Entity, Mention, NodeId, make_mention, sort_entity_mentions
 
 from helpers import doc, ent, random_gold, recluster, sent
-from oracles import oracle_best_matching_weight, oracle_partial_pairs
+from oracles import oracle_assignment, oracle_best_matching_weight, oracle_partial_pairs
 
 
 def flat_doc(n_tokens: int, si: int = 0):
@@ -260,6 +261,32 @@ def test_large_sentence_uses_assignment_solver_and_stays_optimal():
         matrix = _oracle_weights(gold_doc, pred_doc, weights)
         got = sum(matrix[g][p] for g, p in aligned.pairs)
         assert got == oracle_best_matching_weight(matrix)
+
+
+# few distinct costs, so equal-cost choices abound; -2/3 and -0.4 sum inexactly
+TIE_COSTS = [-2.0, -1.0, -2 / 3, -0.4, -0.1, 0.0, 0.3, 1.0]
+
+
+@st.composite
+def sparse_tables(draw):
+    """(rows, n_cols, background) of up to 40 x 40, wide or tall, with up
+    to three distinct stored costs and empty rows and columns."""
+    n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    costs = draw(st.lists(st.sampled_from(TIE_COSTS), min_size=1, max_size=3, unique=True))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    empty_rows = set(rng.sample(range(n_rows), rng.randint(0, n_rows // 3)))
+    empty_cols = set(rng.sample(range(n_cols), rng.randint(0, n_cols // 3)))
+    rows = [{j: rng.choice(costs) for j in range(n_cols)
+             if j not in empty_cols and rng.random() < density}
+            if i not in empty_rows else {} for i in range(n_rows)]
+    return rows, n_cols, draw(st.sampled_from([0.0, 1e9]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_tables())
+def test_solve_assignment_returns_scipys_choice_on_the_dense_table(table):
+    assert solve_assignment(*table) == oracle_assignment(*table)
 
 
 def test_build_alignment_identity_and_union():

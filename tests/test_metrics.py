@@ -34,6 +34,7 @@ from oracles import (
     oracle_b3,
     oracle_blanc,
     oracle_ceafe,
+    oracle_ceafe_total_dense,
     oracle_cluster_counts,
     oracle_lea,
     oracle_muc,
@@ -321,6 +322,32 @@ def test_overlap_table_counts_equal_dense_loops_exactly(case, mode):
     # == on floats: the same terms in the same order, not approximately
     assert got == oracle_cluster_counts(gold_clusters, pred_clusters,
                                         mode == SINGLETONS_INCLUDED)
+
+
+@st.composite
+def cluster_tables(draw):
+    """Gold and predicted clusters of up to 60 elements in up to 30 blocks a
+    side, so many clusters share a size and CEAF-e's assignment has ties;
+    some elements are on one side only."""
+    n = draw(st.integers(0, 60))
+    blocks = st.integers(0, draw(st.integers(0, 29)))
+    gold: dict[int, set[int]] = {}
+    pred: dict[int, set[int]] = {}
+    for element in range(n):
+        side = draw(st.sampled_from(["both", "both", "gold", "pred"]))
+        if side != "pred":
+            gold.setdefault(draw(blocks), set()).add(element)
+        if side != "gold":
+            pred.setdefault(draw(blocks), set()).add(element)
+    return [frozenset(c) for c in gold.values()], [frozenset(c) for c in pred.values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_tables())
+def test_ceafe_total_equals_the_dense_table_to_the_bit(case):
+    gold, pred = case
+    total, _, _, _ = OverlapTable([sorted(c) for c in gold], [sorted(c) for c in pred]).ceaf_e()
+    assert total.hex() == oracle_ceafe_total_dense(gold, pred).hex()
 
 
 def test_ceafe_without_overlap_is_positive_zero():
