@@ -3,8 +3,9 @@
 Subcommands: score, convert, clean, stats, analyze, sample.  Exit codes
 are pinned for pipeline use: 0 ok, 2 parse failure, 3 token mismatch
 (run `clean` first), 4 configuration error.  Commands read and write
-only the paths named in their configuration, and identical inputs and
-configuration yield byte-identical outputs.
+only the paths named in their configuration, and write nothing until
+every output is computed; identical inputs and configuration yield
+byte-identical outputs.
 
 Datasets are listed in a flat manifest file: one ``key = value`` stanza
 per dataset, stanzas separated by blank lines::
@@ -18,6 +19,7 @@ per dataset, stanzas separated by blank lines::
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -132,9 +134,13 @@ def _read_lines(path: Path, error: type[ValueError]) -> list[str]:
     return [line.rstrip("\r") for line in _read_text(path, error).split("\n")]
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _document_lines(path: Path, corpus: Corpus, role: str) -> list[str]:
+    """The non-blank lines of a plaintext input, one per document of ``corpus``."""
+    lines = [l for l in _read_lines(path, PlaintextError) if l.strip(" \t\f\v")]
+    if len(lines) != len(corpus.documents):
+        raise TokenMismatchError(f"{path} has {len(lines)} documents but the {role} has "
+                                 f"{len(corpus.documents)}")
+    return lines
 
 
 def _require(condition: bool, message: str) -> None:
@@ -151,13 +157,22 @@ def _zero_weights(args: argparse.Namespace) -> ZeroWeight:
     return ZeroWeight(args.zero_parent_weight, args.zero_label_weight)
 
 
-def _prepare_out_dir(out_dir: Path) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    if not os.access(out_dir, os.W_OK):
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse, before any input is read, an --out that could not be made.
+    It creates nothing: ``main`` makes --out when it writes."""
+    def cannot_create(code: int, path: Path) -> ConfigError:  # with mkdir's own error
+        return ConfigError(f"cannot create output directory {out_dir}: "
+                           f"{OSError(code, os.strerror(code), str(path))}")
+
+    existing, missing = out_dir, None  # nearest existing directory, and its missing child
+    while not existing.is_dir() and existing != existing.parent:
+        if os.path.lexists(existing):  # --out is, or lies under, a non-directory
+            raise cannot_create(errno.ENOTDIR if missing else errno.EEXIST, out_dir)
+        existing, missing = existing.parent, existing
+    if missing is None and not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir} is not writable")
+    if not os.access(existing, os.W_OK):
+        raise cannot_create(errno.EACCES, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +205,7 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
     return primary, variants
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
     from . import metrics
     regime = MatchRegime(args.regime)
     singleton_mode = (metrics.SINGLETONS_INCLUDED if args.singletons == "include"
@@ -203,7 +218,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                  f"dataset '{spec.name}' needs both gold and pred paths")
         _require(spec.gold.is_file(), f"gold path {spec.gold} is not a readable file")
         _require(spec.pred.is_file(), f"pred path {spec.pred} is not a readable file")
-    _prepare_out_dir(args.out)
+    _check_out_dir(args.out)
 
     score = functools.partial(_score_dataset, regime, singleton_mode, weights)
     if args.jobs > 1:
@@ -215,41 +230,31 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     per_dataset = {spec.name: primary for spec, (primary, _) in zip(datasets, results)}
     report = metrics.aggregate(per_dataset, singleton_mode, regime)
-    _write(args.out / "scores.tsv", metrics.render_score_table(report))
-    _write(args.out / "scores.jsonl", metrics.render_records(report))
     variants = metrics.aggregate({spec.name: v for spec, (_, v) in zip(datasets, results)})
-    _write(args.out / "conll_variants.tsv", metrics.render_score_table(variants))
-    return EXIT_OK
+    return {args.out / "scores.tsv": metrics.render_score_table(report),
+            args.out / "scores.jsonl": metrics.render_records(report),
+            args.out / "conll_variants.tsv": metrics.render_score_table(variants)}
 
 
 # ---------------------------------------------------------------------------
 # convert / clean
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace) -> dict[Path, str]:
     from . import formats
     from .conllu import serialize_conllu
     in_path = args.in_path
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     if args.direction == "to-text":
-        corpus = _load_corpus(in_path)
-        _write(args.out_file, formats.corpus_to_plaintext(corpus))
-        return EXIT_OK
+        return {args.out_file: formats.corpus_to_plaintext(_load_corpus(in_path))}
     if args.direction == "to-json":
-        corpus = _load_corpus(in_path)
-        _write(args.out_file, json.dumps(formats.corpus_to_json(corpus),
-                                         ensure_ascii=False, indent=1) + "\n")
-        return EXIT_OK
+        values = formats.corpus_to_json(_load_corpus(in_path))
+        return {args.out_file: json.dumps(values, ensure_ascii=False, indent=1) + "\n"}
 
     _require(args.skeleton.is_file(), f"skeleton path {args.skeleton} is not a readable file")
     skeleton = _load_corpus(args.skeleton)
     rebuilt = []  # (document, entities) pairs
     if args.direction == "from-text":
-        lines = [l for l in _read_lines(in_path, PlaintextError) if l.strip(" \t\f\v")]
-        if len(lines) != len(skeleton.documents):
-            raise TokenMismatchError(
-                f"{in_path} has {len(lines)} documents but the skeleton has "
-                f"{len(skeleton.documents)}"
-            )
+        lines = _document_lines(in_path, skeleton, "skeleton")
         for line, document in zip(lines, skeleton.documents):
             rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
     else:
@@ -270,12 +275,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
             if jdoc.doc_id not in by_id:
                 raise TokenMismatchError(f"skeleton has no document '{jdoc.doc_id}'")
             rebuilt.append(formats.reconstruct_from_json(jdoc, by_id[jdoc.doc_id]))
-    _write(args.out_file,
-           serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt])))
-    return EXIT_OK
+    return {args.out_file:
+            serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt]))}
 
 
-def cmd_clean(args: argparse.Namespace) -> int:
+def cmd_clean(args: argparse.Namespace) -> dict[Path, str]:
     from . import formats
     ratio = args.max_cost_ratio
     _require(math.isfinite(ratio) and ratio > 0,
@@ -283,18 +287,12 @@ def cmd_clean(args: argparse.Namespace) -> int:
     _require(args.reference.is_file(), f"reference path {args.reference} is not a readable file")
     _require(args.in_path.is_file(), f"input path {args.in_path} is not a readable file")
     reference = _load_corpus(args.reference)
-    lines = [l for l in _read_lines(args.in_path, PlaintextError) if l.strip(" \t\f\v")]
-    if len(lines) != len(reference.documents):
-        raise TokenMismatchError(
-            f"{args.in_path} has {len(lines)} documents but the reference has "
-            f"{len(reference.documents)}"
-        )
+    lines = _document_lines(args.in_path, reference, "reference")
     cleaned = [
         formats.clean_output(document, line, max_cost_ratio=ratio).render()
         for document, line in zip(reference.documents, lines)
     ]
-    _write(args.out_file, "\n".join(cleaned) + "\n")
-    return EXIT_OK
+    return {args.out_file: "\n".join(cleaned) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def _input_specs(paths: list[Path], manifest: Path | None,
     return parse_manifest(manifest)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> dict[Path, str]:
     from . import analysis
     specs = _input_specs(args.paths, args.manifest)
     paths = {spec.name: spec.pred if args.mode == "system" and spec.pred else spec.gold
@@ -319,19 +317,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for name, path in paths.items():
         _require(path is not None, f"dataset '{name}' needs a gold path")
         _require(path.is_file(), f"stats input {path} is not a readable file")
-    _prepare_out_dir(args.out)
+    _check_out_dir(args.out)
     rows = {name: analysis.corpus_stats(_load_corpus(path)) for name, path in paths.items()}
     if args.mode == "corpus":
-        _write(args.out / "stats_corpus.tsv", analysis.render_corpus_stats_table(rows))
-    else:
-        _write(args.out / "stats_entities.tsv", analysis.render_entity_stats_table(rows))
-        _write(args.out / "stats_mentions.tsv", analysis.render_mention_stats_table(rows))
-        _write(args.out / "stats_singletons.tsv", analysis.render_singleton_stats_table(rows))
-        _write(args.out / "stats_details.tsv", analysis.render_mention_details_table(rows))
-    return EXIT_OK
+        return {args.out / "stats_corpus.tsv": analysis.render_corpus_stats_table(rows)}
+    return {args.out / "stats_entities.tsv": analysis.render_entity_stats_table(rows),
+            args.out / "stats_mentions.tsv": analysis.render_mention_stats_table(rows),
+            args.out / "stats_singletons.tsv": analysis.render_singleton_stats_table(rows),
+            args.out / "stats_details.tsv": analysis.render_mention_details_table(rows)}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
     """Both kinds score without singletons."""
     from . import analysis
     regime, weights = MatchRegime(args.regime), _zero_weights(args)
@@ -343,7 +339,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _require(_is_plain_file_name(args.tag), f"--tag {args.tag!r} is not a plain file name")
     _require(args.gold.is_file(), f"gold path {args.gold} is not a readable file")
     _require(args.pred.is_file(), f"pred path {args.pred} is not a readable file")
-    _prepare_out_dir(args.out)
+    _check_out_dir(args.out)
     gold = _load_corpus(args.gold)
     pred = _load_corpus(args.pred)
     if args.kind == "long-range":
@@ -351,16 +347,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             gold, pred, window_tokens=args.window_tokens, min_p95=args.min_p95,
             sort_key=args.sort_key, regime=regime, weights=weights,
         )
-        _write(args.out / "long_range_curve.tsv", analysis.render_curve_table(points))
-        return EXIT_OK
+        return {args.out / "long_range_curve.tsv": analysis.render_curve_table(points)}
     prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
                                          regime=regime, weights=weights)
-    _write(args.out / f"upos_{args.level}_{args.tag}.tsv",
-           analysis.render_upos_table(args.tag, args.level, prf))
-    return EXIT_OK
+    return {args.out / f"upos_{args.level}_{args.tag}.tsv":
+            analysis.render_upos_table(args.tag, args.level, prf)}
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     from . import analysis
     from .conllu import serialize_conllu
     specs = _input_specs(args.paths, args.manifest, args.exempt)
@@ -368,13 +362,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for spec in specs:
         _require(spec.gold is not None, f"dataset '{spec.name}' needs a gold path to sample")
         _require(spec.gold.is_file(), f"path {spec.gold} is not a readable file")
-    _prepare_out_dir(args.out)
+    _check_out_dir(args.out)
+    outputs = {}
     for spec in specs:
-        corpus = _load_corpus(spec.gold)
-        sampled = analysis.sample_split(corpus, cap_words=args.cap_words,
+        sampled = analysis.sample_split(_load_corpus(spec.gold), cap_words=args.cap_words,
                                         exempt=spec.exempt, seed=args.seed)
-        _write(args.out / f"{spec.name}.conllu", serialize_conllu(sampled))
-    return EXIT_OK
+        outputs[args.out / f"{spec.name}.conllu"] = serialize_conllu(sampled)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        for path, text in args.run(args).items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
     except (ConlluError, PlaintextError, JsonFormatError, ManifestError) as exc:
         print(f"corefkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -473,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"corefkit: i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 def entrypoint() -> None:

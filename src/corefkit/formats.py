@@ -50,6 +50,7 @@ from .model import (
     Sentence,
     make_mention,
     sort_entity_mentions,
+    surface_difference,
 )
 
 _NORMALIZED_EID = re.compile(r"e\d+")
@@ -720,10 +721,12 @@ def _reconstruct(input_doc: Document, tokens: list[PlainToken],
                  error: type[ValueError]) -> tuple[Document, list[Entity]]:
     """Entities of (eid, start, end) spans over tokens, on input_doc;
     raises ``error`` on a span across a sentence boundary."""
-    if [t.surface for t in tokens if not t.is_empty] != input_doc.surface_forms():
+    forms, cleaned = input_doc.surface_forms(), [t.surface for t in tokens if not t.is_empty]
+    if cleaned != forms:
         raise TokenMismatchError(
-            f"document '{input_doc.doc_id}': cleaned tokens do not match the "
-            "input document; run clean_output first"
+            f"document '{input_doc.doc_id}': cleaned tokens do not match the input "
+            f"document (input vs cleaned: {surface_difference(forms, cleaned)}); "
+            "run clean_output first"
         )
 
     node_at = _read_nodes(_build_layout(input_doc), [t.is_empty for t in tokens])

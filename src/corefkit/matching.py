@@ -21,7 +21,7 @@ import numpy as np  # noqa: F401
 import scipy  # noqa: F401
 
 from .errors import TokenMismatchError
-from .model import Document, Entity, Mention, NodeId
+from .model import Document, Entity, Mention, NodeId, surface_difference
 
 
 class MatchRegime(str, enum.Enum):
@@ -401,18 +401,10 @@ def check_same_surface(gold_doc: Document, pred_doc: Document) -> None:
     """Raise TokenMismatchError unless both documents share the surface tokens."""
     gold_forms = gold_doc.surface_forms()
     pred_forms = pred_doc.surface_forms()
-    if gold_forms == pred_forms:
-        return
-    for k, (g, p) in enumerate(zip(gold_forms, pred_forms)):
-        if g != p:
-            raise TokenMismatchError(
-                f"document '{gold_doc.doc_id}': surface token {k + 1} differs "
-                f"('{g}' vs '{p}'); run the output cleaner first"
-            )
-    raise TokenMismatchError(
-        f"document '{gold_doc.doc_id}': surface token counts differ "
-        f"({len(gold_forms)} vs {len(pred_forms)}); run the output cleaner first"
-    )
+    if gold_forms != pred_forms:
+        raise TokenMismatchError(f"document '{gold_doc.doc_id}': "
+                                 f"{surface_difference(gold_forms, pred_forms)}; "
+                                 "run the output cleaner first")
 
 
 def build_alignment(gold_doc: Document, gold_entities: list[Entity],

@@ -274,48 +274,44 @@ def _zero_counts(gold_entities, pred_entities, alignment: MentionAlignment):
 
     A gold anaphoric zero is resolved iff it aligns to a predicted zero
     whose entity contains a predicted mention aligned to some gold
-    mention that precedes the zero within the same gold entity.
+    mention that precedes the zero within the same gold entity.  Linear:
+    a gold entity counts its earlier gold indices per predicted entity.
     """
     gold_ix = _index_by_identity(alignment.gold)
     pred_ix = _index_by_identity(alignment.pred)
     gold_to_pred = {g: p for g, p in alignment.pairs}
     pred_to_gold = alignment.pred_to_gold()
 
-    pred_entity_gold_indices: list[set[int]] = []
-    pred_zero_total = 0
-    for entity in pred_entities:
-        aligned = set()
-        for m in entity.mentions:
-            j = pred_ix.get(id(m))
-            if j is not None and j in pred_to_gold:
-                aligned.add(pred_to_gold[j])
-        pred_entity_gold_indices.append(aligned)
-        if not entity.is_singleton:
-            pred_zero_total += sum(1 for m in entity.mentions if m.is_zero)
+    holders: dict[int, set[int]] = {}  # gold index -> predicted entities aligned to it
     pred_index_to_entity = {}
+    pred_zero_total = 0
     for ei, entity in enumerate(pred_entities):
         for m in entity.mentions:
             j = pred_ix.get(id(m))
             if j is not None:
                 pred_index_to_entity[j] = ei
+            if j in pred_to_gold:
+                holders.setdefault(pred_to_gold[j], set()).add(ei)
+        if not entity.is_singleton:
+            pred_zero_total += sum(1 for m in entity.mentions if m.is_zero)
 
     correct = 0
     anaphoric = 0
     for entity in gold_entities:
+        if not any(m.is_zero for m in entity.mentions):
+            continue
+        earlier: set[int] = set()
+        held: Counter[int] = Counter()  # predicted entity -> how many of ``earlier`` it holds
         for k, mention in enumerate(entity.mentions):
-            if not mention.is_zero or k == 0:
-                continue
-            anaphoric += 1
             g = gold_ix.get(id(mention))
-            if g is None or g not in gold_to_pred:
-                continue
-            j = gold_to_pred[g]
-            ei = pred_index_to_entity.get(j)
-            if ei is None:
-                continue
-            antecedents = {gold_ix[id(x)] for x in entity.mentions[:k] if id(x) in gold_ix}
-            if antecedents & (pred_entity_gold_indices[ei] - {g}):
-                correct += 1
+            if mention.is_zero and k:
+                anaphoric += 1
+                ei = pred_index_to_entity.get(gold_to_pred.get(g))
+                if ei is not None:  # the zero is not its own antecedent
+                    correct += held[ei] > (g in earlier and ei in holders[g])
+            if g is not None and g not in earlier:
+                earlier.add(g)
+                held.update(holders.get(g, ()))
     return correct, anaphoric, correct, pred_zero_total
 
 

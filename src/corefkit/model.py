@@ -145,6 +145,15 @@ class Document:
         return sum(1 for s in self.sentences for n in s.nodes if not n.is_empty)
 
 
+def surface_difference(forms: list[str], others: list[str]) -> str:
+    """Where two unequal surface token lists first differ: the 1-based token
+    index and both forms, or both counts when one is a prefix of the other."""
+    for k, (form, other) in enumerate(zip(forms, others)):
+        if form != other:
+            return f"surface token {k + 1} differs ('{form}' vs '{other}')"
+    return f"surface token counts differ ({len(forms)} vs {len(others)})"
+
+
 @dataclass(frozen=True)
 class Mention:
     """A coreference mention: an ordered, possibly discontinuous span.

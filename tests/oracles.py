@@ -393,3 +393,55 @@ def remap_for_oracle(gold_clusters_raw, pred_clusters_raw, matchable):
 
 def drop_singletons(clusters):
     return [c for c in clusters if len(c) > 1]
+
+
+def oracle_zero_counts(gold_entities, pred_entities, alignment):
+    """The zero-anaphora counts (correct, anaphoric, correct, predicted
+    zeros), rebuilding each zero's antecedent set from the mentions before
+    it: quadratic in the length of a chain.
+
+    A gold anaphoric zero is resolved iff it aligns to a predicted zero
+    whose entity contains a predicted mention aligned to some gold
+    mention that precedes the zero within the same gold entity.
+    """
+    gold_ix = {id(m): i for i, m in enumerate(alignment.gold)}
+    pred_ix = {id(m): i for i, m in enumerate(alignment.pred)}
+    gold_to_pred = {g: p for g, p in alignment.pairs}
+    pred_to_gold = alignment.pred_to_gold()
+
+    pred_entity_gold_indices: list[set[int]] = []
+    pred_zero_total = 0
+    for entity in pred_entities:
+        aligned = set()
+        for m in entity.mentions:
+            j = pred_ix.get(id(m))
+            if j is not None and j in pred_to_gold:
+                aligned.add(pred_to_gold[j])
+        pred_entity_gold_indices.append(aligned)
+        if not entity.is_singleton:
+            pred_zero_total += sum(1 for m in entity.mentions if m.is_zero)
+    pred_index_to_entity = {}
+    for ei, entity in enumerate(pred_entities):
+        for m in entity.mentions:
+            j = pred_ix.get(id(m))
+            if j is not None:
+                pred_index_to_entity[j] = ei
+
+    correct = 0
+    anaphoric = 0
+    for entity in gold_entities:
+        for k, mention in enumerate(entity.mentions):
+            if not mention.is_zero or k == 0:
+                continue
+            anaphoric += 1
+            g = gold_ix.get(id(mention))
+            if g is None or g not in gold_to_pred:
+                continue
+            j = gold_to_pred[g]
+            ei = pred_index_to_entity.get(j)
+            if ei is None:
+                continue
+            antecedents = {gold_ix[id(x)] for x in entity.mentions[:k] if id(x) in gold_ix}
+            if antecedents & (pred_entity_gold_indices[ei] - {g}):
+                correct += 1
+    return correct, anaphoric, correct, pred_zero_total

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -223,6 +224,100 @@ def test_analyze_upos_tag_that_is_not_a_plain_file_name_exits_4(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["g.conllu"]
 
 
+def _inputs_that_fail_once_read(tmp_path: Path) -> dict[str, Path]:
+    """Paths that pass every check made before reading: gold ``a`` with
+    document doc1, ``other`` with doc1 renamed, a malformed ``bad``, and a
+    manifest pairing ``a`` with ``other``."""
+    paths = {name: tmp_path / f"{name}.conllu" for name in ("a", "other", "bad")}
+    text = serialize_conllu(make_pair(47, n_docs=1)[0])
+    assert "# newdoc id = doc1\n" in text
+    paths["a"].write_text(text, encoding="utf-8")
+    paths["other"].write_text(text.replace("# newdoc id = doc1\n", "# newdoc id = other\n"),
+                              encoding="utf-8")
+    paths["bad"].write_text("# newdoc id = d\nnot a conllu line\n", encoding="utf-8")
+    paths["manifest"] = tmp_path / "m.txt"
+    paths["manifest"].write_text(f"name = x\ngold = {paths['a']}\npred = {paths['other']}\n",
+                                 encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["score", "--manifest", "{manifest}"], EXIT_CONFIG, "document ids differ"),
+    (["analyze", "long-range", "--gold", "{a}", "--pred", "{other}"], EXIT_CONFIG,
+     "document ids differ"),
+    (["stats", "{a}", "{bad}"], EXIT_PARSE, "parse error: {bad}: line 2"),
+    (["sample", "{a}", "{bad}"], EXIT_PARSE, "parse error: {bad}: line 2"),
+], ids=["score", "analyze-long-range", "stats", "sample"])
+def test_a_run_that_fails_after_reading_its_inputs_leaves_no_output(tmp_path, capsys, argv,
+                                                                     code, message):
+    paths = _inputs_that_fail_once_read(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
+    assert message.format(**paths) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no --out, so no a.conllu in it either
+
+
+OUT_CHECK_ARGV = {
+    "score": ["score", "--manifest", "{manifest}"],
+    "stats": ["stats", "{bad}"],
+    "analyze-long-range": ["analyze", "long-range", "--gold", "{bad}", "--pred", "{bad}"],
+    "analyze-upos": ["analyze", "upos", "--gold", "{bad}", "--pred", "{bad}", "--tag", "NOUN"],
+    "sample": ["sample", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_CHECK_ARGV)
+@pytest.mark.parametrize("out, code", [("file", errno.EEXIST),
+                                       ("file/sub/dir", errno.ENOTDIR)])
+def test_an_out_that_is_or_lies_under_a_file_exits_4_before_any_input_is_read(
+        tmp_path, capsys, command, out, code):
+    """The inputs are malformed, so reading any of them would exit 2."""
+    paths = _inputs_that_fail_once_read(tmp_path)
+    paths["manifest"].write_text(f"name = x\ngold = {paths['bad']}\npred = {paths['bad']}\n",
+                                 encoding="utf-8")
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / out
+    argv = [arg.format(**paths) for arg in OUT_CHECK_ARGV[command]]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert (f"configuration error: cannot create output directory {out}: "
+            f"[Errno {code}] {os.strerror(code)}: '{out}'") in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_an_out_that_is_not_writable_exits_4_and_creates_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A process running as root may write anywhere, so the test makes one
+    directory read-only through ``os.access``, which the check consults."""
+    paths = _inputs_that_fail_once_read(tmp_path)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access",
+                        lambda path, mode, **kw: Path(path) != locked and access(path, mode, **kw))
+    for out, message in (
+        (locked, f"output directory {locked} is not writable"),
+        (locked / "a" / "b", f"cannot create output directory {locked / 'a' / 'b'}: "
+                             f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+                             f"'{locked / 'a'}'"),
+    ):
+        assert main(["stats", str(paths["bad"]), "--out", str(out)]) == EXIT_CONFIG
+        assert f"configuration error: {message}\n" in capsys.readouterr().err
+    assert not list(locked.iterdir())
+
+
+def test_a_failed_write_exits_4_as_an_io_error(tmp_path, capsys):
+    src, out_file = tmp_path / "g.conllu", tmp_path / "taken"
+    write_corpus(src, make_pair(31, n_docs=1)[0])
+    out_file.mkdir()
+    assert main(["convert", "to-text", "--in", str(src), "--out-file", str(out_file)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("corefkit: i/o error: ")
+    assert not list(out_file.iterdir())
+
+
 def test_convert_text_round_trip(tmp_path):
     gold, _ = make_pair(31, n_docs=2)
     src = tmp_path / "g.conllu"
@@ -272,6 +367,29 @@ def test_convert_from_text_token_mismatch_exits_3(tmp_path, capsys):
                  "--out-file", str(tmp_path / "back.conllu")])
     assert code == EXIT_MISMATCH
     assert "do not match the input document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, location", [
+    (lambda line: "EXTRA " + line, "surface token 1 differs ('{first}' vs 'EXTRA')"),
+    (lambda line: line + " EXTRA", "surface token counts differ ({n} vs {n_plus_1})"),
+], ids=["first-token", "extra-last-token"])
+def test_convert_from_text_token_mismatch_names_its_location(tmp_path, capsys, edit, location):
+    gold, _ = make_pair(31, n_docs=2)
+    src = tmp_path / "g.conllu"
+    write_corpus(src, gold)
+    lines = corpus_to_plaintext(gold).splitlines()
+    lines[1] = edit(lines[1])
+    text = tmp_path / "g.txt"
+    text.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "back.conllu"
+    assert main(["convert", "from-text", "--in", str(text), "--skeleton", str(src),
+                 "--out-file", str(out)]) == EXIT_MISMATCH
+    forms = gold.documents[1].surface_forms()
+    location = location.format(first=forms[0], n=len(forms), n_plus_1=len(forms) + 1)
+    assert capsys.readouterr().err == (
+        f"corefkit: document '{gold.documents[1].doc_id}': cleaned tokens do not match the "
+        f"input document (input vs cleaned: {location}); run clean_output first\n")
+    assert not out.exists()
 
 
 def _string_offsets(values):

@@ -337,6 +337,21 @@ def test_token_mismatch_suggests_cleaner():
         build_alignment(a, [], b, [])
 
 
+@pytest.mark.parametrize("pred_tokens, message", [
+    (["x", "z"], "surface token 2 differs ('y' vs 'z')"),
+    (["x"], "surface token counts differ (2 vs 1)"),
+    (["x", "y", "w"], "surface token counts differ (2 vs 3)"),
+])
+def test_token_mismatch_names_the_first_difference(pred_tokens, message):
+    def one_sentence(forms):
+        return doc("d1", sent(0, [(forms[0], 0, "root", "X")]
+                              + [(form, 1, "dep", "X") for form in forms[1:]]))
+
+    with pytest.raises(TokenMismatchError) as err:
+        build_alignment(one_sentence(["x", "y"]), [], one_sentence(pred_tokens), [])
+    assert str(err.value) == f"document 'd1': {message}; run the output cleaner first"
+
+
 def test_alignment_injectivity_validated():
     d = flat_doc(4)
     m1, m2 = mention(d, [1]), mention(d, [2])

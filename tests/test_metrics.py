@@ -4,15 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corefkit.matching import MentionAlignment
+from corefkit.matching import MatchRegime, MentionAlignment
 from corefkit.metrics import (
     PRF,
     SINGLETONS_EXCLUDED,
     SINGLETONS_INCLUDED,
     MetricId,
     OverlapTable,
+    _zero_counts,
     aggregate,
     evaluate_corpus,
+    pair_documents,
+    prepare_document,
     remap_partitions,
     render_records,
     render_score_table,
@@ -28,7 +31,7 @@ from corefkit.metrics import (
 )
 from corefkit.model import Corpus, Entity, NodeId, make_mention, sort_entity_mentions
 
-from helpers import doc, random_gold, recluster, sent
+from helpers import doc, random_gold, recluster, sent, zeroful_corpus
 from oracles import (
     drop_singletons,
     oracle_b3,
@@ -38,6 +41,7 @@ from oracles import (
     oracle_cluster_counts,
     oracle_lea,
     oracle_muc,
+    oracle_zero_counts,
 )
 
 APPROX = 1e-9
@@ -229,6 +233,51 @@ def test_zero_score_examples():
     prf = score_zero_anaphora(gold_entities, pred_entities, alignment)
     assert prf.recall == 0.0 and prf.precision == 0.0
 
+
+def _with_zeros_repeated(corpus: Corpus, copies: int) -> Corpus:
+    """The corpus with each zero listed ``copies`` times in its entity."""
+    return Corpus(corpus.documents, [
+        [Entity(e.id, [x for m in e.mentions for x in [m] * (copies if m.is_zero else 1)])
+         for e in doc_entities]
+        for doc_entities in corpus.entities
+    ])
+
+
+def _with_zeros_shared(corpus: Corpus) -> Corpus:
+    """The corpus with one more entity per document, holding the zeros of
+    the others, so a zero belongs to two entities."""
+    return Corpus(corpus.documents, [
+        doc_entities + [Entity("shared", [m for e in doc_entities for m in e.mentions
+                                          if m.is_zero])]
+        for doc_entities in corpus.entities
+    ])
+
+
+def test_zero_counts_equal_the_quadratic_oracle():
+    rng = random.Random(29)
+    pairs = []
+    for seed in range(8):
+        gold = zeroful_corpus(seed)
+        pred = recluster(rng, gold, keep_mentions=0.95)
+        pairs += [(gold, gold), (gold, pred), (pred, gold)]
+        for variant in (_with_zeros_repeated(gold, 2), _with_zeros_repeated(gold, 3),
+                        _with_zeros_shared(gold)):
+            pairs += [(variant, gold), (gold, variant), (variant, variant), (variant, pred)]
+        other = random_gold(rng, n_docs=2)
+        pairs.append((other, recluster(rng, other)))
+    totals = [0, 0, 0, 0]
+    for regime in MatchRegime:
+        for mode in (SINGLETONS_INCLUDED, SINGLETONS_EXCLUDED):
+            for gold, pred in pairs:
+                for gold_doc, gold_entities, pred_doc, pred_entities in pair_documents(gold, pred):
+                    scoring = prepare_document(gold_doc, gold_entities, pred_doc, pred_entities,
+                                               regime=regime, singleton_mode=mode)
+                    args = (scoring.gold_entities, scoring.pred_entities, scoring.alignment)
+                    counts = _zero_counts(*args)
+                    assert counts == oracle_zero_counts(*args), (regime, mode, gold_doc.doc_id)
+                    totals = [t + c for t, c in zip(totals, counts)]
+    correct, anaphoric, _, predicted = totals
+    assert 0 < correct < anaphoric and predicted > 0
 
 def _oracle_case(rng):
     """Random single-token partitions plus the matched-element map."""
