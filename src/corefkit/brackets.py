@@ -73,12 +73,6 @@ def pair_items(positioned_items, sentence_ends=()):
     stacks: dict[str, list[tuple]] = {}  # eid -> (start, part) openers; non-empty only
     first_open: dict[str, int] = {}  # eid -> rank of its first opener
     ends = set(sentence_ends)
-
-    def close_sentence(end: int) -> None:
-        for eid in sorted(stacks, key=first_open.__getitem__):
-            unclosed.extend((eid, start, end, part) for start, part in reversed(stacks[eid]))
-        stacks.clear()
-
     pos = -1
     for pos, items in positioned_items:
         for kind, eid, part in items:
@@ -96,9 +90,17 @@ def pair_items(positioned_items, sentence_ends=()):
             else:
                 spans.append((eid, pos, pos, part))
         if stacks and pos in ends:
-            close_sentence(pos)
-    close_sentence(pos)
+            _close_stacks(stacks, first_open, pos, unclosed)
+    if stacks:
+        _close_stacks(stacks, first_open, pos, unclosed)
     return spans, unmatched, unclosed
+
+
+def _close_stacks(stacks, first_open, end: int, unclosed: list) -> None:
+    """Move the openers still open at sentence end ``end`` to ``unclosed``."""
+    for eid in sorted(stacks, key=first_open.__getitem__):
+        unclosed.extend((eid, start, end, part) for start, part in reversed(stacks[eid]))
+    stacks.clear()
 
 
 def join_parts(spans):
@@ -109,33 +111,33 @@ def join_parts(spans):
     part 1/n starts a pending mention, and part k/n joins the first
     pending mention of that entity with the same n that waits for part
     k.  Returns (mentions, orphans, missing): the ``(eid, positions)``
-    mentions in the order they complete, ``positions`` a frozenset; the
-    ``(eid, end, part)`` segments no pending mention waits for; and the
-    ``(eid, part)`` parts that pending mentions still wait for.
+    mentions in the order they complete, ``positions`` ascending (the
+    span's ``range``, or a sorted list for joined segments); the ``(eid,
+    end, part)`` segments no pending mention waits for; and the ``(eid,
+    part)`` parts that pending mentions still wait for.
     """
-    mentions: list[tuple[str, frozenset[int]]] = []
+    mentions: list[tuple] = []
     orphans: list[tuple] = []
     pending: dict[str, list[list]] = {}  # eid -> [next k, n, positions]; non-empty only
     for eid, start, end, part in spans:
-        positions = range(start, end + 1)
-        k, n = part or (1, 1)
+        if part is None or part == (1, 1):
+            mentions.append((eid, range(start, end + 1)))
+            continue
+        k, n = part
         if k == 1:
-            if n == 1:
-                mentions.append((eid, frozenset(positions)))
-            else:
-                pending.setdefault(eid, []).append([2, n, set(positions)])
+            pending.setdefault(eid, []).append([2, n, set(range(start, end + 1))])
             continue
         entries = pending.get(eid, ())
         entry = next((entry for entry in entries if entry[0] == k and entry[1] == n), None)
         if entry is None:
             orphans.append((eid, end, part))
             continue
-        entry[2].update(positions)
+        entry[2].update(range(start, end + 1))
         entry[0] = k + 1
         if k == n:
             entries.remove(entry)
             if not entries:
                 del pending[eid]
-            mentions.append((eid, frozenset(entry[2])))
+            mentions.append((eid, sorted(entry[2])))
     missing = [(eid, (k, n)) for eid, entries in pending.items() for k, n, _ in entries]
     return mentions, orphans, missing

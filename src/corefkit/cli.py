@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import gc
 import json
 import math
 import os
@@ -175,6 +176,14 @@ def _check_out_dir(out_dir: Path) -> None:
         raise cannot_create(errno.EACCES, missing)
 
 
+def _check_out_file(out_file: Path) -> None:
+    """Refuse, before any input is read, an --out-file that is a directory
+    or whose directory could not be made."""
+    if out_file.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_file))
+    _check_out_dir(out_file.parent)
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -183,12 +192,14 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
     """Primary scores and the CoNLL variants of one dataset.  Each distinct
     (regime, singletons) pair is evaluated once; the variants need only
     CoNLL.  The primary run checks each document pair's surface tokens,
-    so the variants skip that check."""
+    so the variants skip that check, and the zeros are aligned once per
+    singleton mode."""
     from . import metrics
     gold = _load_corpus(spec.gold)
     pred = _load_corpus(spec.pred)
-    primary = metrics.evaluate_corpus(gold, pred, regime=regime,
-                                      singleton_mode=singleton_mode, weights=weights)
+    zero_cache = {metrics.SINGLETONS_EXCLUDED: {}, metrics.SINGLETONS_INCLUDED: {}}
+    primary = metrics.evaluate_corpus(gold, pred, regime=regime, singleton_mode=singleton_mode,
+                                      weights=weights, zero_cache=zero_cache[singleton_mode])
     evaluated = {(regime, singleton_mode): primary}
     variants = {}  # the columns of conll_variants.tsv, in order
     for key, variant_regime, variant_mode in (
@@ -200,7 +211,8 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
         if (variant_regime, variant_mode) not in evaluated:
             evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
                 gold, pred, regime=variant_regime, singleton_mode=variant_mode,
-                weights=weights, conll_only=True, check_surface=False)
+                weights=weights, conll_only=True, check_surface=False,
+                zero_cache=zero_cache[variant_mode])
         variants[key] = evaluated[variant_regime, variant_mode][metrics.MetricId.CONLL]
     return primary, variants
 
@@ -223,7 +235,8 @@ def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
     score = functools.partial(_score_dataset, regime, singleton_mode, weights)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the workers, like the `corefkit` process, run without the cyclic GC
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=gc.disable) as pool:
             results = list(pool.map(score, datasets))
     else:
         results = list(map(score, datasets))
@@ -244,13 +257,16 @@ def cmd_convert(args: argparse.Namespace) -> dict[Path, str]:
     from .conllu import serialize_conllu
     in_path = args.in_path
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
+    if args.direction.startswith("from-"):
+        _require(args.skeleton.is_file(),
+                 f"skeleton path {args.skeleton} is not a readable file")
+    _check_out_file(args.out_file)
     if args.direction == "to-text":
         return {args.out_file: formats.corpus_to_plaintext(_load_corpus(in_path))}
     if args.direction == "to-json":
         values = formats.corpus_to_json(_load_corpus(in_path))
         return {args.out_file: json.dumps(values, ensure_ascii=False, indent=1) + "\n"}
 
-    _require(args.skeleton.is_file(), f"skeleton path {args.skeleton} is not a readable file")
     skeleton = _load_corpus(args.skeleton)
     rebuilt = []  # (document, entities) pairs
     if args.direction == "from-text":
@@ -286,6 +302,7 @@ def cmd_clean(args: argparse.Namespace) -> dict[Path, str]:
              f"--max-cost-ratio must be finite and greater than 0, got {ratio}")
     _require(args.reference.is_file(), f"reference path {args.reference} is not a readable file")
     _require(args.in_path.is_file(), f"input path {args.in_path} is not a readable file")
+    _check_out_file(args.out_file)
     reference = _load_corpus(args.reference)
     lines = _document_lines(args.in_path, reference, "reference")
     cleaned = [
@@ -300,9 +317,15 @@ def cmd_clean(args: argparse.Namespace) -> dict[Path, str]:
 
 def _input_specs(paths: list[Path], manifest: Path | None,
                  exempt: bool = False) -> list[DatasetSpec]:
-    """The datasets of ``stats`` and ``sample``: input paths or a manifest."""
+    """The datasets of ``stats`` and ``sample``: input paths, each named by
+    its stem, or a manifest."""
     if manifest is None:
         _require(bool(paths), "give input paths or --manifest")
+        by_name: dict[str, Path] = {}
+        for path in paths:  # a name keys a table row or an output file
+            _require(path.stem not in by_name, f"input paths {by_name.get(path.stem)} and "
+                     f"{path} have the same name '{path.stem}'")
+            by_name[path.stem] = path
         return [DatasetSpec(name=p.stem, gold=p, pred=p, exempt=exempt) for p in paths]
     _require(not paths, "give input paths or --manifest, not both")
     _require(not exempt, "--exempt applies to input paths only, not to --manifest")
@@ -473,6 +496,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """The `corefkit` command, with the cyclic GC paused: the model holds no
+    reference cycles (tests/test_gc.py), so collections would only rescan
+    every node.  ``main`` leaves the caller's collector as it found it."""
+    gc.disable()
     sys.exit(main())
 
 

@@ -40,7 +40,6 @@ from .model import (
     contiguous_segments,
     head_position,
     lazy_depths,
-    parent_positions,
     sort_entity_mentions,
 )
 
@@ -54,6 +53,10 @@ _MWT_ID_RE = re.compile(r"^(\d+)-(\d+)$")
 
 # MISC keys that carry anaphora annotations this toolkit does not score.
 _SKIPPED_ANNOTATIONS = ("Bridge", "SplitAnte")
+
+# builds a NodeId or Mention from a plain tuple of its fields, in C,
+# without the named tuple's Python-level __new__ (and Mention's checks)
+_new_tuple = tuple.__new__
 
 
 def _parse_entity_items(value: str, line: int) -> list[tuple[str, str, tuple[int, int] | None]]:
@@ -79,27 +82,31 @@ def _parse_entity_items(value: str, line: int) -> list[tuple[str, str, tuple[int
     return items
 
 
-def _sentence_mentions(entity_values, end_line: int) -> list[tuple[str, frozenset[int]]]:
-    """The ``(eid, positions)`` mentions of one sentence's ``(value,
-    position, line)`` Entity values; ``end_line`` ends the sentence.
+def _sentence_mentions(entity_values, nodes: list[Node], end_line: int) -> list[Mention]:
+    """The mentions of one sentence, in the order they complete, from its
+    ``(value, position, line)`` Entity values; ``end_line`` ends the
+    sentence.
 
     Of several errors, the one met first reading the sentence is raised:
     a malformed value ends the reading, and brackets left open or parts
     left missing show only at the sentence end.
     """
-    malformed: list[ConlluError] = []
-
-    def items():
-        for value, position, line in entity_values:
-            try:
-                yield position, _parse_entity_items(value, line)
-            except ConlluError as exc:
-                malformed.append(exc)
-                return
-
-    spans, unmatched, unclosed = pair_items(items())
-    mentions, orphans, missing = join_parts(spans)
+    positioned, malformed = [], None
+    for value, position, line in entity_values:
+        try:
+            positioned.append((position, _parse_entity_items(value, line)))
+        except ConlluError as exc:
+            malformed = exc
+            break
+    spans, unmatched, unclosed = pair_items(positioned)
+    joined, orphans, missing = join_parts(spans)
     if not (malformed or unmatched or orphans or unclosed or missing):
+        depth = lazy_depths(nodes)
+        mentions = []
+        for eid, positions in joined:
+            head = nodes[head_position(positions, nodes, depth)].id
+            span = tuple([nodes[p].id for p in positions])
+            mentions.append(_new_tuple(Mention, (eid, span, head, head.is_empty)))
         return mentions
     line_of = {position: line for _, position, line in entity_values}
     if unmatched and not (orphans and orphans[0][1] < unmatched[0][1]):
@@ -114,7 +121,7 @@ def _sentence_mentions(entity_values, end_line: int) -> list[tuple[str, frozense
         raise ConlluError(f"entity '{eid}' part {k}/{n} arrived without part {k - 1}/{n}",
                           line_of[pos])
     if malformed:
-        raise malformed[0]
+        raise malformed
     if unclosed:
         eid, start, _, _ = unclosed[0]
         raise ConlluError(f"entity '{eid}' opened at line {line_of[start]} has no closing "
@@ -139,24 +146,12 @@ class _DocBuilder:
         self.doc_id = doc_id
         self.sentences: list[Sentence] = []
         self.sent_ids: set[str] = set()
-        self.mentions: list[tuple[str, int, frozenset[int]]] = []  # (eid, sentence, positions)
+        self.mentions: dict[str, list[Mention]] = {}  # eid -> mentions in reading order
 
     def finish(self, documents: list[Document], entities: list[list[Entity]]) -> None:
-        document = Document(self.doc_id, self.sentences)
-        grouped: dict[str, list[Mention]] = {}
-        sentence_at = -1
-        for eid, sent_index, positions in self.mentions:  # a sentence's mentions are adjacent
-            if sent_index != sentence_at:
-                sentence_at, nodes = sent_index, self.sentences[sent_index].nodes
-                parents = parent_positions(nodes)
-                depths = lazy_depths(parents)
-            ordered = sorted(positions)
-            head = nodes[head_position(ordered, parents, depths)].id
-            span = tuple([nodes[p].id for p in ordered])
-            grouped.setdefault(eid, []).append(Mention(eid, span, head, head.is_empty))
-        documents.append(document)
+        documents.append(Document(self.doc_id, self.sentences))
         entities.append(
-            [Entity(eid, sort_entity_mentions(ms)) for eid, ms in grouped.items()]
+            [Entity(eid, sort_entity_mentions(ms)) for eid, ms in self.mentions.items()]
         )
 
 
@@ -180,7 +175,7 @@ class _SentenceBuilder:
         key = (major, minor) if minor else major
         nid = self.ids.get(key)
         if nid is None:
-            nid = self.ids[key] = NodeId(self.sent_index, major, minor)
+            nid = self.ids[key] = _new_tuple(NodeId, (self.sent_index, major, minor))
         return nid
 
 
@@ -250,8 +245,9 @@ def parse_conllu(source) -> Corpus:
             )
         doc.sentences.append(Sentence(sent.nodes, sent.mwt_ranges, sent.sent_id))
         if sent.entity_values:
-            doc.mentions.extend((eid, sent.sent_index, positions) for eid, positions
-                                in _sentence_mentions(sent.entity_values, line))
+            grouped = doc.mentions
+            for mention in _sentence_mentions(sent.entity_values, sent.nodes, line):
+                grouped.setdefault(mention.entity_id, []).append(mention)
         sent = None
 
     def ensure_doc() -> None:
@@ -323,12 +319,13 @@ def parse_conllu(source) -> Corpus:
             ids = sent.ids
             nid = ids.get(major)
             if nid is None:
-                nid = ids[major] = NodeId(sent.sent_index, major)
+                nid = ids[major] = _new_tuple(NodeId, (sent.sent_index, major, 0))
             if head.isdecimal() and head != "0":
                 parent_major = int(head)
                 parent = ids.get(parent_major)
                 if parent is None:
-                    parent = ids[parent_major] = NodeId(sent.sent_index, parent_major)
+                    parent = ids[parent_major] = _new_tuple(
+                        NodeId, (sent.sent_index, parent_major, 0))
             else:
                 parent = _parse_head_ref(head, sent, line_no)
             dep_label = deprel
@@ -421,9 +418,9 @@ def _check_parts_pair_back(eid: str, spans) -> None:
     """
     read, unmatched, unclosed = pair_items(sorted(item_order(spans).items()))
     mentions, orphans, missing = join_parts(read)
-    written = Counter(positions for _, positions in join_parts(spans)[0])
+    written = Counter(tuple(positions) for _, positions in join_parts(spans)[0])
     if unmatched or unclosed or orphans or missing or Counter(
-            positions for _, positions in mentions) != written:
+            tuple(positions) for _, positions in mentions) != written:
         raise ConlluError(
             f"the [k/n] parts of entity '{eid}' would read back as other "
             "mentions (discontinuous mentions interleave or share a segment); the "

@@ -411,10 +411,14 @@ def build_alignment(gold_doc: Document, gold_entities: list[Entity],
                     pred_doc: Document, pred_entities: list[Entity],
                     regime: MatchRegime = MatchRegime.HEAD,
                     weights: ZeroWeight = ZeroWeight(),
-                    check_surface: bool = True) -> MentionAlignment:
+                    check_surface: bool = True,
+                    zero_cache: dict | None = None) -> MentionAlignment:
     """Combined alignment of one document pair: surface matcher on
     non-zero mentions, dependency-based matcher on zeros.  A caller that
-    already ran check_same_surface on the pair passes ``check_surface=False``."""
+    already ran check_same_surface on the pair passes ``check_surface=False``.
+    Zero alignment does not depend on the regime: a ``zero_cache`` dict keeps
+    the zero pairs by gold document id for calls on the same entities and
+    weights."""
     if check_surface:
         check_same_surface(gold_doc, pred_doc)
     gold = [m for e in gold_entities for m in e.mentions]
@@ -426,9 +430,13 @@ def build_alignment(gold_doc: Document, gold_entities: list[Entity],
 
     surface = match_surface([gold[i] for i in gold_surface],
                             [pred[j] for j in pred_surface], regime)
-    zeros = align_zeros([gold[i] for i in gold_zero],
-                        [pred[j] for j in pred_zero],
-                        weights, gold_doc, pred_doc)
+    zero_pairs = None if zero_cache is None else zero_cache.get(gold_doc.doc_id)
+    if zero_pairs is None:
+        zeros = align_zeros([gold[i] for i in gold_zero],
+                            [pred[j] for j in pred_zero],
+                            weights, gold_doc, pred_doc)
+        zero_pairs = [(gold_zero[g], pred_zero[p]) for g, p in zeros.pairs]
+        if zero_cache is not None:
+            zero_cache[gold_doc.doc_id] = zero_pairs
     pairs = [(gold_surface[g], pred_surface[p]) for g, p in surface.pairs]
-    pairs += [(gold_zero[g], pred_zero[p]) for g, p in zeros.pairs]
-    return MentionAlignment(gold, pred, sorted(pairs))
+    return MentionAlignment(gold, pred, sorted(pairs + zero_pairs))

@@ -387,12 +387,15 @@ def prepare_document(gold_doc: Document, gold_entities: list[Entity],
                      regime: MatchRegime = MatchRegime.HEAD,
                      weights: ZeroWeight = ZeroWeight(),
                      singleton_mode: str = SINGLETONS_EXCLUDED,
-                     check_surface: bool = True) -> DocumentScoring:
-    """Filter singletons, then align the remaining mentions."""
+                     check_surface: bool = True,
+                     zero_cache: dict | None = None) -> DocumentScoring:
+    """Filter singletons, then align the remaining mentions (see
+    matching.build_alignment for ``check_surface`` and ``zero_cache``)."""
     gold_kept = filter_singletons(gold_entities, singleton_mode)
     pred_kept = filter_singletons(pred_entities, singleton_mode)
     alignment = build_alignment(gold_doc, gold_kept, pred_doc, pred_kept,
-                                regime=regime, weights=weights, check_surface=check_surface)
+                                regime=regime, weights=weights, check_surface=check_surface,
+                                zero_cache=zero_cache)
     return DocumentScoring(gold_kept, pred_kept, alignment)
 
 
@@ -460,14 +463,18 @@ def evaluate_corpus(gold: Corpus, pred: Corpus,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
                     weights: ZeroWeight = ZeroWeight(),
                     conll_only: bool = False,
-                    check_surface: bool = True) -> dict[MetricId, PRF]:
+                    check_surface: bool = True,
+                    zero_cache: dict | None = None) -> dict[MetricId, PRF]:
     """Score one dataset: all metrics for a gold/predicted corpus pair, or
     with ``conll_only`` just CoNLL and its three parts.  With
     ``check_surface=False`` the document pairs' surface tokens are taken
-    as already checked (see matching.check_same_surface)."""
+    as already checked (see matching.check_same_surface).  Calls on the
+    same corpora, singleton mode and weights may share one ``zero_cache``
+    dict (see matching.build_alignment), whatever their regimes."""
     prepared = [
         prepare_document(gd, ge, pd, pe, regime=regime, weights=weights,
-                         singleton_mode=singleton_mode, check_surface=check_surface)
+                         singleton_mode=singleton_mode, check_surface=check_surface,
+                         zero_cache=zero_cache)
         for gd, ge, pd, pe in pair_documents(gold, pred)
     ]
     return evaluate_documents(prepared, singleton_mode=singleton_mode, conll_only=conll_only)

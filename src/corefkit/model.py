@@ -154,24 +154,30 @@ def surface_difference(forms: list[str], others: list[str]) -> str:
     return f"surface token counts differ ({len(forms)} vs {len(others)})"
 
 
-@dataclass(frozen=True)
-class Mention:
-    """A coreference mention: an ordered, possibly discontinuous span.
-
-    The head is the span node whose parent lies outside the span; a
-    mention is a zero mention iff its head is an empty node.
-    """
-
+class _MentionFields(NamedTuple):
     entity_id: str
     span: tuple[NodeId, ...]
     head: NodeId
     is_zero: bool
 
-    def __post_init__(self) -> None:
-        if not self.span:
+
+class Mention(_MentionFields):
+    """A coreference mention: an ordered, possibly discontinuous span.
+
+    The head is the span node whose parent lies outside the span; a
+    mention is a zero mention iff its head is an empty node.  A named tuple,
+    as NodeId is; the parser builds it with ``tuple.__new__``, skipping the
+    constructor's checks, as it takes each head from its span.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entity_id: str, span: tuple[NodeId, ...], head: NodeId, is_zero: bool):
+        if not span:
             raise ValueError("mention span must be non-empty")
-        if self.head not in self.span:
-            raise ValueError(f"mention head {self.head} not in span")
+        if head not in span:
+            raise ValueError(f"mention head {head} not in span")
+        return super().__new__(cls, entity_id, span, head, is_zero)
 
     @property
     def start(self) -> NodeId:
@@ -233,73 +239,58 @@ def make_mention(entity_id: str, span, document: Document) -> Mention:
 
 
 def sort_entity_mentions(mentions: list[Mention]) -> list[Mention]:
-    return sorted(mentions, key=lambda m: (m.start, m.end))
+    return sorted(mentions, key=lambda m: (m.span[0], m.span[-1]))
 
 
-def parent_positions(nodes: list[Node], index: dict[NodeId, int] | None = None) -> list[int | None]:
-    """Each node's parent as a position in ``nodes``: -1 for a root, None
-    for a parent that is not in the sentence.  ``index`` maps node ids to
-    positions; without it one is built and dropped."""
-    if index is None:
-        index = {n.id: i for i, n in enumerate(nodes)}
-    return [-1 if n.parent is None else index.get(n.parent) for n in nodes]
+def lazy_depths(nodes: list[Node], index: dict[NodeId, int] | None = None):
+    """A function giving the steps from the node at a position of ``nodes``
+    to the sentence root.  A node on a cycle or above a parent that is not
+    in the sentence gets ``len(nodes) + 1``, past any real tree, so it loses
+    every tie-break.  ``index`` maps node ids to positions; without it one
+    is built on the first call.  A walk stops at a node already measured,
+    so a sentence costs linear time at most, and none where no span asks."""
+    bad = len(nodes) + 1
+    known: dict[int, int | None] = {}  # position -> depth; None while on the walk
 
-
-def tree_depths(parents: list[int | None]) -> list[int]:
-    """Steps from each node to the sentence root, by position, from
-    ``parent_positions``.
-
-    A node on a cycle or above a dangling parent gets ``len(parents) + 1``,
-    a depth past any real tree, so it loses every tie-break.
-    """
-    bad = len(parents) + 1
-    depths: list[int | None] = [None] * len(parents)  # -1 while on the walk
-    for start in range(len(parents)):
+    def depth(start: int) -> int:
+        nonlocal index
+        if index is None:
+            index = {n.id: i for i, n in enumerate(nodes)}
         walk = []
         pos = start
-        while pos is not None and pos >= 0 and depths[pos] is None:
-            depths[pos] = -1
+        while pos is not None and pos >= 0 and pos not in known:
+            known[pos] = None
             walk.append(pos)
-            pos = parents[pos]
+            parent = nodes[pos].parent
+            pos = -1 if parent is None else index.get(parent)
         if pos is None:
-            depth = bad  # dangling parent
+            steps = bad  # dangling parent
         elif pos < 0:
-            depth = -1  # the walk reached a root
+            steps = -1  # the walk reached a root
         else:
-            depth = bad if depths[pos] == -1 else depths[pos]  # -1: a cycle
+            steps = known[pos]
+            if steps is None:
+                steps = bad  # a cycle
         for pos in reversed(walk):
-            if depth < bad:
-                depth += 1
-            depths[pos] = depth
-    return depths
+            if steps < bad:
+                steps += 1
+            known[pos] = steps
+        return known[start]
+    return depth
 
 
-def lazy_depths(parents: list[int | None]):
-    """A callable returning ``tree_depths(parents)``, computed on its first
-    call: one table per sentence, and none where no span needs it."""
-    table: list[int] = []
-
-    def depths() -> list[int]:
-        if not table:
-            table.extend(tree_depths(parents))
-        return table
-    return depths
-
-
-def head_position(ordered: list[int], parents, depths) -> int:
+def head_position(ordered, nodes: list[Node], depth) -> int:
     """The head rule over sentence positions.
 
-    ``ordered`` holds a span's positions in node-id order and
-    ``parents[p]`` the parent position of each (see ``parent_positions``).
+    ``ordered`` holds a span's positions in ``nodes``, in node-id order.
     The head is the span node whose parent lies outside the span; among
     several candidates the smallest tree depth wins, then the earliest.
-    ``depths()`` returns the sentence's ``tree_depths`` table and is called
-    only when two or more candidates remain.  A span where every parent
-    points inside (malformed input) falls back to its earliest node with a
-    warning.
+    ``depth(position)`` (see ``lazy_depths``) is called only when two or
+    more candidates remain.  A span where every parent points inside
+    (malformed input) falls back to its earliest node with a warning.
     """
-    members = set(ordered)
-    candidates = [p for p in ordered if parents[p] not in members]
+    members = {nodes[p].id for p in ordered}
+    candidates = [p for p in ordered if nodes[p].parent not in members]
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:
@@ -309,7 +300,7 @@ def head_position(ordered: list[int], parents, depths) -> int:
             stacklevel=3,
         )
         return ordered[0]
-    return min(candidates, key=depths().__getitem__)
+    return min(candidates, key=depth)
 
 
 def derive_head(span, sentence: Sentence) -> NodeId:
@@ -320,9 +311,7 @@ def derive_head(span, sentence: Sentence) -> NodeId:
         raise ValueError("cannot derive a head for an empty span")
     nodes, index = sentence.nodes, sentence._index()
     ordered = [index[nid] for nid in span_t]
-    parents = dict(zip(ordered, parent_positions([nodes[p] for p in ordered], index)))
-    position = head_position(ordered, parents, lambda: tree_depths(parent_positions(nodes, index)))
-    return nodes[position].id
+    return nodes[head_position(ordered, nodes, lazy_depths(nodes, index))].id
 
 
 def document_word_index(document: Document, start: int = 1) -> tuple[dict[NodeId, float], int]:

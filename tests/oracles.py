@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from corefkit.errors import ConlluError
 
 
 def prf(rn, rd, pn, pd):
@@ -445,3 +448,120 @@ def oracle_zero_counts(gold_entities, pred_entities, alignment):
             if antecedents & (pred_entity_gold_indices[ei] - {g}):
                 correct += 1
     return correct, anaphoric, correct, pred_zero_total
+
+
+_ORACLE_ENTITY_ITEM_RE = re.compile(
+    r"(\(?)(?:([A-Za-z0-9_]+)(?:-[^()\[\]]*)?(?:\[(\d+)/(\d+)(\]\))?|(\)))?)?")
+
+
+def _oracle_entity_items(value, line):
+    """The ("open" | "close" | "single", eid, part) items of one Entity
+    value, as the parser read them before its mention build was cut."""
+    items, pos = [], 0
+    while pos < len(value):
+        match = _ORACLE_ENTITY_ITEM_RE.match(value, pos)
+        opener, eid, k, n, part_closed, closed = match.groups()
+        pos = match.end()
+        if eid is None:
+            raise ConlluError(f"malformed entity id in Entity item near '{value[pos:pos + 12]}'",
+                              line)
+        part = (int(k), int(n)) if k else None
+        if opener:
+            items.append(("single" if part_closed or closed else "open", eid, part))
+        elif part_closed or closed:
+            items.append(("close", eid, part))
+        elif part:
+            raise ConlluError(f"malformed closing item for entity '{eid}'", line)
+        else:
+            raise ConlluError(f"malformed Entity item near '{value[pos:pos + 12]}'", line)
+    return items
+
+
+def oracle_sentence_mentions(entity_values, sentence, end_line):
+    """The ``(eid, span, head, is_zero)`` mentions of one parsed sentence,
+    in the order they complete, from its ``(value, position, line)``
+    Entity values; ``end_line`` ends the sentence.  Raises the first
+    ConlluError reading the sentence meets.
+
+    This is the parser's mention decoding before it was cut: openers
+    pair with one stack per entity id, ``[k/n]`` segments join the first
+    pending mention waiting for part k, and heads come from
+    ``oracle_derive_head``.
+    """
+    malformed, positioned = None, []
+    for value, position, line in entity_values:
+        try:
+            positioned.append((position, _oracle_entity_items(value, line)))
+        except ConlluError as exc:
+            malformed = exc
+            break
+    spans, unmatched, stacks, first_open = [], [], {}, {}
+    for pos, items in positioned:
+        for kind, eid, part in items:
+            if kind == "open":
+                first_open.setdefault(eid, len(first_open))
+                stacks.setdefault(eid, []).append((pos, part))
+            elif kind == "close":
+                stack = stacks.get(eid)
+                if not stack or stack[-1][1] != part:
+                    unmatched.append((eid, pos, part, stack[-1] if stack else None))
+                    continue
+                spans.append((eid, stack.pop()[0], pos, part))
+                if not stack:
+                    del stacks[eid]
+            else:
+                spans.append((eid, pos, pos, part))
+    unclosed = [(eid, start) for eid in sorted(stacks, key=first_open.__getitem__)
+                for start, _ in reversed(stacks[eid])]
+
+    mentions, orphans, pending = [], [], {}
+    for eid, start, end, part in spans:
+        k, n = part or (1, 1)
+        positions = set(range(start, end + 1))
+        if k == 1:
+            if n == 1:
+                mentions.append((eid, positions))
+            else:
+                pending.setdefault(eid, []).append([2, n, positions])
+            continue
+        entry = next((e for e in pending.get(eid, ()) if e[0] == k and e[1] == n), None)
+        if entry is None:
+            orphans.append((eid, end, part))
+            continue
+        entry[2] |= positions
+        entry[0] = k + 1
+        if k == n:
+            pending[eid].remove(entry)
+            if not pending[eid]:
+                del pending[eid]
+            mentions.append((eid, entry[2]))
+    missing = [(eid, (k, n)) for eid, entries in pending.items() for k, n, _ in entries]
+
+    line_of = {position: line for _, position, line in entity_values}
+    if unmatched and not (orphans and orphans[0][1] < unmatched[0][1]):
+        eid, pos, part, opener = unmatched[0]
+        if opener is None:
+            raise ConlluError(f"closing bracket for entity '{eid}' has no matching opener",
+                              line_of[pos])
+        raise ConlluError(f"entity '{eid}' closes part {part} but part {opener[1]} is open",
+                          line_of[pos])
+    if orphans:
+        eid, pos, (k, n) = orphans[0]
+        raise ConlluError(f"entity '{eid}' part {k}/{n} arrived without part {k - 1}/{n}",
+                          line_of[pos])
+    if malformed:
+        raise malformed
+    if unclosed:
+        eid, start = unclosed[0]
+        raise ConlluError(f"entity '{eid}' opened at line {line_of[start]} has no closing "
+                          "bracket before the end of the sentence", end_line)
+    if missing:
+        eid, (k, n) = missing[0]
+        raise ConlluError(f"discontinuous mention of entity '{eid}' is missing part {k}/{n} "
+                          "at the end of the sentence", end_line)
+    out = []
+    for eid, positions in mentions:
+        span = tuple(sentence.nodes[p].id for p in sorted(positions))
+        head = oracle_derive_head(span, sentence)
+        out.append((eid, span, head, head.minor > 0))
+    return out

@@ -931,3 +931,58 @@ def test_from_text_rejects_a_piece_between_two_bars_exit_2(tmp_path, capsys):
                  "--out-file", str(out)]) == EXIT_PARSE
     assert "token 0: malformed annotation item 'b'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_score_aligns_zeros_once_per_singleton_mode(workspace, monkeypatch):
+    # the four passes (head, partial and exact without singletons, head with
+    # them) share one zero alignment per singleton mode
+    tmp_path, manifest = workspace
+    aligned = []
+    original = matching.align_zeros
+    monkeypatch.setattr(matching, "align_zeros",
+                        lambda *args: aligned.append(args[3].doc_id) or original(*args))
+    doc_ids = [d.doc_id for spec in parse_manifest(manifest)
+               for d in parse_conllu(spec.gold.read_bytes()).documents]
+    for singletons in ("exclude", "include"):
+        aligned.clear()
+        assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--singletons", singletons]) == EXIT_OK
+        assert sorted(aligned) == sorted(doc_ids * 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "to-text", "--in", "{bad}"],
+    ["convert", "to-json", "--in", "{bad}"],
+    ["convert", "from-text", "--in", "{text}", "--skeleton", "{bad}"],
+    ["convert", "from-json", "--in", "{text}", "--skeleton", "{bad}"],
+    ["clean", "--reference", "{bad}", "--in", "{text}"],
+])
+def test_out_file_is_refused_before_the_input_is_read(tmp_path, capsys, argv):
+    # the input would fail to parse (exit 2); the --out-file check comes first
+    bad, text, taken, plain = (tmp_path / name for name in ("bad.conllu", "in.txt", "taken",
+                                                            "plain"))
+    bad.write_text("# newdoc id = d1\n1\ta\n", encoding="utf-8")
+    text.write_text("a\n", encoding="utf-8")
+    taken.mkdir()
+    plain.write_text("", encoding="utf-8")
+    argv = [arg.format(bad=bad, text=text) for arg in argv]
+    assert main(argv + ["--out-file", str(taken)]) == EXIT_CONFIG
+    assert f"corefkit: i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: " \
+           f"'{taken}'" in capsys.readouterr().err
+    assert main(argv + ["--out-file", str(plain / "out.txt")]) == EXIT_CONFIG
+    assert f"configuration error: cannot create output directory {plain}: " \
+           in capsys.readouterr().err
+    assert not list(taken.iterdir()) and plain.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["stats", "sample"])
+def test_positional_inputs_with_one_stem_exit_4(tmp_path, capsys, command):
+    first, second = tmp_path / "x" / "a.conllu", tmp_path / "y" / "a.conllu"
+    for path, seed in ((first, 3), (second, 4)):
+        path.parent.mkdir()
+        write_corpus(path, make_pair(seed, n_docs=1)[0])
+    out = tmp_path / "out"
+    assert main([command, str(first), str(second), "--out", str(out)]) == EXIT_CONFIG
+    assert (f"configuration error: input paths {first} and {second} have the same name 'a'"
+            in capsys.readouterr().err)
+    assert not out.exists()

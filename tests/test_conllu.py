@@ -1,13 +1,16 @@
 import random
+import warnings
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corefkit.brackets import item_order
 from corefkit.conllu import ConlluError, parse_conllu, serialize_conllu
 from corefkit.model import Corpus, NodeId
 
 from helpers import canonical_clusters, doc, ent, random_gold, rich_corpora, sent
+from oracles import oracle_sentence_mentions
 
 HEADER = "# newdoc id = d1\n# sent_id = s1\n"
 
@@ -329,3 +332,112 @@ def test_lines_end_at_newline_only():
     assert err.value.line == 5
     corpus = parse_conllu(HEADER + line("1", "a") + line("2", "c\u2028d", "1", "dep"))
     assert corpus.documents[0].surface_forms() == ["a", "c\u2028d"]
+
+
+# The decoder test writes random mentions of three entities (nested,
+# crossing, and discontinuous in [k/n] parts) as bracket items, then
+# corrupts some: an item dropped, added or given another part, or a
+# malformed piece put in.
+_MALFORMED = ["(", ")", "e1", "e2[1/2", "(e1[1/2)", "[1/2])", "-x)", "(e1]", "e1-x", "(-)"]
+
+
+def _render_item(kind, eid, part):
+    tag = eid if part is None else f"{eid}[{part[0]}/{part[1]}"
+    if kind == "open":
+        return "(" + tag
+    tag += "" if part is None else "]"
+    return tag + ")" if kind == "close" else "(" + tag + ")"
+
+
+@st.composite
+def _entity_values(draw, size):
+    """Entity values of one sentence's ``size`` nodes, by position."""
+    spans = []
+    for _ in range(draw(st.integers(0, 4))):
+        eid = draw(st.sampled_from(["e1", "e2", "e3"]))
+        starts = sorted(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)))
+        for k, start in enumerate(starts, start=1):
+            part = (k, len(starts)) if len(starts) > 1 else None
+            spans.append((eid, start, draw(st.integers(start, size - 1)), part))
+    items = {pos: [_render_item(*item) for item in position_items]
+             for pos, position_items in item_order(spans).items()}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pos = draw(st.integers(0, size - 1))
+        at = items.setdefault(pos, [])
+        change = draw(st.sampled_from(["drop", "add", "part", "malformed"]))
+        if change == "drop" and at:
+            at.pop(draw(st.integers(0, len(at) - 1)))
+        elif change == "part" and at:
+            k = draw(st.integers(0, len(at) - 1))
+            at[k] = at[k].replace("[1/", "[2/", 1) if "[" in at[k] else at[k].replace(")", "[1/2])")
+        else:
+            piece = draw(st.sampled_from(_MALFORMED)) if change == "malformed" else _render_item(
+                draw(st.sampled_from(["open", "close", "single"])),
+                draw(st.sampled_from(["e1", "e2-new"])),
+                draw(st.sampled_from([None, (1, 2), (2, 2), (0, 2), (3, 2)])))
+            at.insert(draw(st.integers(0, len(at))), piece)
+    return ["".join(items.get(pos, [])) for pos in range(size)]
+
+
+@st.composite
+def _annotated_document(draw):
+    """CoNLL-U text of one document, and the same text without Entity."""
+    lines, bare = ["# newdoc id = d1"], ["# newdoc id = d1"]
+    for s_index in range(draw(st.integers(1, 3))):
+        lines.append(f"# sent_id = s{s_index}")
+        bare.append(lines[-1])
+        n = draw(st.integers(1, 6))
+        rows = []
+        empty_after = draw(st.integers(0, n))  # 0: no empty node
+        for major in range(1, n + 1):
+            head = str(draw(st.integers(0, n)))  # a head may point at itself
+            rows.append([str(major), "w", "_", "_", "_", "_", head, "dep", "_"])
+            if major == empty_after:
+                rows.append([f"{major}.1", "z", "_", "_", "_", "_", "_", "_",
+                             f"{draw(st.integers(1, n))}:dep"])
+        for row, value in zip(rows, draw(_entity_values(len(rows)))):
+            lines.append("\t".join(row + ["Entity=" + value if value else "_"]))
+            bare.append("\t".join(row + ["_"]))
+        lines.append("")
+        bare.append("")
+    return "\n".join(lines) + "\n", "\n".join(bare) + "\n"
+
+
+def _oracle_entities(text, sentences):
+    """The document's entities as ``(eid, [(eid, span, head, is_zero)])``
+    by the oracle decoder, with each entity's mentions in span order."""
+    grouped, values, position, s_index = {}, [], 0, 0
+    for line_no, row in enumerate(text.split("\n"), start=1):
+        if row.startswith("#"):
+            continue
+        if not row:
+            if position:
+                for mention in oracle_sentence_mentions(values, sentences[s_index], line_no):
+                    grouped.setdefault(mention[0], []).append(mention)
+                s_index += 1
+            values, position = [], 0
+            continue
+        misc = row.split("\t")[9]
+        if misc.startswith("Entity=") and misc != "Entity=":
+            values.append((misc[len("Entity="):], position, line_no))
+        position += 1
+    return [(eid, sorted(ms, key=lambda m: (m[1][0], m[1][-1]))) for eid, ms in grouped.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_annotated_document())
+def test_mention_decoding_matches_the_oracle(case):
+    text, bare = case
+    sentences = parse_conllu(bare).documents[0].sentences
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # spans whose every parent points inside
+        try:
+            expected = _oracle_entities(text, sentences)
+        except ConlluError as exc:
+            with pytest.raises(ConlluError) as err:
+                parse_conllu(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        entities = parse_conllu(text).entities[0]
+    assert [(e.id, [(m.entity_id, m.span, m.head, m.is_zero) for m in e.mentions])
+            for e in entities] == expected

@@ -7,7 +7,9 @@ import gc
 import json
 import random
 
-from corefkit import analysis, formats, metrics
+import pytest
+
+from corefkit import analysis, cli, formats, metrics
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.matching import MatchRegime
 from corefkit.model import Corpus
@@ -53,5 +55,29 @@ def test_parse_score_convert_clean_and_analysis_leave_no_cyclic_garbage():
         for seed in range(6):
             _run_every_stage(seed)
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_entrypoint_runs_main_with_the_collector_paused(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    gc.enable()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+    finally:
+        gc.enable()
+    assert seen == [False] and exit_.value.code == 0
+
+
+def test_main_leaves_the_callers_collector_as_it_found_it(tmp_path):
+    source = tmp_path / "g.conllu"
+    source.write_text(serialize_conllu(zeroful_corpus(3)), encoding="utf-8")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli.main(["stats", str(source), "--out", str(tmp_path / "out")]) == 0
+            assert gc.isenabled() is enabled
     finally:
         gc.enable()
