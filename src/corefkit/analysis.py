@@ -16,21 +16,16 @@ import random
 import warnings
 from dataclasses import dataclass
 
+from .errors import apply_each
 from .matching import MatchRegime, ZeroWeight
-from .metrics import (
-    SINGLETONS_EXCLUDED,
-    MetricId,
-    PRF,
-    evaluate_corpus,
-    pair_documents,
-)
 from .model import (
     Corpus,
     Document,
     Entity,
     Mention,
     Sentence,
-    global_word_index,
+    document_pairs,
+    document_word_index,
     mention_has_gap,
     mention_is_treelet,
 )
@@ -137,92 +132,93 @@ def _nearest_rank_p95(values: list[int]) -> int | None:
     return ordered[rank - 1]
 
 
-def entity_stats(entities_with_ranges: list[tuple[Entity, int]], words: int) -> EntityStats:
-    """Statistics over (entity, range) pairs; ranges must come from each
-    entity's own document view."""
-    lengths = [len(e.mentions) for e, _ in entities_with_ranges]
+def entity_stats(sizes: list[tuple[int, int]], words: int) -> EntityStats:
+    """Statistics over entities given as (mention count, range) pairs;
+    each range comes from the entity's own document view."""
+    lengths = [length for length, _ in sizes]
     histogram = dict.fromkeys(_ENTITY_BUCKETS, 0)
     for length in lengths:
         histogram[_bucket(length, 1)] += 1
     return EntityStats(
-        total=len(entities_with_ranges),
-        per_1k_words=1000 * len(entities_with_ranges) / words if words else 0.0,
+        total=len(sizes),
+        per_1k_words=1000 * len(sizes) / words if words else 0.0,
         max_length=max(lengths, default=0),
         avg_length=sum(lengths) / len(lengths) if lengths else 0.0,
-        p95_range=_nearest_rank_p95([r for _, r in entities_with_ranges]),
+        p95_range=_nearest_rank_p95([r for _, r in sizes]),
         length_histogram=histogram,
     )
 
 
-def mention_stats(mentions: list[Mention], document_of: dict[int, Document],
-                  words: int) -> MentionStats:
-    """Statistics over mentions; ``document_of`` maps id(mention) to its
-    document for tree lookups."""
-    lengths = [m.surface_length() for m in mentions]
-    histogram = dict.fromkeys(_MENTION_BUCKETS, 0)
-    for length in lengths:
-        histogram[_bucket(length, 0)] += 1
-    n = len(mentions)
-    with_empty = sum(1 for m in mentions if m.contains_empty())
-    with_gap = 0
-    non_treelet = 0
-    upos_counts: dict[str, int] = {}
-    for m in mentions:
-        document = document_of[id(m)]
-        if mention_has_gap(m, document):
-            with_gap += 1
-        if not mention_is_treelet(m, document):
-            non_treelet += 1
+class _MentionCounts:
+    """The counts behind MentionStats, taken one mention at a time."""
+
+    def __init__(self):
+        self.lengths: list[int] = []
+        self.with_empty = self.with_gap = self.non_treelet = 0
+        self.upos: dict[str, int] = {}
+
+    def add(self, m: Mention, document: Document) -> None:
+        self.lengths.append(m.surface_length())
+        self.with_empty += m.contains_empty()
+        self.with_gap += mention_has_gap(m, document)
+        self.non_treelet += not mention_is_treelet(m, document)
         tag = document.sentences[m.head.sentence_index].node(m.head).upos
-        upos_counts[tag] = upos_counts.get(tag, 0) + 1
-    return MentionStats(
-        total=n,
-        per_1k_words=1000 * n / words if words else 0.0,
-        max_length=max(lengths, default=0),
-        avg_length=sum(lengths) / n if n else 0.0,
-        length_histogram=histogram,
-        pct_with_empty=100 * with_empty / n if n else 0.0,
-        pct_with_gap=100 * with_gap / n if n else 0.0,
-        pct_non_treelet=100 * non_treelet / n if n else 0.0,
-        head_upos_distribution={
-            tag: 100 * count / n for tag, count in sorted(upos_counts.items())
-        },
-    )
+        self.upos[tag] = self.upos.get(tag, 0) + 1
+
+    def stats(self, words: int) -> MentionStats:
+        lengths, n = self.lengths, len(self.lengths)
+        histogram = dict.fromkeys(_MENTION_BUCKETS, 0)
+        for length in lengths:
+            histogram[_bucket(length, 0)] += 1
+        return MentionStats(
+            total=n,
+            per_1k_words=1000 * n / words if words else 0.0,
+            max_length=max(lengths, default=0),
+            avg_length=sum(lengths) / n if n else 0.0,
+            length_histogram=histogram,
+            pct_with_empty=100 * self.with_empty / n if n else 0.0,
+            pct_with_gap=100 * self.with_gap / n if n else 0.0,
+            pct_non_treelet=100 * self.non_treelet / n if n else 0.0,
+            head_upos_distribution={
+                tag: 100 * count / n for tag, count in sorted(self.upos.items())
+            },
+        )
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
+def corpus_stats(corpus) -> CorpusStats:
     """Dataset-level statistics: document/sentence/word/empty-node counts
     plus entity and mention statistics, excluding singletons, with the
-    singleton-inclusive variants alongside."""
-    index = global_word_index(corpus)
-    words = index.word_count
-    docs = len(corpus.documents)
-    sentences = sum(len(d.sentences) for d in corpus.documents)
-    empty_nodes = sum(
-        1 for d in corpus.documents for s in d.sentences for n in s.nodes if n.is_empty
-    )
+    singleton-inclusive variants alongside.  ``corpus`` is a Corpus or a
+    stream of ``(document, entities)`` pairs, read one document at a
+    time; only counts, sizes and ranges are kept."""
+    docs = sentences = words = empty_nodes = 0
+    sizes: list[tuple[bool, int, int]] = []  # (singleton?, mentions, range) per entity
+    mentions, singleton_mentions = _MentionCounts(), _MentionCounts()
 
-    document_of: dict[int, Document] = {}
-    all_pairs: list[tuple[Entity, int]] = []
-    for doc_index, (document, doc_entities) in enumerate(corpus.doc_pairs()):
-        view = index.view(doc_index)
+    def add(pair) -> None:
+        nonlocal docs, sentences, words, empty_nodes
+        document, doc_entities = pair
+        view, doc_words = document_word_index(document)
+        docs += 1
+        sentences += len(document.sentences)
+        words += doc_words
+        empty_nodes += sum(1 for s in document.sentences for n in s.nodes if n.is_empty)
         for entity in doc_entities:
-            all_pairs.append((entity, entity_range(entity, view)))
+            sizes.append((entity.is_singleton, len(entity.mentions), entity_range(entity, view)))
+            kept = singleton_mentions if entity.is_singleton else mentions
             for mention in entity.mentions:
-                document_of[id(mention)] = document
+                kept.add(mention, document)
 
-    nonsingleton = [(e, r) for e, r in all_pairs if not e.is_singleton]
-    ns_mentions = [m for e, _ in nonsingleton for m in e.mentions]
-    s_mentions = [m for e, _ in all_pairs if e.is_singleton for m in e.mentions]
+    apply_each(add, document_pairs(corpus))  # so only the current document is held
     return CorpusStats(
         docs=docs,
         sentences=sentences,
         words=words,
         empty_nodes=empty_nodes,
-        entities=entity_stats(nonsingleton, words),
-        mentions=mention_stats(ns_mentions, document_of, words),
-        entities_with_singletons=entity_stats(all_pairs, words),
-        singleton_mentions=mention_stats(s_mentions, document_of, words),
+        entities=entity_stats([(n, r) for singleton, n, r in sizes if not singleton], words),
+        mentions=mentions.stats(words),
+        entities_with_singletons=entity_stats([(n, r) for _, n, r in sizes], words),
+        singleton_mentions=singleton_mentions.stats(words),
     )
 
 
@@ -261,6 +257,8 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
     excluding singletons.  A tag in no mention head warns and scores 0;
     the documents are paired and checked as for any other tag.
     """
+    from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus
+
     def tag_matches(mention: Mention, document: Document) -> bool:
         return tag in head_upos_tags(mention, document)
 
@@ -298,7 +296,7 @@ def max_adjacent_gap(entities: list[Entity], word_view: dict) -> int:
     return worst
 
 
-def long_range_curve(gold: Corpus, pred: Corpus,
+def long_range_curve(gold, pred,
                      window_tokens: int = 50_000,
                      min_p95: int = 100,
                      sort_key: str = "p95",
@@ -307,23 +305,27 @@ def long_range_curve(gold: Corpus, pred: Corpus,
     """Per-document primary scores bucketed by entity range.
 
     Documents are paired by id as in ``evaluate_corpus``, so both
-    corpora must hold the same ids.  Documents whose gold p95 range
-    exceeds ``min_p95`` are sorted ascending by ``sort_key`` ("p95" or
-    "max_adjacent_gap") and tiled into disjoint windows of at most
-    ``window_tokens`` words; each point reports the unweighted mean
-    document CoNLL F1 and the mean sort-key value of its documents.
+    corpora must hold the same ids; either may be streamed, and then only
+    the current pair and a small record per document are held.  Documents
+    whose gold p95 range exceeds ``min_p95`` are sorted ascending by
+    ``sort_key`` ("p95" or "max_adjacent_gap") and tiled into disjoint
+    windows of at most ``window_tokens`` words; each point reports the
+    unweighted mean document CoNLL F1 and the mean sort-key value of its
+    documents.
     """
+    from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus, pair_documents
+
     if sort_key not in ("p95", "max_adjacent_gap"):
         raise ValueError(f"unknown sort key '{sort_key}'")
-    index = global_word_index(gold)
 
     qualifying = []
-    for doc_index, (document, doc_entities, pred_doc, pred_entities) in enumerate(
-            pair_documents(gold, pred)):
-        view = index.view(doc_index)
+
+    def score(item) -> None:
+        doc_index, (document, doc_entities, pred_doc, pred_entities) = item
+        view = document_word_index(document)[0]  # ranges are differences of ordinals
         p95 = p95_range(doc_entities, view)
         if p95 is None or p95 <= min_p95:
-            continue
+            return
         key = p95 if sort_key == "p95" else max_adjacent_gap(
             [e for e in doc_entities if not e.is_singleton], view
         )
@@ -335,6 +337,7 @@ def long_range_curve(gold: Corpus, pred: Corpus,
         qualifying.append((key, doc_index, document.word_count(),
                            scores[MetricId.CONLL].f1))
 
+    apply_each(score, enumerate(pair_documents(gold, pred)))
     qualifying.sort(key=lambda item: (item[0], item[1]))
     points: list[RangeCurvePoint] = []
     window: list[tuple[int, int, int, float]] = []

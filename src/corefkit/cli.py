@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (CleanRefusedError, ConlluError, JsonFormatError, PlaintextError,
-                     TokenMismatchError)
+                     TokenMismatchError, apply_each)
 from .matching import MatchRegime, ZeroWeight
 from .model import Corpus
 
@@ -105,16 +105,21 @@ def _is_plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
-def _load_corpus(path: Path) -> Corpus:
-    from .conllu import parse_conllu
+def _documents(path: Path):
+    """The ``(document, entities)`` pairs of a CoNLL-U input, read one
+    document at a time; an error names the path."""
+    from .conllu import iter_documents
     try:
-        data = path.read_bytes()
+        with path.open("rb") as file:
+            yield from iter_documents(file)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_conllu(data)
     except ConlluError as exc:
         raise ConlluError(f"{path}: {exc}") from None
+
+
+def _load_corpus(path: Path) -> Corpus:
+    return Corpus.from_pairs(_documents(path))
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:
@@ -135,13 +140,47 @@ def _read_lines(path: Path, error: type[ValueError]) -> list[str]:
     return [line.rstrip("\r") for line in _read_text(path, error).split("\n")]
 
 
-def _document_lines(path: Path, corpus: Corpus, role: str) -> list[str]:
-    """The non-blank lines of a plaintext input, one per document of ``corpus``."""
-    lines = [l for l in _read_lines(path, PlaintextError) if l.strip(" \t\f\v")]
-    if len(lines) != len(corpus.documents):
-        raise TokenMismatchError(f"{path} has {len(lines)} documents but the {role} has "
-                                 f"{len(corpus.documents)}")
-    return lines
+def _with_lines(documents, path: Path, role: str):
+    """Pair the documents of a CoNLL-U stream with the non-blank lines of
+    the plaintext input at ``path``: a document with sentences takes the
+    next line, and one without sentences, which to-text writes as an
+    empty line, takes none (its line is None).  Once the stream ends, an
+    error in reading ``path`` is raised, then TokenMismatchError if the
+    counts differ: the order of reading the stream first."""
+    try:
+        lines, error = [l for l in _read_lines(path, PlaintextError) if l.strip(" \t\f\v")], None
+    except (PlaintextError, OSError) as exc:
+        lines, error = [], exc
+    taken = 0  # documents with sentences
+    for document, _ in documents:
+        if not document.sentences:
+            yield document, None
+        elif taken < len(lines):
+            yield document, lines[taken]
+        taken += bool(document.sentences)
+        document = _ = None  # neither is alive while the next document is read
+    if error is not None:
+        raise error
+    if taken != len(lines):
+        raise TokenMismatchError(f"{path} has {len(lines)} documents but the {role} has {taken}")
+
+
+def _read_json(path: Path) -> list:
+    """The decoded list of a JSON input."""
+    try:
+        values = json.loads(_read_text(path, JsonFormatError))
+    except json.JSONDecodeError as exc:
+        raise JsonFormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise JsonFormatError(f"{path}: JSON nested too deeply to read") from None
+    if not isinstance(values, list):
+        raise JsonFormatError(f"{path}: JSON input must be a list of documents")
+    return values
+
+
+def _serialized(document, entities) -> str:
+    from .conllu import serialize_conllu
+    return serialize_conllu(Corpus([document], [entities]))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -189,32 +228,24 @@ def _check_out_file(out_file: Path) -> None:
 
 def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight,
                    spec: DatasetSpec) -> tuple[dict, dict]:
-    """Primary scores and the CoNLL variants of one dataset.  Each distinct
-    (regime, singletons) pair is evaluated once; the variants need only
-    CoNLL.  The primary run checks each document pair's surface tokens,
-    so the variants skip that check, and the zeros are aligned once per
-    singleton mode."""
+    """Primary scores and the CoNLL variants of one dataset, from one pass
+    over its document pairs.  Each distinct (regime, singletons) pair is
+    evaluated once; the variants need only CoNLL."""
     from . import metrics
-    gold = _load_corpus(spec.gold)
-    pred = _load_corpus(spec.pred)
-    zero_cache = {metrics.SINGLETONS_EXCLUDED: {}, metrics.SINGLETONS_INCLUDED: {}}
-    primary = metrics.evaluate_corpus(gold, pred, regime=regime, singleton_mode=singleton_mode,
-                                      weights=weights, zero_cache=zero_cache[singleton_mode])
-    evaluated = {(regime, singleton_mode): primary}
-    variants = {}  # the columns of conll_variants.tsv, in order
-    for key, variant_regime, variant_mode in (
-        ("conll_head_excl", MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
-        ("conll_partial_excl", MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
-        ("conll_exact_excl", MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
-        ("conll_head_incl", MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
-    ):
-        if (variant_regime, variant_mode) not in evaluated:
-            evaluated[variant_regime, variant_mode] = metrics.evaluate_corpus(
-                gold, pred, regime=variant_regime, singleton_mode=variant_mode,
-                weights=weights, conll_only=True, check_surface=False,
-                zero_cache=zero_cache[variant_mode])
-        variants[key] = evaluated[variant_regime, variant_mode][metrics.MetricId.CONLL]
-    return primary, variants
+    variants = {  # the columns of conll_variants.tsv, in order
+        "conll_head_excl": (MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
+        "conll_partial_excl": (MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
+        "conll_exact_excl": (MatchRegime.EXACT, metrics.SINGLETONS_EXCLUDED),
+        "conll_head_incl": (MatchRegime.HEAD, metrics.SINGLETONS_INCLUDED),
+    }
+    primary = (regime, singleton_mode)
+    settings = [(*primary, False)] + [(*setting, True) for setting in variants.values()
+                                      if setting != primary]
+    scores = metrics.evaluate_settings(_documents(spec.gold), _documents(spec.pred), settings,
+                                       weights=weights)
+    by_setting = {(r, mode): result for (r, mode, _), result in zip(settings, scores)}
+    return scores[0], {key: by_setting[setting][metrics.MetricId.CONLL]
+                       for key, setting in variants.items()}
 
 
 def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
@@ -253,8 +284,8 @@ def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
 # convert / clean
 
 def cmd_convert(args: argparse.Namespace) -> dict[Path, str]:
+    """Each direction reads its CoNLL-U input one document at a time."""
     from . import formats
-    from .conllu import serialize_conllu
     in_path = args.in_path
     _require(in_path.is_file(), f"input path {in_path} is not a readable file")
     if args.direction.startswith("from-"):
@@ -262,40 +293,83 @@ def cmd_convert(args: argparse.Namespace) -> dict[Path, str]:
                  f"skeleton path {args.skeleton} is not a readable file")
     _check_out_file(args.out_file)
     if args.direction == "to-text":
-        return {args.out_file: formats.corpus_to_plaintext(_load_corpus(in_path))}
+        return {args.out_file: formats.corpus_to_plaintext(_documents(in_path))}
     if args.direction == "to-json":
-        values = formats.corpus_to_json(_load_corpus(in_path))
+        values = formats.corpus_to_json(_documents(in_path))
         return {args.out_file: json.dumps(values, ensure_ascii=False, indent=1) + "\n"}
-
-    skeleton = _load_corpus(args.skeleton)
-    rebuilt = []  # (document, entities) pairs
     if args.direction == "from-text":
-        lines = _document_lines(in_path, skeleton, "skeleton")
-        for line, document in zip(lines, skeleton.documents):
-            rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
-    else:
+        return {args.out_file: _rebuild_from_text(in_path, args.skeleton)}
+    return {args.out_file: _rebuild_from_json(in_path, args.skeleton)}
+
+
+def _rebuild_from_text(in_path: Path, skeleton: Path) -> str:
+    """The skeleton with the entities of the plaintext lines.  The first
+    error of a document is raised once every input is read, one that
+    reconstruction raises before one that serialization does."""
+    from . import formats
+    texts, unwritable = [], []
+
+    def rebuild(pair) -> None:
+        document, line = pair
+        rebuilt = (document, []) if line is None else formats.reconstruct_conllu(
+            document, formats.from_plaintext(line))
         try:
-            values = json.loads(_read_text(in_path, JsonFormatError))
-        except json.JSONDecodeError as exc:
-            raise JsonFormatError(f"{in_path}: {exc}") from None
-        except RecursionError:
-            raise JsonFormatError(f"{in_path}: JSON nested too deeply to read") from None
-        if not isinstance(values, list):
-            raise JsonFormatError(f"{in_path}: JSON input must be a list of documents")
-        by_id = {d.doc_id: d for d in skeleton.documents}
-        for number, value in enumerate(values, start=1):
+            texts.append(_serialized(*rebuilt))
+        except ConlluError as exc:
+            unwritable.append(exc)
+
+    apply_each(rebuild, _with_lines(_documents(skeleton), in_path, "skeleton"))
+    if unwritable:
+        raise unwritable[0]
+    return "".join(texts)
+
+
+def _rebuild_from_json(in_path: Path, skeleton: Path) -> str:
+    """The skeleton documents the JSON documents name, in JSON order, with
+    their entities.  Once every input is read, the error of the first JSON
+    document that fails is raised, one that serialization raises last."""
+    from . import formats
+    try:
+        values, error = _read_json(in_path), None
+    except (JsonFormatError, OSError) as exc:
+        values, error = [], exc
+    failed, unwritable, texts = {}, {}, {}  # by JSON document number
+    jdocs, numbers = {}, {}  # numbers: the JSON documents naming each id
+    for number, value in enumerate(values, start=1):
+        try:
+            jdocs[number] = formats.json_doc_from_value(value)
+        except JsonFormatError as exc:
+            failed[number] = JsonFormatError(f"{in_path}, document {number}: {exc}")
+            continue
+        numbers.setdefault(jdocs[number].doc_id, []).append(number)
+
+    def rebuild(pair) -> None:
+        document, _ = pair
+        for number in numbers.pop(document.doc_id, ()):
             try:
-                jdoc = formats.json_doc_from_value(value)
-            except JsonFormatError as exc:
-                raise JsonFormatError(f"{in_path}, document {number}: {exc}") from None
-            if jdoc.doc_id not in by_id:
-                raise TokenMismatchError(f"skeleton has no document '{jdoc.doc_id}'")
-            rebuilt.append(formats.reconstruct_from_json(jdoc, by_id[jdoc.doc_id]))
-    return {args.out_file:
-            serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt]))}
+                rebuilt = formats.reconstruct_from_json(jdocs[number], document)
+            except ValueError as exc:
+                failed[number] = exc
+                continue
+            try:
+                texts[number] = _serialized(*rebuilt)
+            except ConlluError as exc:
+                unwritable[number] = exc
+
+    apply_each(rebuild, _documents(skeleton))  # holds no error: rebuild keeps them all
+    if error is not None:
+        raise error
+    for doc_id, missing in numbers.items():
+        for number in missing:
+            failed[number] = TokenMismatchError(f"skeleton has no document '{doc_id}'")
+    for errors in (failed, unwritable):
+        if errors:
+            raise errors[min(errors)]
+    return "".join(texts[number] for number in sorted(texts))
 
 
 def cmd_clean(args: argparse.Namespace) -> dict[Path, str]:
+    """A reference document without sentences gives an empty line."""
     from . import formats
     ratio = args.max_cost_ratio
     _require(math.isfinite(ratio) and ratio > 0,
@@ -303,12 +377,14 @@ def cmd_clean(args: argparse.Namespace) -> dict[Path, str]:
     _require(args.reference.is_file(), f"reference path {args.reference} is not a readable file")
     _require(args.in_path.is_file(), f"input path {args.in_path} is not a readable file")
     _check_out_file(args.out_file)
-    reference = _load_corpus(args.reference)
-    lines = _document_lines(args.in_path, reference, "reference")
-    cleaned = [
-        formats.clean_output(document, line, max_cost_ratio=ratio).render()
-        for document, line in zip(reference.documents, lines)
-    ]
+    cleaned = []
+
+    def clean(pair) -> None:
+        document, line = pair
+        cleaned.append("" if line is None else
+                       formats.clean_output(document, line, max_cost_ratio=ratio).render())
+
+    apply_each(clean, _with_lines(_documents(args.reference), args.in_path, "reference"))
     return {args.out_file: "\n".join(cleaned) + "\n"}
 
 
@@ -341,7 +417,7 @@ def cmd_stats(args: argparse.Namespace) -> dict[Path, str]:
         _require(path is not None, f"dataset '{name}' needs a gold path")
         _require(path.is_file(), f"stats input {path} is not a readable file")
     _check_out_dir(args.out)
-    rows = {name: analysis.corpus_stats(_load_corpus(path)) for name, path in paths.items()}
+    rows = {name: analysis.corpus_stats(_documents(path)) for name, path in paths.items()}
     if args.mode == "corpus":
         return {args.out / "stats_corpus.tsv": analysis.render_corpus_stats_table(rows)}
     return {args.out / "stats_entities.tsv": analysis.render_entity_stats_table(rows),
@@ -363,14 +439,14 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
     _require(args.gold.is_file(), f"gold path {args.gold} is not a readable file")
     _require(args.pred.is_file(), f"pred path {args.pred} is not a readable file")
     _check_out_dir(args.out)
-    gold = _load_corpus(args.gold)
-    pred = _load_corpus(args.pred)
     if args.kind == "long-range":
         points = analysis.long_range_curve(
-            gold, pred, window_tokens=args.window_tokens, min_p95=args.min_p95,
-            sort_key=args.sort_key, regime=regime, weights=weights,
+            _documents(args.gold), _documents(args.pred), window_tokens=args.window_tokens,
+            min_p95=args.min_p95, sort_key=args.sort_key, regime=regime, weights=weights,
         )
         return {args.out / "long_range_curve.tsv": analysis.render_curve_table(points)}
+    gold = _load_corpus(args.gold)
+    pred = _load_corpus(args.pred)
     prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
                                          regime=regime, weights=weights)
     return {args.out / f"upos_{args.level}_{args.tag}.tsv":

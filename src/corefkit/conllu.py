@@ -148,11 +148,9 @@ class _DocBuilder:
         self.sent_ids: set[str] = set()
         self.mentions: dict[str, list[Mention]] = {}  # eid -> mentions in reading order
 
-    def finish(self, documents: list[Document], entities: list[list[Entity]]) -> None:
-        documents.append(Document(self.doc_id, self.sentences))
-        entities.append(
-            [Entity(eid, sort_entity_mentions(ms)) for eid, ms in self.mentions.items()]
-        )
+    def finish(self) -> tuple[Document, list[Entity]]:
+        return Document(self.doc_id, self.sentences), [
+            Entity(eid, sort_entity_mentions(ms)) for eid, ms in self.mentions.items()]
 
 
 class _SentenceBuilder:
@@ -191,7 +189,8 @@ def _parse_head_ref(text: str, sent: _SentenceBuilder, line: int) -> NodeId | No
 
 
 def parse_conllu(source) -> Corpus:
-    """Parse CoNLL-U text (str, bytes, or a text file object) into a Corpus.
+    """Parse CoNLL-U text (str, bytes, or a text or binary file object)
+    into a Corpus: the documents of ``iter_documents``.
 
     Raises ConlluError with a line number on invalid UTF-8, malformed ids,
     unbalanced entity brackets, references to nonexistent parents, or
@@ -201,17 +200,78 @@ def parse_conllu(source) -> Corpus:
     node, the parents pointing at it and the mention spans holding it;
     equal column strings are one object per parse.
     """
-    text = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConlluError(f"invalid UTF-8 ({exc.reason}) at byte {exc.start}",
-                              text.count(b"\n", 0, exc.start) + 1) from None
-    text = text.lstrip("﻿")
+    return Corpus.from_pairs(iter_documents(source))
 
-    documents: list[Document] = []
-    entities: list[list[Entity]] = []
+
+def iter_documents(source):
+    """Yield ``(Document, entities)`` for each document of CoNLL-U
+    ``source``, as ``parse_conllu`` reads them.  A file object is read a
+    block at a time, so only the current document is held.
+
+    The errors are those of ``parse_conllu``, raised when the reading
+    reaches them; invalid UTF-8 anywhere in the input is reported before
+    any other error, as when the whole input is decoded first.
+    """
+    blocks = _line_blocks(source)
+    try:
+        yield from _parse_documents(blocks)
+    except ConlluError:
+        for _ in blocks:  # decodes the rest, raising on an invalid byte
+            pass
+        raise
+
+
+# a file is read this many bytes (or characters) at a time
+_BLOCK = 1 << 14
+
+
+def _decode(data: bytes, first_line: int, offset: int) -> str:
+    """``data`` as UTF-8; an invalid byte raises ConlluError with its line
+    and byte, counted on from ``first_line`` and ``offset``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConlluError(f"invalid UTF-8 ({exc.reason}) at byte {offset + exc.start}",
+                          first_line + data.count(b"\n", 0, exc.start)) from None
+
+
+def _file_blocks(file):
+    while block := file.read(_BLOCK):
+        yield block
+
+
+def _line_blocks(source):
+    """The lines of ``source`` without their "\\n", in lists: one for str
+    or bytes, one per block of a file.  CoNLL-U lines end at "\\n" only;
+    str.splitlines would also break a FORM at U+2028, U+0085 and the like.
+    A byte order mark that starts the input is dropped."""
+    chunks = [source] if isinstance(source, (bytes, str)) else _file_blocks(source)
+    line_no, offset, rest = 1, 0, []  # rest: the pieces of an unfinished line
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
+        if not cut:
+            rest.append(chunk)
+            continue
+        data = chunk[:cut]
+        if rest:
+            data = data[:0].join([*rest, data])
+        rest = [chunk[cut:]]
+        text = _decode(data, line_no, offset) if isinstance(data, bytes) else data
+        if not offset:
+            text = text.lstrip("\ufeff")
+        offset += len(data)
+        lines = text.split("\n")
+        lines.pop()  # a final newline ends the last line and starts none
+        line_no += len(lines)
+        yield lines
+    if any(rest):
+        data = rest[0][:0].join(rest)
+        text = _decode(data, line_no, offset) if isinstance(data, bytes) else data
+        yield [text if offset else text.lstrip("\ufeff")]
+
+
+def _parse_documents(blocks):
+    """The ``iter_documents`` of the line lists ``blocks``."""
     doc: _DocBuilder | None = None
     sent: _SentenceBuilder | None = None
     synthesized = 0
@@ -260,142 +320,141 @@ def parse_conllu(source) -> Corpus:
             )
             doc = _DocBuilder(f"doc_{synthesized}")
 
-    # CoNLL-U lines end at "\n" only; str.splitlines would also break a
-    # FORM at U+2028, U+0085 and the like
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # a final newline ends the last line and starts none
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        if not line or line.isspace():
-            close_sentence(line_no)
-            continue
-        if line[0] == "#":
-            body = line[1:].strip()
-            if body.startswith("newdoc"):
+    line_no = 0
+    for lines in blocks:
+        for line_no, raw in enumerate(lines, line_no + 1):
+            line = raw.rstrip("\r")
+            if not line or line.isspace():
                 close_sentence(line_no)
-                _, _, doc_id = body.partition("=")
-                doc_id = doc_id.strip()
-                if not body.startswith("newdoc id") or not doc_id:
-                    raise ConlluError("newdoc comment must carry 'id = <value>'", line_no)
-                if doc is not None:
-                    doc.finish(documents, entities)
-                if doc_id in seen_doc_ids:
-                    raise ConlluError(f"duplicate document id '{doc_id}'", line_no)
-                seen_doc_ids.add(doc_id)
-                doc = _DocBuilder(doc_id)
-            elif body.startswith("sent_id"):
-                ensure_doc()
-                if sent is None:
-                    sent = _SentenceBuilder(len(doc.sentences))
-                _, _, value = body.partition("=")
-                sent.sent_id = value.strip()
-                sent.sent_id_line = line_no
-            # other comments (e.g. '# text =') are dropped by canonicalization
-            continue
-
-        if sent is None:
-            ensure_doc()
-            sent = _SentenceBuilder(len(doc.sentences))
-        if not sent.first_line:
-            sent.first_line = line_no
-        columns = line.split("\t")
-        if len(columns) != 10:
-            raise ConlluError(f"expected 10 tab-separated columns, got {len(columns)}", line_no)
-        cid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
-
-        # a regular id or HEAD is what str.isdecimal() accepts, exactly the
-        # strings r"^\d+$" matches here; isdigit() would also take "²",
-        # which int() refuses
-        if cid.isdecimal():
-            major = int(cid)
-            if major != sent.prev_major + 1:
-                raise ConlluError(
-                    f"token id '{cid}' does not continue the sequence after {sent.prev_major}",
-                    line_no,
-                )
-            sent.prev_major = major
-            sent.prev_minor = 0
-            ids = sent.ids
-            nid = ids.get(major)
-            if nid is None:
-                nid = ids[major] = _new_tuple(NodeId, (sent.sent_index, major, 0))
-            if head.isdecimal() and head != "0":
-                parent_major = int(head)
-                parent = ids.get(parent_major)
-                if parent is None:
-                    parent = ids[parent_major] = _new_tuple(
-                        NodeId, (sent.sent_index, parent_major, 0))
-            else:
-                parent = _parse_head_ref(head, sent, line_no)
-            dep_label = deprel
-        else:
-            mwt = _MWT_ID_RE.match(cid)
-            if mwt:
-                a, b = int(mwt.group(1)), int(mwt.group(2))
-                if a != sent.prev_major + 1 or b < a:
-                    raise ConlluError(f"malformed multiword token range '{cid}'", line_no)
-                if sent.pending_mwt_end >= a:
-                    raise ConlluError(f"overlapping multiword token range '{cid}'", line_no)
-                sent.mwt_ranges.append((a, b, form))
-                sent.pending_mwt_end = b
-                if misc != "_" and "Entity" in _split_keyvals(misc, None, intern):
-                    warnings.warn(
-                        f"line {line_no}: Entity annotation on a multiword-token "
-                        "range is ignored",
-                        stacklevel=2,
-                    )
                 continue
-            empty = _EMPTY_ID_RE.match(cid)
-            if not empty:
-                raise ConlluError(f"malformed ID field '{cid}'", line_no)
-            major, minor = int(empty.group(1)), int(empty.group(2))
-            if major != sent.prev_major:
-                raise ConlluError(
-                    f"empty node id '{cid}' is not anchored to the preceding token "
-                    f"{sent.prev_major}", line_no,
-                )
-            expected = sent.prev_minor + 1 if sent.prev_minor else 1
-            if minor != expected:
-                raise ConlluError(f"empty node id '{cid}' breaks the {major}.{expected} sequence", line_no)
-            sent.prev_minor = minor
-            nid = sent.node_id(major, minor)
-            first_dep = deps.split("|", 1)[0] if deps != "_" else "_"
-            if first_dep == "_":
-                parent, dep_label = None, "_"
+            if line[0] == "#":
+                body = line[1:].strip()
+                if body.startswith("newdoc"):
+                    close_sentence(line_no)
+                    _, _, doc_id = body.partition("=")
+                    doc_id = doc_id.strip()
+                    if not body.startswith("newdoc id") or not doc_id:
+                        raise ConlluError("newdoc comment must carry 'id = <value>'", line_no)
+                    if doc is not None:
+                        yield doc.finish()
+                    if doc_id in seen_doc_ids:
+                        raise ConlluError(f"duplicate document id '{doc_id}'", line_no)
+                    seen_doc_ids.add(doc_id)
+                    doc = _DocBuilder(doc_id)
+                elif body.startswith("sent_id"):
+                    ensure_doc()
+                    if sent is None:
+                        sent = _SentenceBuilder(len(doc.sentences))
+                    _, _, value = body.partition("=")
+                    sent.sent_id = value.strip()
+                    sent.sent_id_line = line_no
+                # other comments (e.g. '# text =') are dropped by canonicalization
+                continue
+
+            if sent is None:
+                ensure_doc()
+                sent = _SentenceBuilder(len(doc.sentences))
+            if not sent.first_line:
+                sent.first_line = line_no
+            columns = line.split("\t")
+            if len(columns) != 10:
+                raise ConlluError(f"expected 10 tab-separated columns, got {len(columns)}",
+                                  line_no)
+            cid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
+
+            # a regular id or HEAD is what str.isdecimal() accepts, exactly the
+            # strings r"^\d+$" matches here; isdigit() would also take "²",
+            # which int() refuses
+            if cid.isdecimal():
+                major = int(cid)
+                if major != sent.prev_major + 1:
+                    raise ConlluError(
+                        f"token id '{cid}' does not continue the sequence after {sent.prev_major}",
+                        line_no,
+                    )
+                sent.prev_major = major
+                sent.prev_minor = 0
+                ids = sent.ids
+                nid = ids.get(major)
+                if nid is None:
+                    nid = ids[major] = _new_tuple(NodeId, (sent.sent_index, major, 0))
+                if head.isdecimal() and head != "0":
+                    parent_major = int(head)
+                    parent = ids.get(parent_major)
+                    if parent is None:
+                        parent = ids[parent_major] = _new_tuple(
+                            NodeId, (sent.sent_index, parent_major, 0))
+                else:
+                    parent = _parse_head_ref(head, sent, line_no)
+                dep_label = deprel
             else:
-                parent_text, sep, dep_label = first_dep.partition(":")
-                if not sep:
-                    raise ConlluError(f"malformed DEPS item '{first_dep}'", line_no)
-                parent = _parse_head_ref(parent_text, sent, line_no)
+                mwt = _MWT_ID_RE.match(cid)
+                if mwt:
+                    a, b = int(mwt.group(1)), int(mwt.group(2))
+                    if a != sent.prev_major + 1 or b < a:
+                        raise ConlluError(f"malformed multiword token range '{cid}'", line_no)
+                    if sent.pending_mwt_end >= a:
+                        raise ConlluError(f"overlapping multiword token range '{cid}'", line_no)
+                    sent.mwt_ranges.append((a, b, form))
+                    sent.pending_mwt_end = b
+                    if misc != "_" and "Entity" in _split_keyvals(misc, None, intern):
+                        warnings.warn(
+                            f"line {line_no}: Entity annotation on a multiword-token "
+                            "range is ignored",
+                            stacklevel=2,
+                        )
+                    continue
+                empty = _EMPTY_ID_RE.match(cid)
+                if not empty:
+                    raise ConlluError(f"malformed ID field '{cid}'", line_no)
+                major, minor = int(empty.group(1)), int(empty.group(2))
+                if major != sent.prev_major:
+                    raise ConlluError(
+                        f"empty node id '{cid}' is not anchored to the preceding token "
+                        f"{sent.prev_major}", line_no,
+                    )
+                expected = sent.prev_minor + 1 if sent.prev_minor else 1
+                if minor != expected:
+                    raise ConlluError(
+                        f"empty node id '{cid}' breaks the {major}.{expected} sequence", line_no)
+                sent.prev_minor = minor
+                nid = sent.node_id(major, minor)
+                first_dep = deps.split("|", 1)[0] if deps != "_" else "_"
+                if first_dep == "_":
+                    parent, dep_label = None, "_"
+                else:
+                    parent_text, sep, dep_label = first_dep.partition(":")
+                    if not sep:
+                        raise ConlluError(f"malformed DEPS item '{first_dep}'", line_no)
+                    parent = _parse_head_ref(parent_text, sent, line_no)
 
-        if misc == "_":
-            misc_map = EMPTY_COLUMN
-        else:
-            misc_map = _split_keyvals(misc, None, intern)
-            entity_value = misc_map.pop("Entity", None)
-            if entity_value:
-                sent.entity_values.append((entity_value, len(sent.nodes), line_no))
-            for key in _SKIPPED_ANNOTATIONS:
-                if key in misc_map:
-                    skipped_annotations += 1
-            misc_map = misc_map or EMPTY_COLUMN
-        sent.nodes.append(Node(
-            nid, intern(form, form), intern(lemma, lemma), intern(upos, upos),
-            intern(xpos, xpos), EMPTY_COLUMN if feats == "_" else _split_keyvals(feats, "", intern),
-            parent, intern(dep_label, dep_label), misc_map,
-        ))
+            if misc == "_":
+                misc_map = EMPTY_COLUMN
+            else:
+                misc_map = _split_keyvals(misc, None, intern)
+                entity_value = misc_map.pop("Entity", None)
+                if entity_value:
+                    sent.entity_values.append((entity_value, len(sent.nodes), line_no))
+                for key in _SKIPPED_ANNOTATIONS:
+                    if key in misc_map:
+                        skipped_annotations += 1
+                misc_map = misc_map or EMPTY_COLUMN
+            sent.nodes.append(Node(
+                nid, intern(form, form), intern(lemma, lemma), intern(upos, upos),
+                intern(xpos, xpos),
+                EMPTY_COLUMN if feats == "_" else _split_keyvals(feats, "", intern),
+                parent, intern(dep_label, dep_label), misc_map,
+            ))
 
-    close_sentence(line_no if text else 0)
+    close_sentence(line_no)
     if doc is not None:
-        doc.finish(documents, entities)
+        yield doc.finish()
     if skipped_annotations:
         warnings.warn(
             f"skipped {skipped_annotations} non-identity anaphora annotations "
             f"({'/'.join(_SKIPPED_ANNOTATIONS)})",
             stacklevel=2,
         )
-    return Corpus(documents, entities)
 
 
 def _render_item(kind: str, eid: str, part: tuple[int, int] | None) -> str:

@@ -1,5 +1,6 @@
 """The errors of malformed or mismatched input, which the CLI maps to its
-exit codes 2 and 3 without loading the modules that raise them."""
+exit codes 2 and 3 without loading the modules that raise them, and the
+order in which a streamed command reports them."""
 
 
 class ConlluError(ValueError):
@@ -30,3 +31,21 @@ class CleanRefusedError(ValueError):
 
 class TokenMismatchError(ValueError):
     """Gold and predicted files disagree on the surface token sequence."""
+
+
+def apply_each(work, items) -> None:
+    """Call ``work`` on each of ``items``, as a command handles a streamed
+    input one document at a time.  The first input error (a ValueError)
+    ``work`` raises is held and no later item is worked on, but the items
+    are read to their end: an error in reading them, such as a malformed
+    later document, comes first.  The held error is raised once they end."""
+    held = None
+    for item in items:
+        if held is None:
+            try:
+                work(item)
+            except ValueError as exc:
+                held = exc
+        del item  # so the next item is read without this one alive
+    if held is not None:
+        raise held

@@ -39,15 +39,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, pair_items
-from .errors import CleanRefusedError, JsonFormatError, PlaintextError, TokenMismatchError
+from .errors import (CleanRefusedError, JsonFormatError, PlaintextError, TokenMismatchError,
+                     apply_each)
 from .model import (
-    Corpus,
     Document,
     Entity,
     Mention,
     Node,
     NodeId,
     Sentence,
+    document_pairs,
     make_mention,
     sort_entity_mentions,
     surface_difference,
@@ -251,9 +252,12 @@ def to_plaintext(document: Document, entities: list[Entity]) -> PlainDoc:
     return PlainDoc(tokens)
 
 
-def corpus_to_plaintext(corpus: Corpus) -> str:
-    """One line per document, terminated with a newline."""
-    lines = [to_plaintext(doc, ents).render() for doc, ents in corpus.doc_pairs()]
+def corpus_to_plaintext(corpus) -> str:
+    """One line per document, terminated with a newline.  ``corpus`` is a
+    Corpus or a stream of ``(document, entities)`` pairs; the first error
+    of a document is raised once the stream ends (see errors.apply_each)."""
+    lines = []
+    apply_each(lambda pair: lines.append(to_plaintext(*pair).render()), document_pairs(corpus))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -393,8 +397,12 @@ def to_json(document: Document, entities: list[Entity]) -> JsonDoc:
     return JsonDoc(document.doc_id, rendered, offsets, texts)
 
 
-def corpus_to_json(corpus: Corpus) -> list[dict]:
-    return [to_json(doc, ents).to_value() for doc, ents in corpus.doc_pairs()]
+def corpus_to_json(corpus) -> list[dict]:
+    """Each document's JSON value; ``corpus`` is read as by
+    ``corpus_to_plaintext``."""
+    values = []
+    apply_each(lambda pair: values.append(to_json(*pair).to_value()), document_pairs(corpus))
+    return values
 
 
 def json_doc_from_value(value: dict) -> JsonDoc:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import apply_each
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
-from .model import Corpus, Document, Entity, Mention
+from .model import Document, Entity, Mention, document_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -399,6 +400,54 @@ def prepare_document(gold_doc: Document, gold_entities: list[Entity],
     return DocumentScoring(gold_kept, pred_kept, alignment)
 
 
+def document_counts(doc: DocumentScoring, singleton_mode: str = SINGLETONS_EXCLUDED,
+                    conll_only: bool = False) -> dict[MetricId, tuple]:
+    """The numerators and denominators of one prepared document pair, per
+    metric: MUC, B-cubed and CEAF-e, and without ``conll_only`` also LEA,
+    MOR, MD-H, the zero score and BLANC's link counts."""
+    table = OverlapTable(*remap_partitions(doc.gold_entities, doc.pred_entities,
+                                           doc.alignment))
+    counts = {MetricId.MUC: table.muc(), MetricId.B3: table.b3(),
+              MetricId.CEAF_E: table.ceaf_e()}
+    if not conll_only:
+        gold_mentions = [m for e in doc.gold_entities for m in e.mentions]
+        pred_mentions = [m for e in doc.pred_entities for m in e.mentions]
+        counts[MetricId.LEA] = table.lea(singleton_mode)
+        counts[MetricId.MOR] = _mor_counts(gold_mentions, pred_mentions, doc.alignment)
+        counts[MetricId.MD_H] = _mdh_counts(gold_mentions, pred_mentions)
+        counts[MetricId.ZERO_SCORE] = _zero_counts(doc.gold_entities, doc.pred_entities,
+                                                   doc.alignment)
+        counts[MetricId.BLANC] = table.blanc()
+    return counts
+
+
+class _Totals:
+    """Per-metric sums of document counts, added in document order."""
+
+    def __init__(self, conll_only: bool):
+        metrics = [MetricId.MUC, MetricId.B3, MetricId.CEAF_E]
+        if not conll_only:
+            metrics += [MetricId.LEA, MetricId.MOR, MetricId.MD_H, MetricId.ZERO_SCORE,
+                        MetricId.BLANC]
+        self.sums = {metric: [0.0] * (6 if metric is MetricId.BLANC else 4)
+                     for metric in metrics}
+
+    def add(self, counts: dict[MetricId, tuple]) -> None:
+        for metric, values in counts.items():
+            total = self.sums[metric]
+            for k, value in enumerate(values):
+                total[k] += value
+
+    def scores(self) -> dict[MetricId, PRF]:
+        result = {metric: _prf(*counts, what=metric.value)
+                  for metric, counts in self.sums.items() if metric is not MetricId.BLANC}
+        if MetricId.BLANC in self.sums:
+            result[MetricId.BLANC] = _blanc_prf(self.sums[MetricId.BLANC])
+        result[MetricId.CONLL] = score_conll(result[MetricId.MUC], result[MetricId.B3],
+                                             result[MetricId.CEAF_E])
+        return {metric: result[metric] for metric in METRIC_ORDER if metric in result}
+
+
 def evaluate_documents(documents: list[DocumentScoring],
                        singleton_mode: str = SINGLETONS_EXCLUDED,
                        conll_only: bool = False) -> dict[MetricId, PRF]:
@@ -408,76 +457,99 @@ def evaluate_documents(documents: list[DocumentScoring],
     their singletons for ``singleton_mode``.  With ``conll_only``, only
     MUC, B-cubed, CEAF-e and their CoNLL mean are computed.
     """
-    conll_parts = [MetricId.MUC, MetricId.B3, MetricId.CEAF_E]
-    rest = [] if conll_only else [MetricId.LEA, MetricId.MOR, MetricId.MD_H,
-                                  MetricId.ZERO_SCORE, MetricId.BLANC]
-    totals = {metric: [0.0] * (6 if metric is MetricId.BLANC else 4)
-              for metric in conll_parts + rest}
-
+    totals = _Totals(conll_only)
     for doc in documents:
-        table = OverlapTable(*remap_partitions(doc.gold_entities, doc.pred_entities,
-                                               doc.alignment))
-        counts = {MetricId.MUC: table.muc(), MetricId.B3: table.b3(),
-                  MetricId.CEAF_E: table.ceaf_e()}
-        if not conll_only:
-            gold_mentions = [m for e in doc.gold_entities for m in e.mentions]
-            pred_mentions = [m for e in doc.pred_entities for m in e.mentions]
-            counts[MetricId.LEA] = table.lea(singleton_mode)
-            counts[MetricId.MOR] = _mor_counts(gold_mentions, pred_mentions, doc.alignment)
-            counts[MetricId.MD_H] = _mdh_counts(gold_mentions, pred_mentions)
-            counts[MetricId.ZERO_SCORE] = _zero_counts(doc.gold_entities, doc.pred_entities,
-                                                       doc.alignment)
-            counts[MetricId.BLANC] = table.blanc()
-        for metric, values in counts.items():
-            total = totals[metric]
-            for k, value in enumerate(values):
-                total[k] += value
-
-    result = {metric: _prf(*counts, what=metric.value) for metric, counts in totals.items()
-              if metric is not MetricId.BLANC}
-    if not conll_only:
-        result[MetricId.BLANC] = _blanc_prf(totals[MetricId.BLANC])
-    result[MetricId.CONLL] = score_conll(result[MetricId.MUC], result[MetricId.B3],
-                                         result[MetricId.CEAF_E])
-    return {metric: result[metric] for metric in METRIC_ORDER if metric in result}
+        totals.add(document_counts(doc, singleton_mode, conll_only))
+    return totals.scores()
 
 
-def pair_documents(gold: Corpus, pred: Corpus):
-    """Zip two corpora by document id, in gold order."""
-    pred_by_id = {d.doc_id: i for i, d in enumerate(pred.documents)}
-    missing = [d.doc_id for d in gold.documents if d.doc_id not in pred_by_id]
-    extra = [d.doc_id for d in pred.documents if d.doc_id not in
-             {g.doc_id for g in gold.documents}]
+def pair_documents(gold, pred):
+    """Zip gold and predicted documents by id, in gold order.
+
+    Each side is a Corpus or an iterable of ``(document, entities)``
+    pairs, such as ``conllu.iter_documents`` yields, and is read one
+    document at a time.  A predicted document read before its gold
+    partner waits for it, so predictions in gold order hold one document.
+    Once gold is read to its end, the first error of reading pred is
+    raised, then ValueError if an id repeats on one side (a parsed input
+    refuses that itself) or the two sides hold different ids.
+    """
+    preds = iter(document_pairs(pred))
+    waiting = {}  # predicted pairs read before their gold partner, by id
+    gold_ids, pred_ids = [], []
+    error = None
+    for gold_doc, gold_entities in document_pairs(gold):
+        doc_id = gold_doc.doc_id
+        gold_ids.append(doc_id)
+        while error is None and doc_id not in waiting:
+            try:
+                pair = next(preds, None)
+            except ValueError as exc:  # raised once gold is read, as if pred were read after it
+                error = exc
+                break
+            if pair is None:
+                break
+            pred_ids.append(pair[0].doc_id)
+            waiting[pair[0].doc_id] = pair
+        if error is None and doc_id in waiting:
+            yield (gold_doc, gold_entities, *waiting.pop(doc_id))
+        gold_doc = gold_entities = pair = None  # not alive while the next pair is read
+    if error is None:
+        try:
+            pred_ids.extend(document.doc_id for document, _ in preds)
+        except ValueError as exc:
+            error = exc
+    if error is not None:
+        raise error
+    gold_set, pred_set = set(gold_ids), set(pred_ids)
+    if len(gold_set) < len(gold_ids) or len(pred_set) < len(pred_ids):
+        raise ValueError("a document id repeats within gold or prediction")
+    missing = [doc_id for doc_id in gold_ids if doc_id not in pred_set]
+    extra = [doc_id for doc_id in pred_ids if doc_id not in gold_set]
     if missing or extra:
         raise ValueError(
             f"document ids differ between gold and prediction "
             f"(missing: {missing[:3]}, unexpected: {extra[:3]})"
         )
-    for doc_index, gold_doc in enumerate(gold.documents):
-        j = pred_by_id[gold_doc.doc_id]
-        yield (gold_doc, gold.entities[doc_index], pred.documents[j], pred.entities[j])
 
 
-def evaluate_corpus(gold: Corpus, pred: Corpus,
+def evaluate_corpus(gold, pred,
                     regime: MatchRegime = MatchRegime.HEAD,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
                     weights: ZeroWeight = ZeroWeight(),
                     conll_only: bool = False,
-                    check_surface: bool = True,
-                    zero_cache: dict | None = None) -> dict[MetricId, PRF]:
+                    check_surface: bool = True) -> dict[MetricId, PRF]:
     """Score one dataset: all metrics for a gold/predicted corpus pair, or
-    with ``conll_only`` just CoNLL and its three parts.  With
-    ``check_surface=False`` the document pairs' surface tokens are taken
-    as already checked (see matching.check_same_surface).  Calls on the
-    same corpora, singleton mode and weights may share one ``zero_cache``
-    dict (see matching.build_alignment), whatever their regimes."""
-    prepared = [
-        prepare_document(gd, ge, pd, pe, regime=regime, weights=weights,
-                         singleton_mode=singleton_mode, check_surface=check_surface,
-                         zero_cache=zero_cache)
-        for gd, ge, pd, pe in pair_documents(gold, pred)
-    ]
-    return evaluate_documents(prepared, singleton_mode=singleton_mode, conll_only=conll_only)
+    with ``conll_only`` just CoNLL and its three parts.  Either side may
+    be streamed (see pair_documents).  With ``check_surface=False`` the
+    document pairs' surface tokens are taken as already checked (see
+    matching.check_same_surface)."""
+    return evaluate_settings(gold, pred, [(regime, singleton_mode, conll_only)],
+                             weights=weights, check_surface=check_surface)[0]
+
+
+def evaluate_settings(gold, pred, settings, weights: ZeroWeight = ZeroWeight(),
+                      check_surface: bool = True) -> list[dict[MetricId, PRF]]:
+    """``evaluate_corpus`` under each ``(regime, singleton_mode,
+    conll_only)`` setting, in one pass over the document pairs: every
+    setting counts a pair before the next pair is read, and each setting
+    sums its counts in gold order, so its floats are those of its own
+    ``evaluate_corpus``.  A pair's surface tokens are checked once and its
+    zeros aligned once per singleton mode.  The first error of a pair is
+    raised once both sides are read (see errors.apply_each)."""
+    totals = [_Totals(conll_only) for _, _, conll_only in settings]
+
+    def count(pair) -> None:
+        zero_caches: dict[str, dict] = {}  # zero alignment does not depend on the regime
+        for k, (regime, singleton_mode, conll_only) in enumerate(settings):
+            doc = prepare_document(*pair, regime=regime, weights=weights,
+                                   singleton_mode=singleton_mode,
+                                   check_surface=check_surface and k == 0,
+                                   zero_cache=zero_caches.setdefault(singleton_mode, {}))
+            totals[k].add(document_counts(doc, singleton_mode, conll_only))
+
+    apply_each(count, pair_documents(gold, pred))
+    return [total.scores() for total in totals]
 
 
 def aggregate(per_dataset: dict[str, dict[MetricId | str, PRF]],

@@ -222,11 +222,27 @@ class Corpus:
         if len(self.documents) != len(self.entities):
             raise ValueError("documents and entities lists must be parallel")
 
+    @classmethod
+    def from_pairs(cls, pairs) -> Corpus:
+        """The corpus of ``(document, entities)`` pairs, such as
+        ``conllu.iter_documents`` yields."""
+        documents, entities = [], []
+        for document, doc_entities in pairs:
+            documents.append(document)
+            entities.append(doc_entities)
+        return cls(documents, entities)
+
     def doc_pairs(self):
         return zip(self.documents, self.entities)
 
     def word_count(self) -> int:
         return sum(d.word_count() for d in self.documents)
+
+
+def document_pairs(source):
+    """The ``(document, entities)`` pairs of a Corpus; any other ``source``
+    already iterates them, as ``conllu.iter_documents`` does."""
+    return source.doc_pairs() if isinstance(source, Corpus) else source
 
 
 def make_mention(entity_id: str, span, document: Document) -> Mention:

@@ -318,6 +318,24 @@ def test_a_failed_write_exits_4_as_an_io_error(tmp_path, capsys):
     assert not list(out_file.iterdir())
 
 
+@pytest.mark.parametrize("command", ["convert", "score"])
+def test_a_write_that_fails_after_every_check_exits_4_as_an_io_error(workspace, capsys,
+                                                                      monkeypatch, command):
+    """A full disk, say: the outputs are computed, and writing one fails."""
+    tmp_path, manifest = workspace
+    argv = {"convert": ["convert", "to-text", "--in", str(tmp_path / "a.gold.conllu"),
+                        "--out-file", str(tmp_path / "out" / "a.txt")],
+            "score": ["score", "--manifest", str(manifest), "--out", str(tmp_path / "out")]}
+
+    def full(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    assert main(argv[command]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"corefkit: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: ")
+
+
 def test_convert_text_round_trip(tmp_path):
     gold, _ = make_pair(31, n_docs=2)
     src = tmp_path / "g.conllu"

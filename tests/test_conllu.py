@@ -1,12 +1,16 @@
+import io
 import random
+import re
 import warnings
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corefkit.brackets import item_order
-from corefkit.conllu import ConlluError, parse_conllu, serialize_conllu
+from corefkit import conllu
+from corefkit.conllu import ConlluError, iter_documents, parse_conllu, serialize_conllu
 from corefkit.model import Corpus, NodeId
 
 from helpers import canonical_clusters, doc, ent, random_gold, rich_corpora, sent
@@ -441,3 +445,84 @@ def test_mention_decoding_matches_the_oracle(case):
         entities = parse_conllu(text).entities[0]
     assert [(e.id, [(m.entity_id, m.span, m.head, m.is_zero) for m in e.mentions])
             for e in entities] == expected
+
+
+# iter_documents reads a file a block at a time.  The streamed reading
+# must give parse_conllu's corpus, or its first error with the same
+# message and line, on inputs of several documents from the generators
+# above, some with a duplicate id or an invalid UTF-8 byte put in, whatever
+# the block size.
+
+@st.composite
+def _conllu_inputs(draw):
+    if draw(st.booleans()):
+        text = serialize_conllu(draw(rich_corpora()))
+    else:
+        texts = [draw(_annotated_document())[0] for _ in range(draw(st.integers(1, 3)))]
+        ids = draw(st.lists(st.sampled_from(("d1", "d2", "d3")), min_size=len(texts),
+                            max_size=len(texts)))
+        text = "".join(t.replace("# newdoc id = d1", f"# newdoc id = {i}")
+                       for t, i in zip(texts, ids))
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xe2\x82", b"\xef\xbb\xbf"))) \
+            + data[at:]
+    return data
+
+
+def _read(parse):
+    """The corpus ``parse()`` gives, or the message and line it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return parse()
+        except ConlluError as exc:
+            return str(exc), exc.line
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conllu_inputs(), st.integers(1, 80), st.booleans())
+def test_streamed_documents_are_the_parsed_corpus(data, block, binary):
+    expected = _read(lambda: parse_conllu(data))
+    try:  # a text file object where asked and the input decodes, else a binary one
+        file = io.BytesIO(data) if binary else io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError:
+        file = io.BytesIO(data)
+    with mock.patch.object(conllu, "_BLOCK", block):
+        assert _read(lambda: Corpus.from_pairs(iter_documents(file))) == expected
+    if not isinstance(expected, tuple):
+        assert _read(lambda: parse_conllu(data.decode("utf-8"))) == expected
+
+
+def test_invalid_utf8_is_reported_before_an_earlier_parse_error():
+    data = (HEADER + line("1", "a") + "not a conllu line\n" + "\n# newdoc id = d2\n"
+            + line("1", "b")).encode() + b"\xff\n"
+    message = re.escape("line 8: invalid UTF-8 (invalid start byte) at byte 114")
+    with pytest.raises(ConlluError, match=message):
+        parse_conllu(data)
+    with mock.patch.object(conllu, "_BLOCK", 16), pytest.raises(ConlluError, match=message):
+        list(iter_documents(io.BytesIO(data)))
+
+
+def test_iter_documents_yields_each_document_before_reading_the_next():
+    text = "".join(f"# newdoc id = d{k}\n# sent_id = s1\n" + line("1", "w" * 40) + "\n"
+                   for k in range(1, 6))
+    file = io.BytesIO(text.encode())
+    with mock.patch.object(conllu, "_BLOCK", 32):
+        documents = iter_documents(file)
+        first, _ = next(documents)
+        assert first.doc_id == "d1" and file.tell() < len(text) // 2
+        assert [d.doc_id for d, _ in documents] == ["d2", "d3", "d4", "d5"]
+
+
+def test_a_leading_byte_order_mark_is_dropped_however_the_input_is_read():
+    text = HEADER + line("1", "a")
+    expected = parse_conllu(text)
+    assert parse_conllu("\ufeff" + text) == expected
+    assert parse_conllu(("\ufeff" + text).encode()) == expected
+    with mock.patch.object(conllu, "_BLOCK", 2):  # the mark's 3 bytes span two blocks
+        assert Corpus.from_pairs(iter_documents(io.BytesIO(("\ufeff" + text).encode()))) \
+            == expected
+    with pytest.raises(ConlluError, match="line 2: "):  # only a mark that starts the input
+        parse_conllu(HEADER.replace("\n", "\n\ufeff", 1) + line("1", "a"))

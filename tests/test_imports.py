@@ -137,7 +137,7 @@ def test_the_cli_starts_with_errors_matching_and_model_only(inputs, argv):
     (["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
      ("metrics", "analysis")),
     (["score", "--manifest", "manifest.txt", "--out", "score"], ("formats", "analysis")),
-    (["stats", "gold.conllu", "--out", "stats"], ("formats",)),
+    (["stats", "gold.conllu", "--out", "stats"], ("formats", "metrics")),
     (["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
       "--out", "analyze"], ("formats",)),
 ], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "stats", "analyze"])

@@ -494,3 +494,14 @@ def test_render_table_and_records():
     records = render_records(report)
     assert '"metric": "conll"' in records
     assert '"scope": "macro"' in records
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+def test_a_document_id_that_repeats_on_one_side_is_refused(side):
+    """Documents pair by id, so a repeated id would leave one of its
+    documents unpaired; a parsed input refuses it as a duplicate."""
+    corpus = random_gold(random.Random(2), n_docs=2)
+    twice = Corpus(corpus.documents + corpus.documents[:1], corpus.entities + corpus.entities[:1])
+    gold, pred = (twice, corpus) if side == "gold" else (corpus, twice)
+    with pytest.raises(ValueError, match="a document id repeats within gold or prediction"):
+        evaluate_corpus(gold, pred)
