@@ -105,13 +105,14 @@ def _is_plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
-def _documents(path: Path):
+def _documents(path: Path, whole: bool = False):
     """The ``(document, entities)`` pairs of a CoNLL-U input, read one
-    document at a time; an error names the path."""
-    from .conllu import iter_documents
+    document at a time, or with ``whole`` in one parse, which makes equal
+    strings one object across documents; an error names the path."""
+    from .conllu import iter_documents, parse_conllu
     try:
         with path.open("rb") as file:
-            yield from iter_documents(file)
+            yield from parse_conllu(file).doc_pairs() if whole else iter_documents(file)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ConlluError as exc:
@@ -119,7 +120,7 @@ def _documents(path: Path):
 
 
 def _load_corpus(path: Path) -> Corpus:
-    return Corpus.from_pairs(_documents(path))
+    return Corpus.from_pairs(_documents(path, whole=True))
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:

@@ -188,9 +188,9 @@ def _parse_head_ref(text: str, sent: _SentenceBuilder, line: int) -> NodeId | No
     raise ConlluError(f"malformed head reference '{text}'", line)
 
 
-def parse_conllu(source) -> Corpus:
+def parse_conllu(source, *, first_line: int = 1, skipped: list[int] | None = None) -> Corpus:
     """Parse CoNLL-U text (str, bytes, or a text or binary file object)
-    into a Corpus: the documents of ``iter_documents``.
+    into a Corpus.
 
     Raises ConlluError with a line number on invalid UTF-8, malformed ids,
     unbalanced entity brackets, references to nonexistent parents, or
@@ -199,26 +199,98 @@ def parse_conllu(source) -> Corpus:
     Within a sentence each node id is one NodeId object, shared by the
     node, the parents pointing at it and the mention spans holding it;
     equal column strings are one object per parse.
+
+    ``first_line`` numbers the first line of ``source``, for a piece cut
+    from a longer input.  With ``skipped``, a one-item list, the count of
+    non-identity anaphora annotations is added to ``skipped[0]`` rather
+    than warned about.
     """
-    return Corpus.from_pairs(iter_documents(source))
+    return Corpus.from_pairs(_parse_documents(_text_blocks(source), first_line, skipped))
 
 
 def iter_documents(source):
     """Yield ``(Document, entities)`` for each document of CoNLL-U
-    ``source``, as ``parse_conllu`` reads them.  A file object is read a
-    block at a time, so only the current document is held.
+    ``source``, the documents of ``parse_conllu(source)``.  A file object
+    is read a block at a time and each document is parsed on its own by
+    ``parse_conllu``, so only the current document is held; its strings
+    are interned per document.
 
-    The errors are those of ``parse_conllu``, raised when the reading
-    reaches them; invalid UTF-8 anywhere in the input is reported before
-    any other error, as when the whole input is decoded first.
+    The errors are those of ``parse_conllu``, with the same lines, raised
+    when the reading reaches them; invalid UTF-8 anywhere in the input is
+    reported before any other error, as when the whole input is decoded
+    first.
     """
-    blocks = _line_blocks(source)
+    texts = _text_blocks(source)
+    skipped = [0]
     try:
-        yield from _parse_documents(blocks)
+        yield from _parse_pieces(texts, skipped)
     except ConlluError:
-        for _ in blocks:  # decodes the rest, raising on an invalid byte
+        for _ in texts:  # decodes the rest, raising on an invalid byte
             pass
         raise
+    if skipped[0]:
+        _warn_skipped(skipped[0])
+
+
+# a line that parse_conllu reads as a newdoc comment ("#", whitespace,
+# "newdoc"), found after its "\n": a search for a literal start is fast
+_NEWDOC_RE = re.compile(r"\n#[^\S\n]*newdoc")
+
+
+def _parse_pieces(texts, skipped):
+    """The documents of the text blocks ``texts``, cut at each newdoc
+    comment and parsed piece by piece.  The checks that span pieces are
+    made in ``parse_conllu``'s order: a document's own errors, then a
+    malformed newdoc comment after it, then (once it is yielded) a
+    duplicate id."""
+    seen_doc_ids: set[str] = set()
+    line, held = 1, []  # held: the text of the current piece so far
+    for text in texts:
+        start = 0
+        # each block starts a line, so in "\n" + text a match starts at the
+        # index of its comment in text
+        for match in _NEWDOC_RE.finditer("\n" + text):
+            held.append(text[start:match.start()])
+            start = match.start()
+            piece, held = "".join(held), []
+            newdoc_line = line + piece.count("\n")
+            # a blank line in place of the newdoc comment closes the piece's
+            # last sentence at that comment's line, as in one parse
+            pairs = parse_conllu(piece + "\n", first_line=line, skipped=skipped).doc_pairs() \
+                if piece else ()
+            piece = None
+            end = text.find("\n", start)
+            doc_id = _newdoc_id(text[start:end if end >= 0 else None].rstrip("\r")[1:].strip(),
+                                newdoc_line)
+            yield from pairs
+            pairs = None  # not alive while the next piece is read
+            if doc_id in seen_doc_ids:
+                raise ConlluError(f"duplicate document id '{doc_id}'", newdoc_line)
+            seen_doc_ids.add(doc_id)
+            line = newdoc_line
+        held.append(text[start:])
+    piece, held = "".join(held), None
+    if piece:
+        pairs = parse_conllu(piece, first_line=line, skipped=skipped).doc_pairs()
+        piece = None
+        yield from pairs
+
+
+def _newdoc_id(body: str, line: int) -> str:
+    """The id of a newdoc comment whose text after "#" is ``body``."""
+    _, _, doc_id = body.partition("=")
+    doc_id = doc_id.strip()
+    if not body.startswith("newdoc id") or not doc_id:
+        raise ConlluError("newdoc comment must carry 'id = <value>'", line)
+    return doc_id
+
+
+def _warn_skipped(count: int) -> None:
+    warnings.warn(
+        f"skipped {count} non-identity anaphora annotations "
+        f"({'/'.join(_SKIPPED_ANNOTATIONS)})",
+        stacklevel=3,
+    )
 
 
 # a file is read this many bytes (or characters) at a time
@@ -240,11 +312,10 @@ def _file_blocks(file):
         yield block
 
 
-def _line_blocks(source):
-    """The lines of ``source`` without their "\\n", in lists: one for str
-    or bytes, one per block of a file.  CoNLL-U lines end at "\\n" only;
-    str.splitlines would also break a FORM at U+2028, U+0085 and the like.
-    A byte order mark that starts the input is dropped."""
+def _text_blocks(source):
+    """The text of ``source`` in pieces that each end at a "\\n", but for
+    a last unfinished line: one piece for str or bytes, one per block of a
+    file.  A byte order mark that starts the input is dropped."""
     chunks = [source] if isinstance(source, (bytes, str)) else _file_blocks(source)
     line_no, offset, rest = 1, 0, []  # rest: the pieces of an unfinished line
     for chunk in chunks:
@@ -256,22 +327,23 @@ def _line_blocks(source):
         if rest:
             data = data[:0].join([*rest, data])
         rest = [chunk[cut:]]
-        text = _decode(data, line_no, offset) if isinstance(data, bytes) else data
+        text = data
+        if isinstance(data, bytes):
+            text = _decode(data, line_no, offset)
+            line_no += text.count("\n")  # numbers the line of an invalid byte
         if not offset:
             text = text.lstrip("\ufeff")
         offset += len(data)
-        lines = text.split("\n")
-        lines.pop()  # a final newline ends the last line and starts none
-        line_no += len(lines)
-        yield lines
+        yield text
     if any(rest):
         data = rest[0][:0].join(rest)
         text = _decode(data, line_no, offset) if isinstance(data, bytes) else data
-        yield [text if offset else text.lstrip("\ufeff")]
+        yield text if offset else text.lstrip("\ufeff")
 
 
-def _parse_documents(blocks):
-    """The ``iter_documents`` of the line lists ``blocks``."""
+def _parse_documents(texts, first_line: int, skipped: list[int] | None):
+    """The ``(document, entities)`` pairs of ``parse_conllu`` on the text
+    blocks ``texts``."""
     doc: _DocBuilder | None = None
     sent: _SentenceBuilder | None = None
     synthesized = 0
@@ -320,8 +392,13 @@ def _parse_documents(blocks):
             )
             doc = _DocBuilder(f"doc_{synthesized}")
 
-    line_no = 0
-    for lines in blocks:
+    line_no = first_line - 1
+    for text in texts:
+        # CoNLL-U lines end at "\n" only; str.splitlines would also break
+        # a FORM at U+2028, U+0085 and the like
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # a final newline ends the last line and starts none
         for line_no, raw in enumerate(lines, line_no + 1):
             line = raw.rstrip("\r")
             if not line or line.isspace():
@@ -331,10 +408,7 @@ def _parse_documents(blocks):
                 body = line[1:].strip()
                 if body.startswith("newdoc"):
                     close_sentence(line_no)
-                    _, _, doc_id = body.partition("=")
-                    doc_id = doc_id.strip()
-                    if not body.startswith("newdoc id") or not doc_id:
-                        raise ConlluError("newdoc comment must carry 'id = <value>'", line_no)
+                    doc_id = _newdoc_id(body, line_no)
                     if doc is not None:
                         yield doc.finish()
                     if doc_id in seen_doc_ids:
@@ -449,12 +523,10 @@ def _parse_documents(blocks):
     close_sentence(line_no)
     if doc is not None:
         yield doc.finish()
-    if skipped_annotations:
-        warnings.warn(
-            f"skipped {skipped_annotations} non-identity anaphora annotations "
-            f"({'/'.join(_SKIPPED_ANNOTATIONS)})",
-            stacklevel=2,
-        )
+    if skipped is not None:
+        skipped[0] += skipped_annotations
+    elif skipped_annotations:
+        _warn_skipped(skipped_annotations)
 
 
 def _render_item(kind: str, eid: str, part: tuple[int, int] | None) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import apply_each
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
-from .model import Document, Entity, Mention, document_pairs
+from .model import Corpus, Document, Entity, Mention, document_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -518,35 +518,54 @@ def evaluate_corpus(gold, pred,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
                     weights: ZeroWeight = ZeroWeight(),
                     conll_only: bool = False,
-                    check_surface: bool = True) -> dict[MetricId, PRF]:
+                    check_surface: bool = True,
+                    zero_cache: dict | None = None,
+                    totals: _Totals | None = None) -> dict[MetricId, PRF]:
     """Score one dataset: all metrics for a gold/predicted corpus pair, or
     with ``conll_only`` just CoNLL and its three parts.  Either side may
     be streamed (see pair_documents).  With ``check_surface=False`` the
     document pairs' surface tokens are taken as already checked (see
-    matching.check_same_surface)."""
-    return evaluate_settings(gold, pred, [(regime, singleton_mode, conll_only)],
-                             weights=weights, check_surface=check_surface)[0]
+    matching.check_same_surface); ``zero_cache`` is that of
+    matching.build_alignment.  The counts are summed in gold order, onto
+    ``totals`` where given: the running sum of earlier calls with the same
+    settings, so a dataset can be scored a document at a time.  The first
+    error of a pair is raised once both sides are read (see
+    errors.apply_each)."""
+    if totals is None:
+        totals = _Totals(conll_only)
+
+    def count(pair) -> None:
+        doc = prepare_document(*pair, regime=regime, weights=weights,
+                               singleton_mode=singleton_mode, check_surface=check_surface,
+                               zero_cache=zero_cache)
+        totals.add(document_counts(doc, singleton_mode, conll_only))
+
+    apply_each(count, pair_documents(gold, pred))
+    return totals.scores()
 
 
 def evaluate_settings(gold, pred, settings, weights: ZeroWeight = ZeroWeight(),
                       check_surface: bool = True) -> list[dict[MetricId, PRF]]:
     """``evaluate_corpus`` under each ``(regime, singleton_mode,
-    conll_only)`` setting, in one pass over the document pairs: every
-    setting counts a pair before the next pair is read, and each setting
-    sums its counts in gold order, so its floats are those of its own
-    ``evaluate_corpus``.  A pair's surface tokens are checked once and its
-    zeros aligned once per singleton mode.  The first error of a pair is
-    raised once both sides are read (see errors.apply_each)."""
+    conll_only)`` setting, in one pass over the document pairs: each pair
+    is scored by ``evaluate_corpus`` under every setting before the next
+    pair is read, onto that setting's running sum, so its floats are
+    those of its own ``evaluate_corpus``.  A pair's surface tokens are
+    checked once and its zeros aligned once per singleton mode.  The first
+    error of a pair is raised once both sides are read."""
     totals = [_Totals(conll_only) for _, _, conll_only in settings]
 
     def count(pair) -> None:
+        gold_doc, gold_entities, pred_doc, pred_entities = pair
+        gold_one = Corpus([gold_doc], [gold_entities])
+        pred_one = Corpus([pred_doc], [pred_entities])
         zero_caches: dict[str, dict] = {}  # zero alignment does not depend on the regime
         for k, (regime, singleton_mode, conll_only) in enumerate(settings):
-            doc = prepare_document(*pair, regime=regime, weights=weights,
-                                   singleton_mode=singleton_mode,
-                                   check_surface=check_surface and k == 0,
-                                   zero_cache=zero_caches.setdefault(singleton_mode, {}))
-            totals[k].add(document_counts(doc, singleton_mode, conll_only))
+            evaluate_corpus(gold_one, pred_one, regime=regime, singleton_mode=singleton_mode,
+                            weights=weights, conll_only=conll_only,
+                            check_surface=check_surface and k == 0,
+                            zero_cache=zero_caches.setdefault(singleton_mode, {}),
+                            totals=totals[k])
 
     apply_each(count, pair_documents(gold, pred))
     return [total.scores() for total in totals]

@@ -526,3 +526,31 @@ def test_a_leading_byte_order_mark_is_dropped_however_the_input_is_read():
             == expected
     with pytest.raises(ConlluError, match="line 2: "):  # only a mark that starts the input
         parse_conllu(HEADER.replace("\n", "\n\ufeff", 1) + line("1", "a"))
+
+
+# iter_documents parses each document with its own parse_conllu call.
+
+def test_parse_conllu_numbers_lines_from_first_line():
+    with pytest.raises(ConlluError, match="line 9: malformed ID field 'x'"):
+        parse_conllu(HEADER + line("x", "a"), first_line=7)
+
+
+def test_a_sentence_left_open_at_a_newdoc_closes_at_its_line_in_either_reading():
+    text = HEADER + line("1-2", "ab") + line("1", "a") + "# newdoc id = d2\n" \
+        + "# sent_id = s1\n" + line("1", "b")
+    message = re.escape("line 5: multiword token range extends past the last token (2)")
+    with pytest.raises(ConlluError, match=message):
+        parse_conllu(text)
+    with pytest.raises(ConlluError, match=message):
+        list(iter_documents(io.BytesIO(text.encode())))
+
+
+def test_iter_documents_warns_once_for_the_skipped_annotations_of_every_document():
+    text = "".join(f"# newdoc id = d{k}\n# sent_id = s1\n" + line("1", "a", misc="Bridge=e1<e2")
+                   + "\n" for k in (1, 2, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert [d.doc_id for d, _ in iter_documents(io.BytesIO(text.encode()))] \
+            == ["d1", "d2", "d3"]
+    assert [str(w.message) for w in caught] \
+        == ["skipped 3 non-identity anaphora annotations (Bridge/SplitAnte)"]

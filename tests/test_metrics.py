@@ -11,6 +11,7 @@ from corefkit.metrics import (
     SINGLETONS_INCLUDED,
     MetricId,
     OverlapTable,
+    _Totals,
     _zero_counts,
     aggregate,
     evaluate_corpus,
@@ -505,3 +506,16 @@ def test_a_document_id_that_repeats_on_one_side_is_refused(side):
     gold, pred = (twice, corpus) if side == "gold" else (corpus, twice)
     with pytest.raises(ValueError, match="a document id repeats within gold or prediction"):
         evaluate_corpus(gold, pred)
+
+
+def test_scoring_one_document_at_a_time_onto_running_totals_gives_the_corpus_scores():
+    rng = random.Random(7)
+    gold = random_gold(rng, n_docs=4)
+    pred = recluster(rng, gold)
+    for regime in MatchRegime:
+        for mode in (SINGLETONS_EXCLUDED, SINGLETONS_INCLUDED):
+            totals = _Totals(conll_only=False)
+            for g, p in zip(gold.doc_pairs(), pred.doc_pairs()):
+                scores = evaluate_corpus(Corpus(*map(list, zip(g))), Corpus(*map(list, zip(p))),
+                                         regime=regime, singleton_mode=mode, totals=totals)
+            assert scores == evaluate_corpus(gold, pred, regime=regime, singleton_mode=mode)
