@@ -265,10 +265,12 @@ def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
     _check_out_dir(args.out)
 
     score = functools.partial(_score_dataset, regime, singleton_mode, weights)
-    if args.jobs > 1:
+    # the pool forks all its workers on the first map, so no more than there is work for
+    jobs = min(args.jobs, len(datasets))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         # the workers, like the `corefkit` process, run without the cyclic GC
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=gc.disable) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=gc.disable) as pool:
             results = list(pool.map(score, datasets))
     else:
         results = list(map(score, datasets))
@@ -575,9 +577,14 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     """The `corefkit` command, with the cyclic GC paused: the model holds no
     reference cycles (tests/test_gc.py), so collections would only rescan
-    every node.  ``main`` leaves the caller's collector as it found it."""
+    every node.  Once ``main`` has returned or raised, the heap is frozen,
+    because finalization runs a full collection even with the collector
+    off.  ``main`` leaves the caller's collector as it found it."""
     gc.disable()
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -141,6 +141,40 @@ def test_score_parallel_jobs_match_sequential(workspace):
     assert (out1 / "scores.tsv").read_bytes() == (out2 / "scores.tsv").read_bytes()
 
 
+def test_score_jobs_start_no_more_workers_than_datasets(workspace, monkeypatch):
+    """The pool forks all its workers up front, so a large --jobs on a
+    small manifest must be cut to one worker per dataset."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in-process, starting no worker."""
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    tmp_path, manifest = workspace
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    single = tmp_path / "single.txt"
+    single.write_text(manifest.read_text().split("\n\n")[0] + "\n", encoding="utf-8")
+    for path in (manifest, single):
+        out, sequential = tmp_path / f"{path.stem}-jobs", tmp_path / f"{path.stem}-seq"
+        assert main(["score", "--manifest", str(path), "--out", str(out),
+                     "--jobs", "4096"]) == EXIT_OK
+        assert main(["score", "--manifest", str(path), "--out", str(sequential)]) == EXIT_OK
+        assert (out / "scores.tsv").read_bytes() == (sequential / "scores.tsv").read_bytes()
+    # two datasets: a pool of two; one dataset: scored in-process, no pool
+    assert sizes == [2]
+
+
 def test_score_token_mismatch_exits_3(tmp_path, capsys):
     gold, _ = make_pair(23, n_docs=1)
     mutated, _ = make_pair(23, n_docs=1)

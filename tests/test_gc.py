@@ -5,7 +5,11 @@ collector."""
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,7 @@ def test_entrypoint_runs_main_with_the_collector_paused(monkeypatch):
         with pytest.raises(SystemExit) as exit_:
             cli.entrypoint()
     finally:
+        gc.unfreeze()
         gc.enable()
     assert seen == [False] and exit_.value.code == 0
 
@@ -74,10 +79,38 @@ def test_entrypoint_runs_main_with_the_collector_paused(monkeypatch):
 def test_main_leaves_the_callers_collector_as_it_found_it(tmp_path):
     source = tmp_path / "g.conllu"
     source.write_text(serialize_conllu(zeroful_corpus(3)), encoding="utf-8")
+    frozen = gc.get_freeze_count()
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
             assert cli.main(["stats", str(source), "--out", str(tmp_path / "out")]) == 0
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
     finally:
         gc.enable()
+
+
+# Runs the `corefkit` command as `python -m` does, with an exit hook
+# registered first, so that it runs after every hook the command adds.
+_EXIT_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("at exit:", gc.get_freeze_count() > 0, gc.isenabled()))
+runpy.run_module("corefkit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("case, code", [("help", 0), ("stats", 0), ("malformed", 2)])
+def test_the_command_exits_with_its_heap_frozen_and_the_collector_off(tmp_path, case, code):
+    """Finalization collects even with the collector off; a frozen heap
+    leaves it nothing to scan."""
+    good, bad = tmp_path / "g.conllu", tmp_path / "bad.conllu"
+    good.write_text(serialize_conllu(zeroful_corpus(3)), encoding="utf-8")
+    bad.write_text("# newdoc id = d\nnot a conllu line\n", encoding="utf-8")
+    argv = {"help": ["--help"],
+            "stats": ["stats", str(good), "--out", str(tmp_path / "out")],
+            "malformed": ["stats", str(bad), "--out", str(tmp_path / "out")]}[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[-1] == "at exit: True False"
