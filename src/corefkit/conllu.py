@@ -19,6 +19,7 @@ field for field.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 import warnings
@@ -204,8 +205,13 @@ def parse_conllu(source, *, first_line: int = 1, skipped: list[int] | None = Non
     from a longer input.  With ``skipped``, a one-item list, the count of
     non-identity anaphora annotations is added to ``skipped[0]`` rather
     than warned about.
+
+    Invalid UTF-8 anywhere in the input is reported before any other
+    error, as when the whole input is decoded first.
     """
-    return Corpus.from_pairs(_parse_documents(_text_blocks(source), first_line, skipped))
+    texts = _text_blocks(source)
+    with _utf8_errors_first(texts):
+        return Corpus.from_pairs(_parse_documents(texts, first_line, skipped))
 
 
 def iter_documents(source):
@@ -217,19 +223,26 @@ def iter_documents(source):
 
     The errors are those of ``parse_conllu``, with the same lines, raised
     when the reading reaches them; invalid UTF-8 anywhere in the input is
-    reported before any other error, as when the whole input is decoded
-    first.
+    reported before any other error, as in ``parse_conllu``.
     """
     texts = _text_blocks(source)
     skipped = [0]
-    try:
+    with _utf8_errors_first(texts):
         yield from _parse_pieces(texts, skipped)
-    except ConlluError:
-        for _ in texts:  # decodes the rest, raising on an invalid byte
-            pass
-        raise
     if skipped[0]:
         _warn_skipped(skipped[0])
+
+
+@contextlib.contextmanager
+def _utf8_errors_first(texts):
+    """On a ConlluError in the body, decode the rest of the text blocks
+    ``texts``, so an invalid byte after the error is raised in its stead."""
+    try:
+        yield
+    except ConlluError:
+        for _ in texts:
+            pass
+        raise
 
 
 # a line that parse_conllu reads as a newdoc comment ("#", whitespace,

@@ -14,12 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-# Unused here: the benchmark's import.numpy_s and import.scipy_s time these
-# imports at CLI start, and its tests require both to be above 0.  They go
-# when those metrics are retired.
-import numpy as np  # noqa: F401
-import scipy  # noqa: F401
-
 from .errors import TokenMismatchError
 from .model import Document, Entity, Mention, NodeId, surface_difference
 

@@ -213,6 +213,39 @@ def test_score_parse_error_in_a_worker_exits_2(workspace):
     assert done.stderr.startswith(f"corefkit: parse error: {bad}: line 3: ")
 
 
+NO_NEWDOC = "content before any '# newdoc id =' comment; synthesizing a document id"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["stats", "{nodoc}", "--out", "{out}"], ["{nodoc}: " + NO_NEWDOC]),
+    (["analyze", "upos", "--gold", "{nodoc}", "--pred", "{pred}", "--tag", "ADV",
+      "--out", "{out}"],
+     ["{nodoc}: " + NO_NEWDOC, "{pred}: " + NO_NEWDOC,
+      "{nodoc}, {pred}: UPOS tag 'ADV' occurs in no mention head; degenerate score"]),
+    (["sample", "{gold}", "--cap-words", "1", "--out", "{out}"],
+     ["{gold}: document 'd1' alone exceeds the 1-word cap; keeping it as the whole split"]),
+    (["convert", "to-text", "--in", "{nodoc}", "--out-file", "{out}"],
+     ["{nodoc}: " + NO_NEWDOC]),  # named once, not once more by the command
+], ids=["stats", "analyze-upos", "sample", "convert"])
+def test_a_warning_is_one_line_naming_the_input(tmp_path, argv, expected):
+    """As the `corefkit` process prints them: no source location of corefkit."""
+    paths = {"nodoc": tmp_path / "nodoc.conllu", "pred": tmp_path / "p.conllu",
+             "gold": tmp_path / "g.conllu", "out": tmp_path / "out"}
+    for name in ("nodoc", "pred"):
+        paths[name].write_text("1\tx\t_\tNOUN\t_\t_\t0\troot\t_\tEntity=(e1)\n\n",
+                               encoding="utf-8")
+    paths["gold"].write_text("# newdoc id = d1\n1\tx\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
+                             "2\ty\t_\tVERB\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "corefkit.cli", *(a.format(**paths) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK
+    assert done.stderr.splitlines() == [
+        "corefkit: warning: " + line.format(**paths) for line in expected]
+    assert ".py:" not in done.stderr
+
+
 def test_missing_path_exits_4(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("name = x\ngold = /nonexistent\npred = /nonexistent\n")

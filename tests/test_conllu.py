@@ -6,7 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corefkit.brackets import item_order
 from corefkit import conllu
@@ -483,6 +483,10 @@ def _read(parse):
 
 @settings(max_examples=200, deadline=None)
 @given(_conllu_inputs(), st.integers(1, 80), st.booleans())
+# a duplicate id on line 4 and an unterminated invalid last line: the
+# invalid byte is the first error of both readings
+@example(("# newdoc id = d1\n1\tw\t_\t_\t_\t_\t0\tdep\t_\t_\n\n" * 2).encode() + b"\xff",
+         16, True)
 def test_streamed_documents_are_the_parsed_corpus(data, block, binary):
     expected = _read(lambda: parse_conllu(data))
     try:  # a text file object where asked and the input decodes, else a binary one
@@ -503,6 +507,8 @@ def test_invalid_utf8_is_reported_before_an_earlier_parse_error():
         parse_conllu(data)
     with mock.patch.object(conllu, "_BLOCK", 16), pytest.raises(ConlluError, match=message):
         list(iter_documents(io.BytesIO(data)))
+    with mock.patch.object(conllu, "_BLOCK", 16), pytest.raises(ConlluError, match=message):
+        parse_conllu(io.BytesIO(data))
 
 
 def test_iter_documents_yields_each_document_before_reading_the_next():

@@ -1,7 +1,8 @@
 """What each command imports.  ``import corefkit`` loads no submodule:
-a public name loads its module on first use.  The CLI loads at start
-only the modules it maps exit codes and options with (errors, matching,
-model), and each command the modules it runs.  No command loads
+a public name loads its module on first use.  The CLI loads at start only
+the module it maps exit codes with (errors), and numpy and scipy, whose
+import times perfbench reports; each command loads the modules it runs,
+so convert and clean do not load matching.  No command loads
 scipy.optimize: the assignments of CEAF-e and of zero alignment are
 solved by corefkit.matching.solve_assignment.  The process pool loads
 only for score --jobs above 1.  One fresh interpreter per case, because
@@ -27,7 +28,7 @@ LAZY = ("scipy.optimize", "concurrent.futures.process")
 
 # argv is None for a bare import of corefkit.cli and a module name for
 # an import of that module; the last stdout line reports the exit code and
-# which of LAZY, numpy and the corefkit modules are loaded
+# which of LAZY, numpy, scipy and the corefkit modules are loaded
 _PROBE = f"""
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -43,7 +44,8 @@ else:
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                              if m in {LAZY!r} or m == "numpy" or m.startswith("corefkit"))]))
+                              if m in {LAZY!r} or m in ("numpy", "scipy")
+                              or m.startswith("corefkit"))]))
 """
 
 
@@ -120,22 +122,32 @@ def test_an_import_loads_only_what_the_module_uses_and_not_numpy(inputs, module,
 
 
 @pytest.mark.parametrize("argv", [None, ["--help"]], ids=["import", "help"])
-def test_the_cli_starts_with_errors_matching_and_model_only(inputs, argv):
-    assert [m for m in _modules_after(argv, inputs) if m.startswith("corefkit")] == [
-        "corefkit", "corefkit.cli", "corefkit.errors", "corefkit.matching", "corefkit.model"]
+def test_the_cli_starts_with_errors_only(inputs, argv):
+    loaded = _modules_after(argv, inputs)
+    assert [m for m in loaded if m.startswith("corefkit")] == [
+        "corefkit", "corefkit.cli", "corefkit.errors"]
+    # and with numpy and scipy, only because perfbench's import.numpy_s and
+    # import.scipy_s time them at CLI start and its tests require both above 0
+    assert {"numpy", "scipy"} <= set(loaded)
+
+
+def test_the_regime_choices_are_the_match_regimes():
+    from corefkit.cli import REGIMES
+    from corefkit.matching import MatchRegime
+    assert list(REGIMES) == [r.value for r in MatchRegime]
 
 
 @pytest.mark.parametrize("argv, unused", [
     (["convert", "to-text", "--in", "gold.conllu", "--out-file", "out.txt"],
-     ("metrics", "analysis")),
+     ("matching", "metrics", "analysis")),
     (["convert", "from-text", "--in", "gold.txt", "--skeleton", "gold.conllu",
-      "--out-file", "from_text.conllu"], ("metrics", "analysis")),
+      "--out-file", "from_text.conllu"], ("matching", "metrics", "analysis")),
     (["convert", "to-json", "--in", "gold.conllu", "--out-file", "out.json"],
-     ("metrics", "analysis")),
+     ("matching", "metrics", "analysis")),
     (["convert", "from-json", "--in", "gold.json", "--skeleton", "gold.conllu",
-      "--out-file", "from_json.conllu"], ("metrics", "analysis")),
+      "--out-file", "from_json.conllu"], ("matching", "metrics", "analysis")),
     (["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
-     ("metrics", "analysis")),
+     ("matching", "metrics", "analysis")),
     (["score", "--manifest", "manifest.txt", "--out", "score"], ("formats", "analysis")),
     (["stats", "gold.conllu", "--out", "stats"], ("formats", "metrics")),
     (["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
