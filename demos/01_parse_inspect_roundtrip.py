@@ -6,7 +6,8 @@ mentions and derived heads, and shows that serialization is a stable
 canonical round trip.
 """
 
-from corefkit import parse_conllu, serialize_conllu, global_word_index
+from corefkit import parse_conllu, serialize_conllu
+from corefkit.model import document_word_index
 
 SAMPLE = """\
 # newdoc id = letters-01
@@ -49,11 +50,15 @@ def main() -> None:
                 kind = "zero" if mention.is_zero else "surface"
                 print(f"    {kind:7s} span={forms!r} head={mention.head.conllu_id()}")
 
-    # Word ordinals count surface tokens only; empty nodes sit between them.
-    index = global_word_index(corpus)
-    print(f"\ntotal words (empty nodes not counted): {len(index)}")
-    she = corpus.documents[0].sentences[1].nodes[1]
-    print(f"ordinal of the zero '{she.form}': {index.ordinal(0, she.id)}")
+    # Word ordinals count surface tokens only, from 1 in each document;
+    # empty nodes sit between them.
+    print()
+    for document in corpus.documents:
+        ordinals, words = document_word_index(document)
+        print(f"{document.doc_id}: {words} words (empty nodes not counted)")
+        for sentence in document.sentences:
+            for node in sentence.empty_nodes:
+                print(f"  ordinal of the zero '{node.form}': {ordinals[node.id]}")
 
     # The canonicalized form is a fixpoint: parse(serialize(x)) == x.
     once = serialize_conllu(corpus)

@@ -35,13 +35,13 @@ _NAMES = {
     ),
     "metrics": (
         "PRF", "SINGLETONS_EXCLUDED", "SINGLETONS_INCLUDED", "MetricId", "ScoreReport",
-        "aggregate", "evaluate_corpus", "evaluate_documents", "render_records",
-        "render_score_table", "score_bcubed", "score_blanc", "score_ceaf_e", "score_conll",
-        "score_lea", "score_md_h", "score_mor", "score_muc", "score_zero_anaphora",
+        "aggregate", "evaluate_corpus", "render_records", "render_score_table",
+        "score_bcubed", "score_blanc", "score_ceaf_e", "score_conll", "score_lea",
+        "score_md_h", "score_mor", "score_muc", "score_zero_anaphora",
     ),
     "model": (
-        "Corpus", "Document", "Entity", "Mention", "Node", "NodeId", "Sentence", "WordIndex",
-        "derive_head", "global_word_index", "make_mention",
+        "Corpus", "Document", "Entity", "Mention", "Node", "NodeId", "Sentence", "derive_head",
+        "make_mention",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -230,21 +230,7 @@ def is_long_entity_dataset(stats: CorpusStats) -> bool:
 # ---------------------------------------------------------------------------
 # UPOS-factorized scoring.
 
-def _filter_corpus(corpus: Corpus, keep_entity, keep_mention) -> Corpus:
-    filtered: list[list[Entity]] = []
-    for document, doc_entities in corpus.doc_pairs():
-        kept: list[Entity] = []
-        for entity in doc_entities:
-            if not keep_entity(entity, document):
-                continue
-            mentions = [m for m in entity.mentions if keep_mention(m, document)]
-            if mentions:
-                kept.append(Entity(entity.id, mentions))
-        filtered.append(kept)
-    return Corpus(corpus.documents, filtered)
-
-
-def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
+def upos_factorized_score(gold, pred, tag: str,
                           level: str = "entity",
                           regime: MatchRegime = MatchRegime.HEAD,
                           weights: ZeroWeight = ZeroWeight()) -> PRF:
@@ -254,8 +240,10 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
     UPOS (or a flat child's UPOS) equals the tag.  mention level: keep
     only such mentions; entities reduced to a single mention drop out of
     the singleton-excluded scoring.  Returns the head-match CoNLL score
-    excluding singletons.  A tag in no mention head warns and scores 0;
-    the documents are paired and checked as for any other tag.
+    excluding singletons.  Either side is a Corpus or a stream, filtered
+    and scored one document pair at a time as in ``evaluate_corpus``.  A
+    tag in no mention head warns after the last pair and scores 0; the
+    documents are paired and checked as for any other tag.
     """
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus
 
@@ -271,14 +259,28 @@ def upos_factorized_score(gold: Corpus, pred: Corpus, tag: str,
     else:
         raise ValueError(f"unknown factorization level '{level}'")
 
-    gold_f = _filter_corpus(gold, keep_entity, keep_mention)
-    pred_f = _filter_corpus(pred, keep_entity, keep_mention)
-    if not any(gold_f.entities) and not any(pred_f.entities):
-        warnings.warn(f"UPOS tag '{tag}' occurs in no mention head; degenerate score",
-                      stacklevel=2)
-    scores = evaluate_corpus(gold_f, pred_f, regime=regime,
+    kept_any = False
+
+    def filtered(source):
+        nonlocal kept_any
+        for document, doc_entities in document_pairs(source):
+            kept: list[Entity] = []
+            for entity in doc_entities:
+                if not keep_entity(entity, document):
+                    continue
+                mentions = [m for m in entity.mentions if keep_mention(m, document)]
+                if mentions:
+                    kept.append(Entity(entity.id, mentions))
+            kept_any = kept_any or bool(kept)
+            yield document, kept
+            document = doc_entities = kept = None  # not alive while the next pair is read
+
+    scores = evaluate_corpus(filtered(gold), filtered(pred), regime=regime,
                              singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
                              conll_only=True)
+    if not kept_any:
+        warnings.warn(f"UPOS tag '{tag}' occurs in no mention head; degenerate score",
+                      stacklevel=2)
     return scores[MetricId.CONLL]
 
 

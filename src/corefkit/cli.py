@@ -41,7 +41,6 @@ from .errors import (CleanRefusedError, ConlluError, JsonFormatError, PlaintextE
 
 if TYPE_CHECKING:
     from .matching import MatchRegime, ZeroWeight
-    from .model import Corpus
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -156,11 +155,6 @@ def _documents(path: Path, whole: bool = False):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ConlluError as exc:
         raise ConlluError(f"{path}: {exc}") from None
-
-
-def _load_corpus(path: Path) -> Corpus:
-    from .model import Corpus
-    return Corpus.from_pairs(_documents(path, whole=True))
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:
@@ -496,11 +490,10 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
             min_p95=args.min_p95, sort_key=args.sort_key, regime=regime, weights=weights,
         )
         return {args.out / "long_range_curve.tsv": analysis.render_curve_table(points)}
-    gold = _load_corpus(args.gold)
-    pred = _load_corpus(args.pred)
     with _naming(f"{args.gold}, {args.pred}"):
-        prf = analysis.upos_factorized_score(gold, pred, args.tag, level=args.level,
-                                             regime=regime, weights=weights)
+        prf = analysis.upos_factorized_score(_documents(args.gold), _documents(args.pred),
+                                             args.tag, level=args.level, regime=regime,
+                                             weights=weights)
     return {args.out / f"upos_{args.level}_{args.tag}.tsv":
             analysis.render_upos_table(args.tag, args.level, prf)}
 
@@ -508,6 +501,7 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
 def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     from . import analysis
     from .conllu import serialize_conllu
+    from .model import Corpus
     specs = _input_specs(args.paths, args.manifest, args.exempt)
     _require(args.cap_words >= 1, f"--cap-words must be at least 1, got {args.cap_words}")
     for spec in specs:
@@ -517,7 +511,8 @@ def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     outputs = {}
     for spec in specs:
         with _naming(spec.gold):
-            sampled = analysis.sample_split(_load_corpus(spec.gold), cap_words=args.cap_words,
+            whole = Corpus.from_pairs(_documents(spec.gold, whole=True))
+            sampled = analysis.sample_split(whole, cap_words=args.cap_words,
                                             exempt=spec.exempt, seed=args.seed)
         outputs[args.out / f"{spec.name}.conllu"] = serialize_conllu(sampled)
     return outputs

@@ -448,21 +448,6 @@ class _Totals:
         return {metric: result[metric] for metric in METRIC_ORDER if metric in result}
 
 
-def evaluate_documents(documents: list[DocumentScoring],
-                       singleton_mode: str = SINGLETONS_EXCLUDED,
-                       conll_only: bool = False) -> dict[MetricId, PRF]:
-    """Accumulate the metrics over aligned document pairs.
-
-    The documents come from prepare_document, which already filtered
-    their singletons for ``singleton_mode``.  With ``conll_only``, only
-    MUC, B-cubed, CEAF-e and their CoNLL mean are computed.
-    """
-    totals = _Totals(conll_only)
-    for doc in documents:
-        totals.add(document_counts(doc, singleton_mode, conll_only))
-    return totals.scores()
-
-
 def pair_documents(gold, pred):
     """Zip gold and predicted documents by id, in gold order.
 

@@ -330,16 +330,16 @@ def derive_head(span, sentence: Sentence) -> NodeId:
     return nodes[head_position(ordered, nodes, lazy_depths(nodes, index))].id
 
 
-def document_word_index(document: Document, start: int = 1) -> tuple[dict[NodeId, float], int]:
+def document_word_index(document: Document) -> tuple[dict[NodeId, float], int]:
     """Ordinals for every node of one document.
 
-    Regular tokens get consecutive integers beginning at ``start``; empty
-    nodes get the preceding token's ordinal plus a fractional tiebreaker
+    Regular tokens get consecutive integers beginning at 1; empty nodes
+    get the preceding token's ordinal plus a fractional tiebreaker
     (order-preserving, never counted as words).  Returns the ordinal map
     and the number of regular tokens.
     """
     ordinals: dict[NodeId, float] = {}
-    word = start - 1
+    word = 0
     empty_run = 0
     for sentence in document.sentences:
         for node in sentence.nodes:
@@ -350,40 +350,7 @@ def document_word_index(document: Document, start: int = 1) -> tuple[dict[NodeId
                 word += 1
                 empty_run = 0
                 ordinals[node.id] = float(word)
-    return ordinals, word - (start - 1)
-
-
-class WordIndex:
-    """Corpus-wide surface-word ordinals.
-
-    Regular tokens are numbered consecutively across documents in corpus
-    order; empty nodes carry fractional ordinals anchored to the nearest
-    preceding word.  ``len()`` equals the number of regular tokens.
-    """
-
-    def __init__(self, per_document: list[dict[NodeId, float]], word_count: int):
-        self._per_document = per_document
-        self.word_count = word_count
-
-    def __len__(self) -> int:
-        return self.word_count
-
-    def view(self, doc_index: int) -> dict[NodeId, float]:
-        return self._per_document[doc_index]
-
-    def ordinal(self, doc_index: int, nid: NodeId) -> float:
-        return self._per_document[doc_index][nid]
-
-
-def global_word_index(corpus: Corpus) -> WordIndex:
-    """Index every node of the corpus; document n+1 continues document n's count."""
-    per_document = []
-    start = 1
-    for document in corpus.documents:
-        ordinals, words = document_word_index(document, start=start)
-        per_document.append(ordinals)
-        start += words
-    return WordIndex(per_document, start - 1)
+    return ordinals, word
 
 
 def contiguous_segments(span, sentence: Sentence) -> list[list[NodeId]]:

@@ -253,6 +253,8 @@ def test_upos_mention_factorization_matches_prefiltered_oracle():
         pred = recluster(rng, base)
         tag = "NOUN"
         got = upos_factorized_score(base, pred, tag, level="mention")
+        assert upos_factorized_score(iter(base.doc_pairs()), iter(pred.doc_pairs()), tag,
+                                     level="mention") == got
         oracle_scores = evaluate_corpus(_filter_oracle(base, tag),
                                         _filter_oracle(pred, tag),
                                         singleton_mode=SINGLETONS_EXCLUDED)

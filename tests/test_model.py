@@ -15,11 +15,9 @@ from corefkit.model import (
     Sentence,
     derive_head,
     document_word_index,
-    global_word_index,
     make_mention,
     mention_has_gap,
     mention_is_treelet,
-    Corpus,
 )
 
 from helpers import doc, ent, random_document, random_gold, rich_corpora, sent, zeroful_corpus
@@ -193,14 +191,6 @@ def test_word_index_counts_regular_tokens_only():
     assert [ordinals[NodeId(0, major)] for major in range(1, 6)] == [1, 2, 3, 4, 5]
     z = ordinals[NodeId(0, 3, 1)]
     assert 3 < z < 4
-
-
-def test_word_index_concatenates_documents():
-    d1 = doc("d1", sent(0, [("w", 0, "root", "X")] * 1 + [("w", 1, "dep", "X")] * 4))
-    d2 = doc("d2", sent(0, [("v", 0, "root", "X")] * 1 + [("v", 1, "dep", "X")] * 4))
-    index = global_word_index(Corpus([d1, d2], [[], []]))
-    assert len(index) == 10
-    assert index.ordinal(1, NodeId(0, 1)) == 6
 
 
 def test_word_index_empty_run_is_monotonic():

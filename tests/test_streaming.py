@@ -90,9 +90,13 @@ def test_score_and_analyze_with_shuffled_predictions_write_the_same_bytes(tmp_pa
                     "--out", out / "score") == (EXIT_OK, "")
         assert _run(capsys, "analyze", "long-range", "--gold", g, "--pred", p,
                     "--min-p95", "0", "--out", out / "analyze") == (EXIT_OK, "")
-        runs[name] = (_outputs(out / "score"), _outputs(out / "analyze"))
+        assert _run(capsys, "analyze", "upos", "--gold", g, "--pred", p, "--tag", "NOUN",
+                    "--out", out / "upos") == (EXIT_OK, "")
+        runs[name] = (_outputs(out / "score"), _outputs(out / "analyze"),
+                      _outputs(out / "upos"))
     assert runs["shuffled"] == runs["in_order"]
     assert len(runs["in_order"][1]["long_range_curve.tsv"].splitlines()) > 1
+    assert runs["in_order"][2]["upos_entity_NOUN.tsv"].startswith(b"tag\t")
 
 
 def test_from_json_with_shuffled_documents_writes_each_document_as_in_order(tmp_path, capsys):
@@ -129,6 +133,10 @@ def _faults(tmp_path: Path, case: str):
     if case == "analyze: pred parse error beats a mismatch in document 1":
         p = _write(tmp_path / "p.conllu", _retoken(pred_text, "doc1") + BROKEN)
         return (["analyze", "long-range", "--gold", g, "--pred", p, "--min-p95", "0",
+                 "--out", tmp_path / "o"], EXIT_PARSE, f"corefkit: parse error: {p}: line ")
+    if case == "upos: pred parse error beats a mismatch in document 1":
+        p = _write(tmp_path / "p.conllu", _retoken(pred_text, "doc1") + BROKEN)
+        return (["analyze", "upos", "--gold", g, "--pred", p, "--tag", "NOUN",
                  "--out", tmp_path / "o"], EXIT_PARSE, f"corefkit: parse error: {p}: line ")
     if case == "gold parse error at its end beats pred's in document 1":
         g = _write(tmp_path / "g.conllu", gold_text + BROKEN)
@@ -189,6 +197,7 @@ def _faults(tmp_path: Path, case: str):
 @pytest.mark.parametrize("case", [
     "pred parse error beats a mismatch in document 1",
     "analyze: pred parse error beats a mismatch in document 1",
+    "upos: pred parse error beats a mismatch in document 1",
     "gold parse error at its end beats pred's in document 1",
     "to-text: parse error beats an unwritable form in document 1",
     "clean: reference parse error beats a refused document 1",
@@ -270,9 +279,11 @@ def test_score_and_analyze_hold_one_document_pair_at_a_time(tmp_path):
                       "--out", str(tmp_path / f"score{n}")],
             "analyze": ["analyze", "long-range", "--gold", str(g), "--pred", str(p),
                         "--min-p95", "0", "--out", str(tmp_path / f"analyze{n}")],
+            "upos": ["analyze", "upos", "--gold", str(g), "--pred", str(p), "--tag", "NOUN",
+                     "--out", str(tmp_path / f"upos{n}")],
         }
         for name, argv in commands.items():
             main(argv)  # loads the modules and warms the caches first
             peaks[name, n] = _peak(argv)
-    for name in ("score", "analyze"):
+    for name in ("score", "analyze", "upos"):
         assert peaks[name, 64] <= 1.25 * peaks[name, 8], peaks
