@@ -15,9 +15,9 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import apply_each
-from .matching import MatchRegime, ZeroWeight
 from .model import (
     Corpus,
     Document,
@@ -29,6 +29,9 @@ from .model import (
     mention_has_gap,
     mention_is_treelet,
 )
+
+if TYPE_CHECKING:
+    from .matching import MatchRegime, ZeroWeight
 
 LONG_ENTITY_THRESHOLD = 1500
 
@@ -232,8 +235,8 @@ def is_long_entity_dataset(stats: CorpusStats) -> bool:
 
 def upos_factorized_score(gold, pred, tag: str,
                           level: str = "entity",
-                          regime: MatchRegime = MatchRegime.HEAD,
-                          weights: ZeroWeight = ZeroWeight()) -> PRF:
+                          regime: MatchRegime | str = "head",
+                          weights: ZeroWeight | None = None) -> PRF:
     """Primary score restricted to a head UPOS tag.
 
     entity level: keep entities with at least one mention whose head
@@ -243,9 +246,14 @@ def upos_factorized_score(gold, pred, tag: str,
     excluding singletons.  Either side is a Corpus or a stream, filtered
     and scored one document pair at a time as in ``evaluate_corpus``.  A
     tag in no mention head warns after the last pair and scores 0; the
-    documents are paired and checked as for any other tag.
+    documents are paired and checked as for any other tag.  ``weights``
+    defaults to ``ZeroWeight()``.
     """
+    from .matching import MatchRegime, ZeroWeight
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus
+
+    regime = MatchRegime(regime)
+    weights = ZeroWeight() if weights is None else weights
 
     def tag_matches(mention: Mention, document: Document) -> bool:
         return tag in head_upos_tags(mention, document)
@@ -302,8 +310,8 @@ def long_range_curve(gold, pred,
                      window_tokens: int = 50_000,
                      min_p95: int = 100,
                      sort_key: str = "p95",
-                     regime: MatchRegime = MatchRegime.HEAD,
-                     weights: ZeroWeight = ZeroWeight()) -> list[RangeCurvePoint]:
+                     regime: MatchRegime | str = "head",
+                     weights: ZeroWeight | None = None) -> list[RangeCurvePoint]:
     """Per-document primary scores bucketed by entity range.
 
     Documents are paired by id as in ``evaluate_corpus``, so both
@@ -313,9 +321,13 @@ def long_range_curve(gold, pred,
     ``sort_key`` ("p95" or "max_adjacent_gap") and tiled into disjoint
     windows of at most ``window_tokens`` words; each point reports the
     unweighted mean document CoNLL F1 and the mean sort-key value of its
-    documents.
+    documents.  ``weights`` defaults to ``ZeroWeight()``.
     """
+    from .matching import MatchRegime, ZeroWeight
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus, pair_documents
+
+    regime = MatchRegime(regime)
+    weights = ZeroWeight() if weights is None else weights
 
     if sort_key not in ("p95", "max_adjacent_gap"):
         raise ValueError(f"unknown sort key '{sort_key}'")

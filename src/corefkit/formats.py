@@ -35,8 +35,8 @@ import re
 import unicodedata
 import warnings
 from array import array
-from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn
+from dataclasses import dataclass
+from typing import NamedTuple, NoReturn, Sequence
 
 from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, pair_items
 from .errors import (CleanRefusedError, JsonFormatError, PlaintextError, TokenMismatchError,
@@ -82,10 +82,10 @@ class AnnotationItem(NamedTuple):
         return before + self.entity_id + after
 
 
-@dataclass
+@dataclass(slots=True)
 class PlainToken:
     surface: str
-    annotations: list[AnnotationItem] = field(default_factory=list)
+    annotations: tuple[AnnotationItem, ...] = ()
     is_empty: bool = False
 
     def render(self) -> str:
@@ -111,7 +111,6 @@ class _Layout:
     surfaces: list[str]
     is_empty: list[bool]
     node_ids: list[NodeId]
-    position_of: dict[NodeId, int]
 
 
 def _placement_anchor(node: Node) -> int:
@@ -139,8 +138,7 @@ def _build_layout(document: Document) -> _Layout:
                 nodes.append(token)
                 nodes += by_anchor.get(token.id.major, ())
     node_ids = [node.id for node in nodes]
-    return _Layout([node.form for node in nodes], [nid.minor > 0 for nid in node_ids],
-                   node_ids, {nid: pos for pos, nid in enumerate(node_ids)})
+    return _Layout([node.form for node in nodes], [nid.minor > 0 for nid in node_ids], node_ids)
 
 
 def _read_nodes(layout: _Layout, is_empty: list[bool]) -> list[NodeId]:
@@ -170,7 +168,8 @@ def _normalized_ids(entities: list[Entity]) -> dict[str, str]:
     return {e.id: f"e{i + 1}" for i, e in enumerate(entities)}
 
 
-def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
+def _mention_segment(mention: Mention, layout: _Layout,
+                     position_of: dict[NodeId, int]) -> tuple[int, int]:
     """Plaintext [start, end] positions of a mention.
 
     Empty tokens relocated into the middle of a span are swallowed by the
@@ -178,7 +177,7 @@ def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
     surface token it does not contain is discontinuous there and gets
     reduced to the run containing the head, with a warning.
     """
-    positions = sorted(layout.position_of[nid] for nid in mention.span)
+    positions = sorted(position_of[nid] for nid in mention.span)
     runs: list[list[int]] = []
     for pos in positions:
         if runs and all(layout.is_empty[q] for q in range(runs[-1][-1] + 1, pos)):
@@ -187,7 +186,7 @@ def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
             runs.append([pos])
     if len(runs) == 1:
         return runs[0][0], runs[0][-1]
-    head_pos = layout.position_of[mention.head]
+    head_pos = position_of[mention.head]
     run = next(r for r in runs if r[0] <= head_pos <= r[-1])
     warnings.warn(
         f"mention of entity '{mention.entity_id}' is not contiguous in the "
@@ -200,7 +199,7 @@ def _mention_segment(mention: Mention, layout: _Layout) -> tuple[int, int]:
 def _annotate(tokens: list[PlainToken], spans: list[tuple[str, int, int, None]]) -> None:
     """Give the tokens the canonical items of (eid, start, end, None) spans."""
     for pos, items in item_order(spans).items():
-        tokens[pos].annotations = [AnnotationItem(*item) for item in items]
+        tokens[pos].annotations = tuple([AnnotationItem(*item) for item in items])
 
 
 def _writable_layout(document: Document, unwritable: tuple[re.Pattern, re.Pattern],
@@ -223,11 +222,12 @@ def _entity_segments(document: Document, entities: list[Entity], layout: _Layout
                      error: type[ValueError]) -> list[list[tuple[int, int]]]:
     """Each entity's [start, end] mention segments in the layout; raises
     ``error`` when two mentions of one entity cross."""
+    position_of = {nid: pos for pos, nid in enumerate(layout.node_ids)}
     segments = []
     for entity in entities:
         eid_spans = []
         for mention in entity.mentions:  # a loop keeps the warning's stacklevel
-            eid_spans.append(_mention_segment(mention, layout))
+            eid_spans.append(_mention_segment(mention, layout, position_of))
         if find_crossing(eid_spans):
             raise error(
                 f"document '{document.doc_id}': mentions of entity '{entity.id}' cross; "
@@ -242,7 +242,7 @@ def to_plaintext(document: Document, entities: list[Entity]) -> PlainDoc:
     Raises PlaintextError on a FORM the format cannot hold, and on two
     crossing mentions of one entity."""
     layout = _writable_layout(document, _PLAIN_UNWRITABLE, PlaintextError)
-    tokens = [PlainToken(surface, [], empty)
+    tokens = [PlainToken(surface, (), empty)
               for surface, empty in zip(layout.surfaces, layout.is_empty)]
     ids = _normalized_ids(entities)
     segments = _entity_segments(document, entities, layout, PlaintextError)
@@ -267,7 +267,7 @@ def _parse_item(text: str) -> AnnotationItem | None:
     return AnnotationItem(kind, match[2]) if kind else None
 
 
-def _split_token(raw: str) -> tuple[str, list[AnnotationItem], bool, list[str]]:
+def _split_token(raw: str) -> tuple[str, tuple[AnnotationItem, ...], bool, list[str]]:
     """(surface less its ``##`` prefix, items, whether it is an empty node,
     rejected pieces) of a token, in the grammar of both readers."""
     surface, sep, suffix = raw.partition("|")
@@ -281,7 +281,7 @@ def _split_token(raw: str) -> tuple[str, list[AnnotationItem], bool, list[str]]:
             else:
                 items.append(item)
     is_empty = surface.startswith(EMPTY_PREFIX)
-    return (surface[len(EMPTY_PREFIX):] if is_empty else surface), items, is_empty, rejected
+    return (surface[len(EMPTY_PREFIX):] if is_empty else surface), tuple(items), is_empty, rejected
 
 
 def from_plaintext(line: str) -> PlainDoc:
@@ -426,8 +426,8 @@ def reconstruct_from_json(doc: JsonDoc, skeleton: Document) -> tuple[Document, l
     if not isinstance(doc, _CheckedJsonDoc):
         validate_json_doc(doc)
     tokens = [
-        PlainToken(raw[len(EMPTY_PREFIX):], [], True) if raw.startswith(EMPTY_PREFIX)
-        else PlainToken(raw, [], False)
+        PlainToken(raw[len(EMPTY_PREFIX):], (), True) if raw.startswith(EMPTY_PREFIX)
+        else PlainToken(raw)
         for raw in doc.tokens
     ]
     spans = [
@@ -451,9 +451,10 @@ def from_json(doc: JsonDoc, skeleton: Document) -> list[Entity]:
 # Levenshtein table never decreases, so D(i, j) <= d exactly when the
 # furthest row of diagonal j - i at cost d is at least i.  That turns the
 # traceback into O(1) lookups, and the whole alignment costs
-# O(n + m + D^2) time in practice and O(D^2) memory for cost D.
+# O(n + m + D^2) time in practice and O(D^2) memory for cost D: the
+# fronts hold about D^2 rows in 32-bit cells, about 4 D^2 bytes.
 
-_UNREACHED = -(1 << 62)
+_UNREACHED = -(1 << 31)  # the least 32-bit cell; rows run from -1 to n
 
 
 def _nfc(token: str) -> str:
@@ -478,9 +479,11 @@ def _core_alignment(src: list[int], ref: list[int],
     diagonal step, then an insertion, so the rightmost token of an
     ambiguous run is dropped and substitutions pair the leftmost
     candidates.  Raises CleanRefusedError as soon as the cost is known
-    to exceed max_cost.
+    to exceed max_cost, and up front when n is too large for 32-bit rows.
     """
     n, m = len(src), len(ref)
+    if n >= 1 << 31:
+        raise CleanRefusedError(f"{n} tokens are too many to align (at most {(1 << 31) - 1})")
     delta = m - n
     # ids are non-negative, so these ends stop every slide at row n or column m
     src_end, ref_end = src + [-1], ref + [-2]
@@ -492,7 +495,7 @@ def _core_alignment(src: list[int], ref: list[int],
     # substitution step puts diagonal 0 at row 0.
     fronts: list[array] = []
     lows: list[int] = []
-    prev = array("q", [_UNREACHED, _UNREACHED, -1, _UNREACHED, _UNREACHED])
+    prev = array("i", [_UNREACHED, _UNREACHED, -1, _UNREACHED, _UNREACHED])
     prev_lo = 0
     d = 0
     while True:
@@ -525,7 +528,7 @@ def _core_alignment(src: list[int], ref: list[int],
                 j += 1
             cur.append(i)
         cur += (_UNREACHED, _UNREACHED)
-        prev = array("q", cur)
+        prev = array("i", cur)
         prev_lo = lo
         fronts.append(prev)
         lows.append(lo)
@@ -588,15 +591,13 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
     while suffix < len(src) - prefix and suffix < len(ref) - prefix \
             and src[-1 - suffix] == ref[-1 - suffix]:
         suffix += 1
-    core_src = src[prefix:len(src) - suffix]
-    core_ref = ref[prefix:len(ref) - suffix]
-    cost, core_ops = _core_alignment(core_src, core_ref, max_cost)
-    ops: list[tuple[int | None, int | None]] = [(k, k) for k in range(prefix)]
-    for i, j in core_ops:
-        ops.append((i + prefix if i is not None else None,
-                    j + prefix if j is not None else None))
-    for t in range(suffix):
-        ops.append((len(src) - suffix + t, len(ref) - suffix + t))
+    cost, ops = _core_alignment(src[prefix:len(src) - suffix], ref[prefix:len(ref) - suffix],
+                                max_cost)
+    if prefix:  # in place, so the core's ops are not held twice
+        for t, (i, j) in enumerate(ops):
+            ops[t] = (None if i is None else i + prefix, None if j is None else j + prefix)
+    ops[:0] = [(k, k) for k in range(prefix)]
+    ops += [(len(src) - suffix + t, len(ref) - suffix + t) for t in range(suffix)]
     return cost, ops
 
 
@@ -604,15 +605,54 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
 # Output cleaner.
 
 def _tolerant_tokens(noisy: str) -> list[PlainToken]:
+    """The tokens of a noisy line.  The items of a bare ``|...`` or
+    ``##|...`` piece join the token before, or the next at the line start."""
     tokens: list[PlainToken] = []
+    lead: tuple[AnnotationItem, ...] = ()
     for raw in _PLAIN_TOKEN.findall(noisy):
         surface, items, is_empty, _ = _split_token(raw)  # rejected pieces are dropped
-        if not surface:  # items of a bare "|..." or "##" piece join the token before
-            if tokens:
-                tokens[-1].annotations.extend(items)
-            continue
-        tokens.append(PlainToken(surface, items, is_empty))
+        if surface:
+            tokens.append(PlainToken(surface, lead + items, is_empty))
+            lead = ()
+        elif tokens:
+            tokens[-1].annotations += items
+        else:
+            lead += items
     return tokens
+
+
+def _anchored_items(noisy: str, ref_forms: list[str], max_cost_ratio: float
+                    ) -> tuple[dict[int, list[AnnotationItem]], dict[int | None, list[PlainToken]]]:
+    """The noisy items re-anchored on the reference surface tokens: the
+    items of each reference position that gets any, and the noisy ``##``
+    tokens after each position (None: before the first).
+
+    A surface token's items go to the reference position it aligns with;
+    those of a dropped one, like the ``##`` tokens after it, to the
+    position of the nearest aligned surface token before it, or to the
+    first position at the document start.  Nothing of the noisy line but
+    these items and ``##`` tokens outlives the call."""
+    noisy_tokens = _tolerant_tokens(noisy)
+    surfaces = [_nfc(t.surface) for t in noisy_tokens if not t.is_empty]
+    # no alignment costs more than n + m, so a larger limit changes nothing
+    # and is capped there before it can overflow
+    limit = min(max_cost_ratio * max(len(ref_forms), 1), len(ref_forms) + len(surfaces))
+    _, ops = _word_alignment(surfaces, [_nfc(form) for form in ref_forms], max(1, int(limit)))
+    targets = (j for i, j in ops if i is not None)  # each surface token's, in order
+
+    items_at: dict[int, list[AnnotationItem]] = {}
+    empties_at: dict[int | None, list[PlainToken]] = {}
+    last: int | None = None  # the nearest aligned reference position so far
+    for token in noisy_tokens:
+        if token.is_empty:
+            empties_at.setdefault(last, []).append(token)
+            continue
+        target = next(targets)
+        if target is not None:
+            last = target
+        if token.annotations:
+            items_at.setdefault(0 if last is None else last, []).extend(token.annotations)
+    return items_at, empties_at
 
 
 def clean_output(reference: Document, noisy: str, *,
@@ -633,69 +673,21 @@ def clean_output(reference: Document, noisy: str, *,
         raise ValueError(f"max_cost_ratio must be finite and greater than 0, got {max_cost_ratio}")
     layout = _writable_layout(reference, _PLAIN_UNWRITABLE, PlaintextError)
     ref_forms = [form for form, empty in zip(layout.surfaces, layout.is_empty) if not empty]
-    noisy_tokens = _tolerant_tokens(noisy)
-    surface_ids = [k for k, t in enumerate(noisy_tokens) if not t.is_empty]
-
-    # no alignment costs more than n + m, so a larger limit changes nothing
-    # and is capped there before it can overflow
-    limit = min(max_cost_ratio * max(len(ref_forms), 1), len(ref_forms) + len(surface_ids))
-    max_cost = max(1, int(limit))
-    _, ops = _word_alignment(
-        [_nfc(noisy_tokens[k].surface) for k in surface_ids],
-        [_nfc(form) for form in ref_forms],
-        max_cost,
-    )
-
-    # noisy surface ordinal -> aligned reference position (None if dropped),
-    # and the nearest aligned reference position at or before each ordinal
-    aligned: list[int | None] = [None] * len(surface_ids)
-    for i, j in ops:
-        if i is not None and j is not None:
-            aligned[i] = j
-    prev_aligned: list[int | None] = []
-    last: int | None = None
-    for i in range(len(surface_ids)):
-        if aligned[i] is not None:
-            last = aligned[i]
-        prev_aligned.append(last)
-
-    ref_items: list[list[AnnotationItem]] = [[] for _ in ref_forms]
-    lead_items: list[AnnotationItem] = []
-    for i, k in enumerate(surface_ids):
-        items = noisy_tokens[k].annotations
-        if not items:
-            continue
-        target = aligned[i] if aligned[i] is not None else prev_aligned[i]
-        if target is None:
-            lead_items.extend(items)  # document-initial deletion: merge forward
-        else:
-            ref_items[target].extend(items)
-    if lead_items and ref_items:
-        ref_items[0][:0] = lead_items
-
-    # re-anchor noisy empties after the aligned position of the nearest
-    # preceding surviving surface token (None = document start)
-    empties_at: dict[int | None, list[int]] = {}
-    ordinal = -1
-    for k, token in enumerate(noisy_tokens):
-        if not token.is_empty:
-            ordinal += 1
-        else:
-            empties_at.setdefault(None if ordinal < 0 else prev_aligned[ordinal], []).append(k)
+    items_at, empties_at = _anchored_items(noisy, ref_forms, max_cost_ratio)
 
     out_tokens: list[PlainToken] = []
-    out_items: list[list[AnnotationItem]] = []
+    out_items: list[Sequence[AnnotationItem]] = []
 
-    def emit(surface: str, items: list[AnnotationItem], empty: bool) -> None:
-        out_tokens.append(PlainToken(surface, [], empty))
-        out_items.append(items)
+    def emit_empties(at: int | None) -> None:
+        for token in empties_at.get(at, ()):
+            out_tokens.append(PlainToken(_nfc(token.surface), (), True))
+            out_items.append(token.annotations)
 
-    for k in empties_at.get(None, []):
-        emit(_nfc(noisy_tokens[k].surface), noisy_tokens[k].annotations, True)
+    emit_empties(None)
     for j, form in enumerate(ref_forms):
-        emit(form, ref_items[j], False)
-        for k in empties_at.get(j, []):
-            emit(_nfc(noisy_tokens[k].surface), noisy_tokens[k].annotations, True)
+        out_tokens.append(PlainToken(form))
+        out_items.append(items_at.get(j, ()))
+        emit_empties(j)
 
     # unmatched closers are dropped; openers left open close where the
     # sentence the readers give the tokens changes

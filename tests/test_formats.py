@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -30,7 +32,8 @@ from corefkit.formats import (
 )
 from corefkit.model import Corpus, Entity, NodeId, make_mention, sort_entity_mentions
 
-from helpers import canonical_clusters, doc, ent, random_gold, sent
+from helpers import (canonical_clusters, doc, ent, random_document, random_entities,
+                     random_gold, sent)
 from oracles import oracle_alignment_ops, oracle_edit_distance
 
 
@@ -392,6 +395,17 @@ def test_clean_merges_document_initial_deletion_forward():
     assert cleaned.render() == "a|[e1] b"
 
 
+@pytest.mark.parametrize("noisy, cleaned", [
+    ("|[e1 x y|e1]", "x|[e1 y|e1]"),
+    ("##|[e1] x y", "x|[e1] y"),
+], ids=["bare", "bare-empty"])
+def test_clean_merges_a_bare_piece_at_the_line_start_forward(noisy, cleaned):
+    d = doc("d1", sent(0, [("x", 0, "root", "VERB"), ("y", 1, "obj", "NOUN")]))
+    assert clean_output(d, noisy).render() == cleaned
+    assert clean_output(d, cleaned).render() == cleaned
+    assert plain_mentions(from_plaintext(cleaned))
+
+
 def test_clean_keeps_substituted_tokens_annotations():
     d = doc("d1", sent(0, [("a", 0, "root", "VERB"), ("b", 1, "obj", "NOUN")]))
     cleaned = clean_output(d, "a WRONG|[e1]")
@@ -463,6 +477,63 @@ def test_every_line_clean_writes_converts_and_cleans_to_itself(case):
         warnings.simplefilter("ignore")
         reconstruct_conllu(document, from_plaintext(line))
     assert clean_output(document, line).render() == line
+
+
+def _traced_peak(work) -> tuple[int, object]:
+    """Bytes ``work()`` allocates at its peak above what was allocated
+    before it, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = work()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_clean_holds_under_550_bytes_per_token():
+    # about 920 B per token here while tokens had a __dict__ and a fresh
+    # annotation list each, the layout a position dict, the cleaner a list
+    # of items per reference token and the alignment's ops to its end;
+    # about 375 since
+    rng = random.Random(8)
+    document = random_document(rng, "long", 1250)
+    entities = random_entities(rng, document, 700)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tokens = to_plaintext(document, entities).render().split(" ")
+    for _ in range(len(tokens) // 100):  # about 1 % edits
+        pos = rng.randrange(len(tokens))
+        op = rng.choice(["ins", "del", "sub"])
+        if op == "ins":
+            tokens.insert(pos, rng.choice(["xx", "yy", "zz"]))
+        elif op == "del":
+            tokens.pop(pos)
+        else:
+            tokens[pos] = "qq" + tokens[pos][len(tokens[pos].partition("|")[0]):]
+    noisy = " ".join(tokens)
+    peak, cleaned = _traced_peak(lambda: clean_output(document, noisy))
+    assert 7_500 < len(cleaned.tokens) < 9_500
+    assert sum(bool(t.annotations) for t in cleaned.tokens) > 1_000
+    assert peak / len(cleaned.tokens) <= 550
+
+
+def test_alignment_fronts_take_about_4_bytes_per_cell():
+    # D = 500: every other reference token is one the source lacks; the
+    # fronts hold about D^2 cells, in 8 bytes each before
+    d = 500
+    n = 2 * d
+    src = list(range(n))
+    ref = [n + k if k % 2 == 0 else k for k in range(n)]
+    peak, (cost, ops) = _traced_peak(lambda: _core_alignment(src, ref, 2 * n))
+    assert cost == d and len(ops) == n
+    assert peak < 4.5 * d * d + 256 * n
+
+
+def test_alignment_refuses_a_source_too_long_for_32_bit_rows():
+    with pytest.raises(CleanRefusedError, match="too many to align"):
+        _core_alignment(range(1 << 31), [], 10)
 
 
 def test_clean_refuses_wrong_document():

@@ -2,7 +2,7 @@
 a public name loads its module on first use.  The CLI loads at start only
 the module it maps exit codes with (errors), and numpy and scipy, whose
 import times perfbench reports; each command loads the modules it runs,
-so convert and clean do not load matching.  No command loads
+so convert, clean, stats and sample do not load matching.  No command loads
 scipy.optimize: the assignments of CEAF-e and of zero alignment are
 solved by corefkit.matching.solve_assignment.  The process pool loads
 only for score --jobs above 1.  One fresh interpreter per case, because
@@ -149,10 +149,13 @@ def test_the_regime_choices_are_the_match_regimes():
     (["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
      ("matching", "metrics", "analysis")),
     (["score", "--manifest", "manifest.txt", "--out", "score"], ("formats", "analysis")),
-    (["stats", "gold.conllu", "--out", "stats"], ("formats", "metrics")),
+    (["stats", "gold.conllu", "--out", "stats"], ("formats", "metrics", "matching")),
+    (["sample", "gold.conllu", "--cap-words", "50", "--seed", "1", "--out", "sample"],
+     ("formats", "metrics", "matching")),
     (["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
       "--out", "analyze"], ("formats",)),
-], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "stats", "analyze"])
+], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "stats", "sample",
+        "analyze"])
 def test_each_command_loads_only_the_modules_it_runs(inputs, argv, unused):
     loaded = _modules_after(argv, inputs)
     assert "corefkit.conllu" in loaded
