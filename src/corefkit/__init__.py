@@ -25,7 +25,7 @@ _NAMES = {
     ),
     "formats": (
         "AnnotationItem", "JsonDoc", "PlainDoc", "PlainToken", "clean_output",
-        "corpus_to_json", "corpus_to_plaintext", "from_json", "from_plaintext",
+        "corpus_to_json", "corpus_to_plaintext", "from_plaintext",
         "json_doc_from_value", "reconstruct_conllu", "reconstruct_from_json", "to_json",
         "to_plaintext",
     ),

@@ -334,8 +334,8 @@ def long_range_curve(gold, pred,
 
     qualifying = []
 
-    def score(item) -> None:
-        doc_index, (document, doc_entities, pred_doc, pred_entities) = item
+    def score(pair) -> None:
+        document, doc_entities, pred_doc, pred_entities = pair
         view = document_word_index(document)[0]  # ranges are differences of ordinals
         p95 = p95_range(doc_entities, view)
         if p95 is None or p95 <= min_p95:
@@ -344,17 +344,16 @@ def long_range_curve(gold, pred,
             [e for e in doc_entities if not e.is_singleton], view
         )
         scores = evaluate_corpus(
-            Corpus([document], [doc_entities]), Corpus([pred_doc], [pred_entities]),
+            [(document, doc_entities)], [(pred_doc, pred_entities)],
             regime=regime, singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
             conll_only=True,
         )
-        qualifying.append((key, doc_index, document.word_count(),
-                           scores[MetricId.CONLL].f1))
+        qualifying.append((key, document.word_count(), scores[MetricId.CONLL].f1))
 
-    apply_each(score, enumerate(pair_documents(gold, pred)))
-    qualifying.sort(key=lambda item: (item[0], item[1]))
+    apply_each(score, pair_documents(gold, pred))
+    qualifying.sort(key=lambda item: item[0])  # stable: ties keep gold order
     points: list[RangeCurvePoint] = []
-    window: list[tuple[int, int, int, float]] = []
+    window: list[tuple[int, int, float]] = []
     window_words = 0
 
     def flush() -> None:
@@ -362,13 +361,13 @@ def long_range_curve(gold, pred,
         if window:
             points.append(RangeCurvePoint(
                 window_p95_range=sum(item[0] for item in window) / len(window),
-                mean_conll_f1=sum(item[3] for item in window) / len(window),
+                mean_conll_f1=sum(item[2] for item in window) / len(window),
                 window_tokens=window_words,
             ))
         window, window_words = [], 0
 
     for item in qualifying:
-        words = item[2]
+        words = item[1]
         if window and window_words + words > window_tokens:
             flush()
         window.append(item)

@@ -438,11 +438,6 @@ def reconstruct_from_json(doc: JsonDoc, skeleton: Document) -> tuple[Document, l
     return _reconstruct(skeleton, tokens, spans, JsonFormatError)
 
 
-def from_json(doc: JsonDoc, skeleton: Document) -> list[Entity]:
-    """Decode JSON clusters into entity values over the skeleton document."""
-    return reconstruct_from_json(doc, skeleton)[1]
-
-
 # ---------------------------------------------------------------------------
 # Word-level edit-distance alignment (diagonal transition).
 #
@@ -470,20 +465,20 @@ def _bag_lower_bound(src: list[int], ref: list[int]) -> int:
     return max(abs(len(src) - len(ref)), (l1 + 1) // 2)
 
 
-def _core_alignment(src: list[int], ref: list[int],
-                    max_cost: int) -> tuple[int, list[tuple[int | None, int | None]]]:
-    """Minimum-edit-distance ops between lists of non-negative token ids.
+def _core_alignment(src: list[int], ref: list[int], max_cost: int) -> tuple[int, array]:
+    """Minimum edit distance between lists of non-negative token ids, and
+    the ref index each src token aligns with, -1 for a deleted one.
 
-    Ops are (src index, ref index) pairs; None marks a deletion or an
-    insertion.  Walking back from (n, m), ties prefer a deletion, then a
-    diagonal step, then an insertion, so the rightmost token of an
-    ambiguous run is dropped and substitutions pair the leftmost
-    candidates.  Raises CleanRefusedError as soon as the cost is known
-    to exceed max_cost, and up front when n is too large for 32-bit rows.
+    Walking back from (n, m), ties prefer a deletion, then a diagonal
+    step, then an insertion, so the rightmost token of an ambiguous run
+    is dropped and substitutions pair the leftmost candidates.  Raises
+    CleanRefusedError as soon as the cost is known to exceed max_cost,
+    and up front when n or m is too large for 32-bit cells.
     """
     n, m = len(src), len(ref)
-    if n >= 1 << 31:
-        raise CleanRefusedError(f"{n} tokens are too many to align (at most {(1 << 31) - 1})")
+    if max(n, m) >= 1 << 31:
+        raise CleanRefusedError(
+            f"{max(n, m)} tokens are too many to align (at most {(1 << 31) - 1})")
     delta = m - n
     # ids are non-negative, so these ends stop every slide at row n or column m
     src_end, ref_end = src + [-1], ref + [-2]
@@ -540,7 +535,7 @@ def _core_alignment(src: list[int], ref: list[int],
     # (i - 1, j) when diagonal k + 1 gets to row i - 1, and (i - 1, j - 1)
     # when diagonal k does.
     cost = d
-    ops: list[tuple[int | None, int | None]] = []
+    targets = array("i", [-1]) * n
     i, j = n, m
     while i > 0 or j > 0:
         if d > 0:
@@ -552,27 +547,25 @@ def _core_alignment(src: list[int], ref: list[int],
         while i > 0 and j > 0 and del_row < i - 1 and src[i - 1] == ref[j - 1]:
             i -= 1
             j -= 1
-            ops.append((i, j))
+            targets[i] = j
         if i > 0 and del_row >= i - 1:
             i -= 1
-            d -= 1
-            ops.append((i, None))
         elif i > 0 and j > 0 and sub_row >= i - 1:  # the loop stopped at a mismatch
             i -= 1
             j -= 1
-            d -= 1
-            ops.append((i, j))
+            targets[i] = j
         elif j > 0:
             j -= 1
-            d -= 1
-            ops.append((None, j))
-    ops.reverse()
-    return cost, ops
+        else:  # the matched steps reached (0, 0)
+            break
+        d -= 1
+    return cost, targets
 
 
 def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
-                    max_cost: int) -> tuple[int, list[tuple[int | None, int | None]]]:
-    """Minimum-edit-distance alignment, or CleanRefusedError past max_cost."""
+                    max_cost: int) -> tuple[int, array]:
+    """Minimum edit distance and the ref index of each src token (-1:
+    deleted), or CleanRefusedError past max_cost."""
     vocab: dict[str, int] = {}
     src = [vocab.setdefault(t, len(vocab)) for t in src_tokens]
     ref = [vocab.setdefault(t, len(vocab)) for t in ref_tokens]
@@ -591,22 +584,21 @@ def _word_alignment(src_tokens: list[str], ref_tokens: list[str],
     while suffix < len(src) - prefix and suffix < len(ref) - prefix \
             and src[-1 - suffix] == ref[-1 - suffix]:
         suffix += 1
-    cost, ops = _core_alignment(src[prefix:len(src) - suffix], ref[prefix:len(ref) - suffix],
-                                max_cost)
-    if prefix:  # in place, so the core's ops are not held twice
-        for t, (i, j) in enumerate(ops):
-            ops[t] = (None if i is None else i + prefix, None if j is None else j + prefix)
-    ops[:0] = [(k, k) for k in range(prefix)]
-    ops += [(len(src) - suffix + t, len(ref) - suffix + t) for t in range(suffix)]
-    return cost, ops
+    cost, core = _core_alignment(src[prefix:len(src) - suffix], ref[prefix:len(ref) - suffix],
+                                 max_cost)
+    targets = array("i", range(prefix))
+    targets.extend(j + prefix if j >= 0 else j for j in core)
+    targets.extend(range(len(ref) - suffix, len(ref)))
+    return cost, targets
 
 
 # ---------------------------------------------------------------------------
 # Output cleaner.
 
-def _tolerant_tokens(noisy: str) -> list[PlainToken]:
-    """The tokens of a noisy line.  The items of a bare ``|...`` or
-    ``##|...`` piece join the token before, or the next at the line start."""
+def _tolerant_tokens(noisy: str) -> tuple[list[PlainToken], tuple[AnnotationItem, ...]]:
+    """The tokens of a noisy line, and the items of a line without any.
+    The items of a bare ``|...`` or ``##|...`` piece join the token
+    before, or the next at the line start."""
     tokens: list[PlainToken] = []
     lead: tuple[AnnotationItem, ...] = ()
     for raw in _PLAIN_TOKEN.findall(noisy):
@@ -618,7 +610,7 @@ def _tolerant_tokens(noisy: str) -> list[PlainToken]:
             tokens[-1].annotations += items
         else:
             lead += items
-    return tokens
+    return tokens, lead
 
 
 def _anchored_items(noisy: str, ref_forms: list[str], max_cost_ratio: float
@@ -630,17 +622,19 @@ def _anchored_items(noisy: str, ref_forms: list[str], max_cost_ratio: float
     A surface token's items go to the reference position it aligns with;
     those of a dropped one, like the ``##`` tokens after it, to the
     position of the nearest aligned surface token before it, or to the
-    first position at the document start.  Nothing of the noisy line but
-    these items and ``##`` tokens outlives the call."""
-    noisy_tokens = _tolerant_tokens(noisy)
+    first position at the document start, as do the items of a line
+    without a token.  Nothing of the noisy line but these items and
+    ``##`` tokens outlives the call."""
+    noisy_tokens, leftover = _tolerant_tokens(noisy)
     surfaces = [_nfc(t.surface) for t in noisy_tokens if not t.is_empty]
     # no alignment costs more than n + m, so a larger limit changes nothing
     # and is capped there before it can overflow
     limit = min(max_cost_ratio * max(len(ref_forms), 1), len(ref_forms) + len(surfaces))
-    _, ops = _word_alignment(surfaces, [_nfc(form) for form in ref_forms], max(1, int(limit)))
-    targets = (j for i, j in ops if i is not None)  # each surface token's, in order
+    _, targets = _word_alignment(surfaces, [_nfc(form) for form in ref_forms],
+                                 max(1, int(limit)))
+    targets = iter(targets)  # each surface token's, in order
 
-    items_at: dict[int, list[AnnotationItem]] = {}
+    items_at: dict[int, list[AnnotationItem]] = {0: list(leftover)} if leftover else {}
     empties_at: dict[int | None, list[PlainToken]] = {}
     last: int | None = None  # the nearest aligned reference position so far
     for token in noisy_tokens:
@@ -648,7 +642,7 @@ def _anchored_items(noisy: str, ref_forms: list[str], max_cost_ratio: float
             empties_at.setdefault(last, []).append(token)
             continue
         target = next(targets)
-        if target is not None:
+        if target >= 0:
             last = target
         if token.annotations:
             items_at.setdefault(0 if last is None else last, []).extend(token.annotations)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import apply_each
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
-from .model import Corpus, Document, Entity, Mention, document_pairs
+from .model import Document, Entity, Mention, document_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -529,8 +529,8 @@ def evaluate_corpus(gold, pred,
     return totals.scores()
 
 
-def evaluate_settings(gold, pred, settings, weights: ZeroWeight = ZeroWeight(),
-                      check_surface: bool = True) -> list[dict[MetricId, PRF]]:
+def evaluate_settings(gold, pred, settings,
+                      weights: ZeroWeight = ZeroWeight()) -> list[dict[MetricId, PRF]]:
     """``evaluate_corpus`` under each ``(regime, singleton_mode,
     conll_only)`` setting, in one pass over the document pairs: each pair
     is scored by ``evaluate_corpus`` under every setting before the next
@@ -542,13 +542,12 @@ def evaluate_settings(gold, pred, settings, weights: ZeroWeight = ZeroWeight(),
 
     def count(pair) -> None:
         gold_doc, gold_entities, pred_doc, pred_entities = pair
-        gold_one = Corpus([gold_doc], [gold_entities])
-        pred_one = Corpus([pred_doc], [pred_entities])
+        gold_one, pred_one = [(gold_doc, gold_entities)], [(pred_doc, pred_entities)]
         zero_caches: dict[str, dict] = {}  # zero alignment does not depend on the regime
         for k, (regime, singleton_mode, conll_only) in enumerate(settings):
             evaluate_corpus(gold_one, pred_one, regime=regime, singleton_mode=singleton_mode,
                             weights=weights, conll_only=conll_only,
-                            check_surface=check_surface and k == 0,
+                            check_surface=k == 0,
                             zero_cache=zero_caches.setdefault(singleton_mode, {}),
                             totals=totals[k])
 

@@ -21,10 +21,10 @@ from corefkit.analysis import (
 )
 from corefkit.formats import (
     clean_output,
-    from_json,
     from_plaintext,
     plain_mentions,
     reconstruct_conllu,
+    reconstruct_from_json,
     to_json,
     to_plaintext,
 )
@@ -328,7 +328,7 @@ def test_format_round_trip_over_50_documents():
         _, text_back = reconstruct_conllu(document, from_plaintext(line))
         assert canonical_clusters(text_back) == canonical_clusters(doc_entities), \
             f"plaintext round trip lost clusters in {document.doc_id}"
-        json_back = from_json(to_json(document, doc_entities), document)
+        _, json_back = reconstruct_from_json(to_json(document, doc_entities), document)
         assert canonical_clusters(json_back) == canonical_clusters(doc_entities), \
             f"JSON round trip lost clusters in {document.doc_id}"
     ok("plaintext and JSON round trips preserve all (cluster, span) "

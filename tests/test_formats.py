@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,6 @@ from corefkit.formats import (
     clean_output,
     corpus_to_json,
     corpus_to_plaintext,
-    from_json,
     from_plaintext,
     json_doc_from_value,
     plain_mentions,
@@ -160,7 +160,7 @@ def test_json_round_trip_preserves_clusters():
     corpus = random_gold(random.Random(8), n_docs=2, empty_parent_mode="anchor")
     for document, entities in corpus.doc_pairs():
         jdoc = to_json(document, entities)
-        back = from_json(jdoc, document)
+        _, back = reconstruct_from_json(jdoc, document)
         assert canonical_clusters(back) == canonical_clusters(entities)
 
 
@@ -250,6 +250,22 @@ def test_relocated_empty_is_swallowed_by_covering_span():
     assert back[0].mentions[0].span == (NodeId(0, 2), NodeId(0, 3), NodeId(0, 3, 1))
 
 
+def _targets_cost(src, ref, targets) -> int:
+    """Deletions, insertions and substitutions of an alignment given as
+    each src token's ref index (-1: deleted), which must increase."""
+    assert len(targets) == len(src)
+    aligned = [(i, j) for i, j in enumerate(targets) if j >= 0]
+    refs = [j for _, j in aligned]
+    assert refs == sorted(set(refs)) and all(0 <= j < len(ref) for j in refs)
+    return (len(src) - len(aligned) + len(ref) - len(aligned)
+            + sum(src[i] != ref[j] for i, j in aligned))
+
+
+def _source_projection(ops) -> list[int]:
+    """Each source token's ref index in an ops list, -1 where it is deleted."""
+    return [-1 if j is None else j for i, j in ops if i is not None]
+
+
 def test_alignment_cost_matches_full_dp():
     rng = random.Random(21)
     alphabet = ["a", "b", "c", "d"]
@@ -259,24 +275,10 @@ def test_alignment_cost_matches_full_dp():
         expected = oracle_edit_distance(src, ref)
         if expected > max(len(ref), 1) * 0.5 + 1:
             continue
-        cost, ops = _word_alignment(src, ref, max_cost=40)
+        cost, targets = _word_alignment(src, ref, max_cost=40)
         assert cost == expected
-        # ops must be a monotone alignment covering both sequences
-        si = ri = 0
-        total = 0
-        for i, j in ops:
-            if i is not None:
-                assert i == si
-                si += 1
-            if j is not None:
-                assert j == ri
-                ri += 1
-            if i is None or j is None:
-                total += 1
-            elif src[i] != ref[j]:
-                total += 1
-        assert (si, ri) == (len(src), len(ref))
-        assert total == expected
+        # the targets must be a monotone alignment of that cost
+        assert _targets_cost(src, ref, targets) == expected
 
 
 @st.composite
@@ -318,7 +320,8 @@ def test_alignment_ops_match_full_table_oracle(pair, drawn_limit):
                 with pytest.raises(CleanRefusedError):
                     align(*args, max_cost)
             else:
-                assert align(*args, max_cost) == (cost, ops)
+                got_cost, targets = align(*args, max_cost)
+                assert (got_cost, list(targets)) == (cost, _source_projection(ops))
 
 
 def test_clean_heavy_noise_long_document():
@@ -346,9 +349,9 @@ def test_clean_heavy_noise_long_document():
     assert [t.surface for t in cleaned.tokens] == forms
     assert elapsed < 10.0, f"cleaning took {elapsed:.2f}s"
 
-    cost, ops = _word_alignment(noisy, forms, max_cost=5000)
+    cost, targets = _word_alignment(noisy, forms, max_cost=5000)
     assert 0 < cost <= 1500
-    assert cost == sum(i is None or j is None or noisy[i] != forms[j] for i, j in ops)
+    assert cost == _targets_cost(noisy, forms, targets)
 
 
 def test_clean_identity_on_valid_output():
@@ -398,12 +401,65 @@ def test_clean_merges_document_initial_deletion_forward():
 @pytest.mark.parametrize("noisy, cleaned", [
     ("|[e1 x y|e1]", "x|[e1 y|e1]"),
     ("##|[e1] x y", "x|[e1] y"),
-], ids=["bare", "bare-empty"])
+    ("|[e1]", "x|[e1]"),  # a line without a token: the items go to reference token 0
+    ("##|[e1]", "x|[e1]"),
+], ids=["bare", "bare-empty", "bare-only", "bare-empty-only"])
 def test_clean_merges_a_bare_piece_at_the_line_start_forward(noisy, cleaned):
-    d = doc("d1", sent(0, [("x", 0, "root", "VERB"), ("y", 1, "obj", "NOUN")]))
+    words = [("x", 0, "root", "VERB"), ("y", 1, "obj", "NOUN")]
+    d = doc("d1", sent(0, words[:len(cleaned.split(" "))]))
     assert clean_output(d, noisy).render() == cleaned
     assert clean_output(d, cleaned).render() == cleaned
     assert plain_mentions(from_plaintext(cleaned))
+
+
+@st.composite
+def noisy_lines(draw):
+    """A reference of 1-6 surface tokens in one or two sentences, and a
+    noisy line of it: tokens inserted, deleted and substituted, bare
+    ``|...`` and ``##|...`` pieces and ``##`` tokens put in, each with
+    0-3 items.  Returns the document, the line and the number of ``[eN``
+    and ``[eN]`` items of each entity."""
+    forms = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=6))
+    split = draw(st.integers(1, len(forms)))
+    parts = [part for part in (forms[:split], forms[split:]) if part]
+    document = doc("d1", *[
+        sent(si, [(form, 0, "root", "X") if k == 0 else (form, 1, "dep", "X")
+                  for k, form in enumerate(part)])
+        for si, part in enumerate(parts)
+    ])
+    words = list(forms)
+    edits = st.tuples(st.sampled_from("ids"), st.integers(0, 6), st.sampled_from("abcx"))
+    for op, pos, form in draw(st.lists(edits, max_size=4)):
+        if op == "i":
+            words.insert(pos % (len(words) + 1), form)
+        elif words:
+            if op == "d":
+                words.pop(pos % len(words))
+            else:
+                words[pos % len(words)] = form
+    pieces = st.tuples(st.integers(0, 8), st.sampled_from(["", "##", "##Z"]))
+    for pos, piece in draw(st.lists(pieces, max_size=3)):
+        words.insert(pos % (len(words) + 1), piece)
+    items = st.lists(st.tuples(st.sampled_from(["[{}", "{}]", "[{}]"]),
+                               st.sampled_from(["e1", "e2"])), max_size=3)
+    tokens, opened = [], Counter()
+    for word in words:
+        drawn = [marks.format(eid) for marks, eid in draw(items)]
+        opened.update(item[1:].rstrip("]") for item in drawn if item.startswith("["))
+        tokens.append(word + "|" + ",".join(drawn) if drawn else word)
+    return document, " ".join(token for token in tokens if token), opened
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_lines())
+def test_clean_keeps_one_mention_per_opener_and_single(case):
+    # unmatched closers go, but every opener closes and every single stays
+    document, line, opened = case
+    try:
+        cleaned = clean_output(document, line)
+    except CleanRefusedError:
+        return
+    assert Counter(eid for eid, _, _ in plain_mentions(cleaned)) == opened
 
 
 def test_clean_keeps_substituted_tokens_annotations():
@@ -526,8 +582,8 @@ def test_alignment_fronts_take_about_4_bytes_per_cell():
     n = 2 * d
     src = list(range(n))
     ref = [n + k if k % 2 == 0 else k for k in range(n)]
-    peak, (cost, ops) = _traced_peak(lambda: _core_alignment(src, ref, 2 * n))
-    assert cost == d and len(ops) == n
+    peak, (cost, targets) = _traced_peak(lambda: _core_alignment(src, ref, 2 * n))
+    assert cost == d and len(targets) == n
     assert peak < 4.5 * d * d + 256 * n
 
 
