@@ -36,7 +36,7 @@ def main() -> None:
     corpus = parse_conllu(SAMPLE)
     print(f"documents: {[d.doc_id for d in corpus.documents]}")
 
-    for document, entities in corpus.doc_pairs():
+    for document, entities in corpus:
         print(f"\n== {document.doc_id} ==")
         for sentence in document.sentences:
             surface = " ".join(

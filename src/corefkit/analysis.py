@@ -24,7 +24,6 @@ from .model import (
     Entity,
     Mention,
     Sentence,
-    document_pairs,
     document_word_index,
     mention_has_gap,
     mention_is_treelet,
@@ -212,7 +211,7 @@ def corpus_stats(corpus) -> CorpusStats:
             for mention in entity.mentions:
                 kept.add(mention, document)
 
-    apply_each(add, document_pairs(corpus))  # so only the current document is held
+    apply_each(add, corpus)  # so only the current document is held
     return CorpusStats(
         docs=docs,
         sentences=sentences,
@@ -271,7 +270,7 @@ def upos_factorized_score(gold, pred, tag: str,
 
     def filtered(source):
         nonlocal kept_any
-        for document, doc_entities in document_pairs(source):
+        for document, doc_entities in source:
             kept: list[Entity] = []
             for entity in doc_entities:
                 if not keep_entity(entity, document):

@@ -91,7 +91,7 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
         ))
         stanza.clear()
 
-    for line in _read_lines(path, ManifestError):
+    for number, line in enumerate(_read_lines(path, ManifestError), start=1):
         line = line.strip()
         if not line:
             flush()
@@ -101,7 +101,12 @@ def parse_manifest(path: Path) -> list[DatasetSpec]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"manifest {path}: expected 'key = value', got '{line}'")
-        stanza[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in DatasetSpec._fields:  # the manifest keys
+            raise ConfigError(f"manifest {path}: line {number}: unknown key {key!r}")
+        if key in stanza:
+            raise ConfigError(f"manifest {path}: line {number}: repeated key {key!r}")
+        stanza[key] = value.strip()
     flush()
     if not specs:
         raise ConfigError(f"manifest {path} lists no datasets")
@@ -141,7 +146,7 @@ def _documents(path: Path, whole: bool = False):
         with path.open("rb") as file:
             if whole:
                 with _naming(path):
-                    pairs = parse_conllu(file).doc_pairs()
+                    pairs = iter(parse_conllu(file))
             else:
                 pairs = iter_documents(file)
             while True:
@@ -212,12 +217,6 @@ def _read_json(path: Path) -> list:
     if not isinstance(values, list):
         raise JsonFormatError(f"{path}: JSON input must be a list of documents")
     return values
-
-
-def _serialized(document, entities) -> str:
-    from .conllu import serialize_conllu
-    from .model import Corpus
-    return serialize_conllu(Corpus([document], [entities]))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -351,6 +350,7 @@ def _rebuild_from_text(in_path: Path, skeleton: Path) -> str:
     error of a document is raised once every input is read, one that
     reconstruction raises before one that serialization does."""
     from . import formats
+    from .conllu import serialize_conllu
     texts, unwritable = [], []
 
     def rebuild(pair) -> None:
@@ -358,7 +358,7 @@ def _rebuild_from_text(in_path: Path, skeleton: Path) -> str:
         rebuilt = (document, []) if line is None else formats.reconstruct_conllu(
             document, formats.from_plaintext(line))
         try:
-            texts.append(_serialized(*rebuilt))
+            texts.append(serialize_conllu([rebuilt]))
         except ConlluError as exc:
             unwritable.append(exc)
 
@@ -373,6 +373,7 @@ def _rebuild_from_json(in_path: Path, skeleton: Path) -> str:
     their entities.  Once every input is read, the error of the first JSON
     document that fails is raised, one that serialization raises last."""
     from . import formats
+    from .conllu import serialize_conllu
     try:
         values, error = _read_json(in_path), None
     except (JsonFormatError, OSError) as exc:
@@ -396,7 +397,7 @@ def _rebuild_from_json(in_path: Path, skeleton: Path) -> str:
                 failed[number] = exc
                 continue
             try:
-                texts[number] = _serialized(*rebuilt)
+                texts[number] = serialize_conllu([rebuilt])
             except ConlluError as exc:
                 unwritable[number] = exc
 
@@ -455,10 +456,10 @@ def _input_specs(paths: list[Path], manifest: Path | None,
 def cmd_stats(args: argparse.Namespace) -> dict[Path, str]:
     from . import analysis
     specs = _input_specs(args.paths, args.manifest)
-    paths = {spec.name: spec.pred if args.mode == "system" and spec.pred else spec.gold
-             for spec in specs}
+    side = "pred" if args.mode == "system" else "gold"
+    paths = {spec.name: getattr(spec, side) for spec in specs}
     for name, path in paths.items():
-        _require(path is not None, f"dataset '{name}' needs a gold path")
+        _require(path is not None, f"dataset '{name}' needs a {side} path")
         _require(path.is_file(), f"stats input {path} is not a readable file")
     _check_out_dir(args.out)
     rows = {name: analysis.corpus_stats(_documents(path)) for name, path in paths.items()}

@@ -269,8 +269,7 @@ def _parse_pieces(texts, skipped):
             newdoc_line = line + piece.count("\n")
             # a blank line in place of the newdoc comment closes the piece's
             # last sentence at that comment's line, as in one parse
-            pairs = parse_conllu(piece + "\n", first_line=line, skipped=skipped).doc_pairs() \
-                if piece else ()
+            pairs = parse_conllu(piece + "\n", first_line=line, skipped=skipped) if piece else ()
             piece = None
             end = text.find("\n", start)
             doc_id = _newdoc_id(text[start:end if end >= 0 else None].rstrip("\r")[1:].strip(),
@@ -284,7 +283,7 @@ def _parse_pieces(texts, skipped):
         held.append(text[start:])
     piece, held = "".join(held), None
     if piece:
-        pairs = parse_conllu(piece, first_line=line, skipped=skipped).doc_pairs()
+        pairs = parse_conllu(piece, first_line=line, skipped=skipped)
         piece = None
         yield from pairs
 
@@ -619,10 +618,11 @@ def _render_keyvals(mapping: dict[str, str | None]) -> str:
     return "|".join(pieces)
 
 
-def serialize_conllu(corpus: Corpus) -> str:
-    """Render a Corpus back to canonical CoNLL-U text."""
+def serialize_conllu(corpus) -> str:
+    """Render ``(document, entities)`` pairs back to canonical CoNLL-U text:
+    a Corpus, a stream such as ``iter_documents`` yields, or a list."""
     out = io.StringIO()
-    for doc_index, (document, doc_entities) in enumerate(corpus.doc_pairs()):
+    for document, doc_entities in corpus:
         entity_values = _entity_strings(document, doc_entities)
         doc_position = 0
         out.write(f"# newdoc id = {document.doc_id}\n")

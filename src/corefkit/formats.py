@@ -48,7 +48,6 @@ from .model import (
     Node,
     NodeId,
     Sentence,
-    document_pairs,
     make_mention,
     sort_entity_mentions,
     surface_difference,
@@ -257,7 +256,7 @@ def corpus_to_plaintext(corpus) -> str:
     Corpus or a stream of ``(document, entities)`` pairs; the first error
     of a document is raised once the stream ends (see errors.apply_each)."""
     lines = []
-    apply_each(lambda pair: lines.append(to_plaintext(*pair).render()), document_pairs(corpus))
+    apply_each(lambda pair: lines.append(to_plaintext(*pair).render()), corpus)
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -401,7 +400,7 @@ def corpus_to_json(corpus) -> list[dict]:
     """Each document's JSON value; ``corpus`` is read as by
     ``corpus_to_plaintext``."""
     values = []
-    apply_each(lambda pair: values.append(to_json(*pair).to_value()), document_pairs(corpus))
+    apply_each(lambda pair: values.append(to_json(*pair).to_value()), corpus)
     return values
 
 

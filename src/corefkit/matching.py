@@ -351,10 +351,8 @@ def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
     return sorted((g, p) for g, p in zip(rows, cols) if weight[g][p] > 0)
 
 
-def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention],
-                weights: ZeroWeight = ZeroWeight(),
-                gold_doc: Document | None = None,
-                pred_doc: Document | None = None) -> MentionAlignment:
+def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention], weights: ZeroWeight,
+                gold_doc: Document, pred_doc: Document) -> MentionAlignment:
     """Align zero mentions sentence by sentence.
 
     Pair weight rewards agreement on the head's parent token and, on top
@@ -363,8 +361,6 @@ def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention],
     surface-position difference, then by earliest gold order.  The
     documents supply parent/deprel lookups for the mention heads.
     """
-    if gold_doc is None or pred_doc is None:
-        raise ValueError("align_zeros needs the gold and predicted documents for dependency lookups")
     by_sentence: dict[int, tuple[list[int], list[int]]] = {}
     for i, m in enumerate(gold_zeros):
         if not m.is_zero:

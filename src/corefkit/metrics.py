@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import apply_each
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
-from .model import Document, Entity, Mention, document_pairs
+from .model import Document, Entity, Mention
 
 logger = logging.getLogger(__name__)
 
@@ -459,11 +459,11 @@ def pair_documents(gold, pred):
     raised, then ValueError if an id repeats on one side (a parsed input
     refuses that itself) or the two sides hold different ids.
     """
-    preds = iter(document_pairs(pred))
+    preds = iter(pred)
     waiting = {}  # predicted pairs read before their gold partner, by id
     gold_ids, pred_ids = [], []
     error = None
-    for gold_doc, gold_entities in document_pairs(gold):
+    for gold_doc, gold_entities in gold:
         doc_id = gold_doc.doc_id
         gold_ids.append(doc_id)
         while error is None and doc_id not in waiting:

@@ -232,17 +232,13 @@ class Corpus:
             entities.append(doc_entities)
         return cls(documents, entities)
 
-    def doc_pairs(self):
+    def __iter__(self):
+        """The ``(document, entities)`` pairs, so a Corpus reads as any
+        other stream of them."""
         return zip(self.documents, self.entities)
 
     def word_count(self) -> int:
         return sum(d.word_count() for d in self.documents)
-
-
-def document_pairs(source):
-    """The ``(document, entities)`` pairs of a Corpus; any other ``source``
-    already iterates them, as ``conllu.iter_documents`` does."""
-    return source.doc_pairs() if isinstance(source, Corpus) else source
 
 
 def make_mention(entity_id: str, span, document: Document) -> Mention:

@@ -188,7 +188,7 @@ def recluster(rng: random.Random, corpus: Corpus, keep_mentions: float = 0.85,
     """A prediction over the same documents: mentions mostly reused (some
     dropped, some invented), clustering reshuffled."""
     pred_entities = []
-    for document, doc_entities in corpus.doc_pairs():
+    for document, doc_entities in corpus:
         mentions = [m.span for e in doc_entities for m in e.mentions
                     if rng.random() < keep_mentions]
         pool = [s for s in _candidate_spans(document)
@@ -233,7 +233,7 @@ def zeroful_corpus(seed: int) -> Corpus:
 def heads_only(corpus: Corpus, prefix: str = "h") -> Corpus:
     """Same clustering, every mention reduced to its head node."""
     pred_entities = []
-    for document, doc_entities in corpus.doc_pairs():
+    for document, doc_entities in corpus:
         doc_pred = []
         for k, entity in enumerate(doc_entities):
             eid = f"{prefix}{k + 1}"

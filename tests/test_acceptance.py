@@ -253,7 +253,7 @@ def multiword_corpus(seed: int) -> Corpus:
 def test_head_only_system_regime_columns():
     gold = multiword_corpus(9)
     pred_entities = []
-    for document, doc_entities in gold.doc_pairs():
+    for document, doc_entities in gold:
         preds = []
         for k, entity in enumerate(doc_entities):
             eid = f"h{k}"
@@ -323,7 +323,7 @@ def test_format_round_trip_over_50_documents():
         )
     assert some_zero and some_singleton and nested > 0
 
-    for document, doc_entities in corpus.doc_pairs():
+    for document, doc_entities in corpus:
         line = to_plaintext(document, doc_entities).render()
         _, text_back = reconstruct_conllu(document, from_plaintext(line))
         assert canonical_clusters(text_back) == canonical_clusters(doc_entities), \
@@ -551,7 +551,7 @@ def test_upos_factorization_consistency():
 
     def prefilter(corpus, tag):
         out = []
-        for document, doc_entities in corpus.doc_pairs():
+        for document, doc_entities in corpus:
             kept = []
             for e in doc_entities:
                 ms = [m for m in e.mentions if tag in head_upos_tags(m, document)]

@@ -236,7 +236,7 @@ def _filter_oracle(corpus: Corpus, tag: str) -> Corpus:
     """Manually pre-filtered corpus: keep mentions with the head tag,
     drop entities that lost all mentions."""
     out = []
-    for document, doc_entities in corpus.doc_pairs():
+    for document, doc_entities in corpus:
         kept = []
         for e in doc_entities:
             mentions = [m for m in e.mentions if tag in head_upos_tags(m, document)]
@@ -253,7 +253,7 @@ def test_upos_mention_factorization_matches_prefiltered_oracle():
         pred = recluster(rng, base)
         tag = "NOUN"
         got = upos_factorized_score(base, pred, tag, level="mention")
-        assert upos_factorized_score(iter(base.doc_pairs()), iter(pred.doc_pairs()), tag,
+        assert upos_factorized_score(iter(base), iter(pred), tag,
                                      level="mention") == got
         oracle_scores = evaluate_corpus(_filter_oracle(base, tag),
                                         _filter_oracle(pred, tag),

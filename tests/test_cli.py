@@ -93,6 +93,22 @@ def test_manifest_name_that_is_not_a_plain_file_name_exits_4(workspace, capsys, 
     assert not (tmp_path / "mdir").exists()
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("exmpt = true", "unknown key 'exmpt'"),
+    ("gold = {tmp}/b.gold.conllu", "repeated key 'gold'"),
+])
+def test_manifest_unknown_or_repeated_key_exits_4_before_reading(workspace, capsys, line,
+                                                                 problem):
+    tmp_path, _ = workspace
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"# datasets\nname = a\ngold = {tmp_path / 'a.gold.conllu'}\n"
+                        f"{line.format(tmp=tmp_path)}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sample", "--manifest", str(manifest), "--out", str(out)]) == EXIT_CONFIG
+    assert f"manifest {manifest}: line 4: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_perfect_prediction_reports_100(workspace):
     tmp_path, manifest = workspace
     out = tmp_path / "out"
@@ -974,6 +990,17 @@ def test_stats_dataset_without_paths_exits_4(tmp_path, capsys):
     manifest.write_text("name = x\n", encoding="utf-8")
     assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "dataset 'x' needs a gold path" in capsys.readouterr().err
+
+
+def test_stats_system_mode_needs_the_pred_path_of_a_manifest_dataset(workspace, capsys):
+    tmp_path, _ = workspace
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"name = x\ngold = {tmp_path / 'a.gold.conllu'}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["stats", "--manifest", str(manifest), "--mode", "system",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "dataset 'x' needs a pred path" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("noisy, expected", [

@@ -246,6 +246,10 @@ def test_parse_serialize_preserves_fields():
 def test_serialize_parse_is_a_fixpoint_with_every_column(corpus):
     once = serialize_conllu(corpus)
     assert serialize_conllu(parse_conllu(once)) == once
+    # a Corpus is one more stream of pairs: a streamed reading gives its
+    # pairs, and serializes to the same bytes
+    assert list(parse_conllu(once)) == list(iter_documents(once))
+    assert serialize_conllu(iter_documents(once)) == once
 
 
 def test_serialize_rejects_interleaved_discontinuous_mentions():

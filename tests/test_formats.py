@@ -158,7 +158,7 @@ def test_reconstruct_from_json_validates_a_hand_built_document():
 
 def test_json_round_trip_preserves_clusters():
     corpus = random_gold(random.Random(8), n_docs=2, empty_parent_mode="anchor")
-    for document, entities in corpus.doc_pairs():
+    for document, entities in corpus:
         jdoc = to_json(document, entities)
         _, back = reconstruct_from_json(jdoc, document)
         assert canonical_clusters(back) == canonical_clusters(entities)
@@ -166,7 +166,7 @@ def test_json_round_trip_preserves_clusters():
 
 def test_plaintext_round_trip_preserves_clusters_and_ids():
     corpus = random_gold(random.Random(9), n_docs=2, empty_parent_mode="anchor")
-    for document, entities in corpus.doc_pairs():
+    for document, entities in corpus:
         line = to_plaintext(document, entities).render()
         rebuilt_doc, back = reconstruct_conllu(document, from_plaintext(line))
         assert canonical_clusters(back) == canonical_clusters(entities)
@@ -617,7 +617,7 @@ def test_corpus_level_text_and_json_helpers():
     assert len(text.strip().split("\n")) == 3
     values = corpus_to_json(corpus)
     assert [v["doc_id"] for v in values] == [d.doc_id for d in corpus.documents]
-    for value, (document, entities) in zip(values, corpus.doc_pairs()):
+    for value, (document, entities) in zip(values, corpus):
         jdoc = json_doc_from_value(value)
         rebuilt, back = reconstruct_from_json(jdoc, document)
         assert canonical_clusters(back) == canonical_clusters(entities)

@@ -257,7 +257,7 @@ def test_parse_retains_under_320_bytes_per_word():
 def test_parsed_nodes_share_ids_and_strings(corpus):
     parsed = parse_conllu(serialize_conllu(corpus))
     strings: dict[str, str] = {}
-    for document, doc_entities in parsed.doc_pairs():
+    for document, doc_entities in parsed:
         for sentence in document.sentences:
             own = {node.id: node.id for node in sentence.nodes}
             for node in sentence.nodes:
