@@ -7,7 +7,7 @@ canonical round trip.
 """
 
 from corefkit import parse_conllu, serialize_conllu
-from corefkit.model import document_word_index
+from corefkit.model import word_offsets
 
 SAMPLE = """\
 # newdoc id = letters-01
@@ -50,15 +50,17 @@ def main() -> None:
                 kind = "zero" if mention.is_zero else "surface"
                 print(f"    {kind:7s} span={forms!r} head={mention.head.conllu_id()}")
 
-    # Word ordinals count surface tokens only, from 1 in each document;
-    # empty nodes sit between them.
+    # Word offsets count the surface tokens before each sentence (empty
+    # nodes are not words); a node is offsets[sentence] + major words into
+    # its document, so a zero counts at the word it follows.
     print()
     for document in corpus.documents:
-        ordinals, words = document_word_index(document)
-        print(f"{document.doc_id}: {words} words (empty nodes not counted)")
+        offsets = word_offsets(document)
+        print(f"{document.doc_id}: {offsets[-1]} words, sentence offsets {offsets[:-1]}")
         for sentence in document.sentences:
             for node in sentence.empty_nodes:
-                print(f"  ordinal of the zero '{node.form}': {ordinals[node.id]}")
+                word = offsets[node.id.sentence_index] + node.id.major
+                print(f"  the zero '{node.form}' counts at word {word}")
 
     # The canonicalized form is a fixpoint: parse(serialize(x)) == x.
     once = serialize_conllu(corpus)

@@ -24,9 +24,9 @@ from .model import (
     Entity,
     Mention,
     Sentence,
-    document_word_index,
     mention_has_gap,
     mention_is_treelet,
+    word_offsets,
 )
 
 if TYPE_CHECKING:
@@ -84,23 +84,22 @@ class RangeCurvePoint:
     window_tokens: int
 
 
-def entity_range(entity: Entity, word_view: dict) -> int:
+def entity_range(entity: Entity, offsets: list[int]) -> int:
     """Surface-word distance between the entity's extreme mention heads.
 
-    ``word_view`` maps node ids of the entity's document to ordinals;
-    zero heads count at their anchor word.
+    ``offsets`` are the ``word_offsets`` of the entity's document; zero
+    heads count at their anchor word.
     """
-    anchors = [int(math.floor(word_view[m.head])) for m in entity.mentions]
-    return max(anchors) - min(anchors)
+    words = [offsets[m.head.sentence_index] + m.head.major for m in entity.mentions]
+    return max(words) - min(words)
 
 
-def p95_range(entities: list[Entity], word_view: dict,
-              exclude_singletons: bool = True) -> int | None:
-    """Nearest-rank 95th percentile of entity ranges (ascending sort,
-    index ceil(0.95 n)).  None when no entity qualifies.  All entities
-    must live in the document that ``word_view`` indexes."""
-    return _nearest_rank_p95([entity_range(e, word_view) for e in entities
-                              if not (exclude_singletons and e.is_singleton)])
+def p95_range(entities: list[Entity], offsets: list[int]) -> int | None:
+    """Nearest-rank 95th percentile of the ranges of the non-singleton
+    entities (ascending sort, index ceil(0.95 n)).  None when no entity
+    qualifies.  All entities live in the document of ``offsets``."""
+    return _nearest_rank_p95([entity_range(e, offsets) for e in entities
+                              if not e.is_singleton])
 
 
 def head_upos_tags(mention: Mention, document: Document) -> set[str]:
@@ -200,13 +199,13 @@ def corpus_stats(corpus) -> CorpusStats:
     def add(pair) -> None:
         nonlocal docs, sentences, words, empty_nodes
         document, doc_entities = pair
-        view, doc_words = document_word_index(document)
+        offsets = word_offsets(document)
         docs += 1
         sentences += len(document.sentences)
-        words += doc_words
+        words += offsets[-1]
         empty_nodes += sum(1 for s in document.sentences for n in s.nodes if n.is_empty)
         for entity in doc_entities:
-            sizes.append((entity.is_singleton, len(entity.mentions), entity_range(entity, view)))
+            sizes.append((entity.is_singleton, len(entity.mentions), entity_range(entity, offsets)))
             kept = singleton_mentions if entity.is_singleton else mentions
             for mention in entity.mentions:
                 kept.add(mention, document)
@@ -294,12 +293,13 @@ def upos_factorized_score(gold, pred, tag: str,
 # ---------------------------------------------------------------------------
 # Long-range performance curve.
 
-def max_adjacent_gap(entities: list[Entity], word_view: dict) -> int:
-    """Largest surface-word distance between adjacent mentions of any
-    non-singleton entity."""
+def max_adjacent_gap(entities: list[Entity], offsets: list[int]) -> int:
+    """Largest surface-word distance between the heads of adjacent
+    mentions of any of ``entities``, which live in the document of
+    ``offsets``."""
     worst = 0
     for entity in entities:
-        heads = [int(math.floor(word_view[m.head])) for m in entity.mentions]
+        heads = [offsets[m.head.sentence_index] + m.head.major for m in entity.mentions]
         for a, b in zip(heads, heads[1:]):
             worst = max(worst, abs(b - a))
     return worst
@@ -335,19 +335,19 @@ def long_range_curve(gold, pred,
 
     def score(pair) -> None:
         document, doc_entities, pred_doc, pred_entities = pair
-        view = document_word_index(document)[0]  # ranges are differences of ordinals
-        p95 = p95_range(doc_entities, view)
+        offsets = word_offsets(document)
+        p95 = p95_range(doc_entities, offsets)
         if p95 is None or p95 <= min_p95:
             return
         key = p95 if sort_key == "p95" else max_adjacent_gap(
-            [e for e in doc_entities if not e.is_singleton], view
+            [e for e in doc_entities if not e.is_singleton], offsets
         )
         scores = evaluate_corpus(
             [(document, doc_entities)], [(pred_doc, pred_entities)],
             regime=regime, singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
             conll_only=True,
         )
-        qualifying.append((key, document.word_count(), scores[MetricId.CONLL].f1))
+        qualifying.append((key, offsets[-1], scores[MetricId.CONLL].f1))
 
     apply_each(score, pair_documents(gold, pred))
     qualifying.sort(key=lambda item: item[0])  # stable: ties keep gold order

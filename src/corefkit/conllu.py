@@ -72,6 +72,8 @@ def _parse_entity_items(value: str, line: int) -> list[tuple[str, str, tuple[int
             raise ConlluError(f"malformed entity id in Entity item near '{value[pos:pos + 12]}'",
                               line)
         part = (int(k), int(n)) if k else None
+        if part and not 1 <= part[0] <= part[1]:
+            raise ConlluError(f"malformed part {k}/{n} of entity '{eid}'", line)
         if opener:
             items.append((SINGLE if part_closed or closed else OPEN, eid, part))
         elif part_closed or closed:
@@ -305,7 +307,7 @@ def _warn_skipped(count: int) -> None:
     )
 
 
-# a file is read this many bytes (or characters) at a time
+# an input is read this many bytes (or characters) at a time
 _BLOCK = 1 << 14
 
 
@@ -326,9 +328,11 @@ def _file_blocks(file):
 
 def _text_blocks(source):
     """The text of ``source`` in pieces that each end at a "\\n", but for
-    a last unfinished line: one piece for str or bytes, one per block of a
-    file.  A byte order mark that starts the input is dropped."""
-    chunks = [source] if isinstance(source, (bytes, str)) else _file_blocks(source)
+    a last unfinished line, read a block at a time: a slice of a str or
+    bytes, or a read of a file.  A byte order mark that starts the input
+    is dropped."""
+    chunks = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK)) \
+        if isinstance(source, (bytes, str)) else _file_blocks(source)
     line_no, offset, rest = 1, 0, []  # rest: the pieces of an unfinished line
     for chunk in chunks:
         cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1

@@ -15,8 +15,6 @@ as an error.
 from __future__ import annotations
 
 import enum
-import json
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,8 +23,6 @@ import numpy as np
 from .errors import apply_each
 from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
 from .model import Document, Entity, Mention
-
-logger = logging.getLogger(__name__)
 
 SINGLETONS_INCLUDED = "included"
 SINGLETONS_EXCLUDED = "excluded"
@@ -41,8 +37,9 @@ class PRF:
 
 def _prf(r_num: float, r_den: float, p_num: float, p_den: float, what: str = "") -> PRF:
     if r_den == 0 or p_den == 0:
-        logger.debug("degenerate denominator in %s (r=%s/%s, p=%s/%s)",
-                     what or "score", r_num, r_den, p_num, p_den)
+        import logging  # here, as no ordinary score meets a degenerate ratio
+        logging.getLogger(__name__).debug("degenerate denominator in %s (r=%s/%s, p=%s/%s)",
+                                          what or "score", r_num, r_den, p_num, p_den)
     recall = r_num / r_den if r_den > 0 else 0.0
     precision = p_num / p_den if p_den > 0 else 0.0
     f1 = 2 * recall * precision / (recall + precision) if recall + precision > 0 else 0.0
@@ -235,7 +232,8 @@ def _blanc_prf(counts) -> PRF:
         return coref
     if noncoref_present:
         return noncoref
-    logger.debug("degenerate BLANC: no links of either kind")
+    import logging
+    logging.getLogger(__name__).debug("degenerate BLANC: no links of either kind")
     return PRF(0.0, 0.0, 0.0)
 
 
@@ -505,7 +503,7 @@ def evaluate_corpus(gold, pred,
                     conll_only: bool = False,
                     check_surface: bool = True,
                     zero_cache: dict | None = None,
-                    totals: _Totals | None = None) -> dict[MetricId, PRF]:
+                    totals: _Totals | None = None) -> dict[MetricId, PRF] | None:
     """Score one dataset: all metrics for a gold/predicted corpus pair, or
     with ``conll_only`` just CoNLL and its three parts.  Either side may
     be streamed (see pair_documents).  With ``check_surface=False`` the
@@ -513,10 +511,12 @@ def evaluate_corpus(gold, pred,
     matching.check_same_surface); ``zero_cache`` is that of
     matching.build_alignment.  The counts are summed in gold order, onto
     ``totals`` where given: the running sum of earlier calls with the same
-    settings, so a dataset can be scored a document at a time.  The first
+    settings, so a dataset can be scored a document at a time (the call
+    then returns None; ``totals.scores()`` scores the sum).  The first
     error of a pair is raised once both sides are read (see
     errors.apply_each)."""
-    if totals is None:
+    running = totals is not None
+    if not running:
         totals = _Totals(conll_only)
 
     def count(pair) -> None:
@@ -526,7 +526,7 @@ def evaluate_corpus(gold, pred,
         totals.add(document_counts(doc, singleton_mode, conll_only))
 
     apply_each(count, pair_documents(gold, pred))
-    return totals.scores()
+    return None if running else totals.scores()
 
 
 def evaluate_settings(gold, pred, settings,
@@ -600,6 +600,7 @@ def render_score_table(report: ScoreReport) -> str:
 
 def render_records(report: ScoreReport) -> str:
     """Machine-readable JSON-lines stream, one record per score."""
+    import json
     records = []
     for scope, name, scores in (
         [("dataset", n, s) for n, s in report.per_dataset.items()]

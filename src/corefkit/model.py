@@ -2,7 +2,9 @@
 
 Nodes, sentences and documents mirror the CoNLL-U structure, including
 empty nodes (decimal ids such as ``3.1``, used for zero anaphora) and
-multiword-token ranges.  Mentions and entities form the coreference
+multiword-token ranges.  A sentence numbers its regular tokens 1..n in
+order (the parser refuses any other numbering), so a node's major is its
+word position in the sentence.  Mentions and entities form the coreference
 layer on top; mention heads are derived from the dependency tree.
 
 All values are treated as immutable after construction, so corpora can
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -326,27 +329,14 @@ def derive_head(span, sentence: Sentence) -> NodeId:
     return nodes[head_position(ordered, nodes, lazy_depths(nodes, index))].id
 
 
-def document_word_index(document: Document) -> tuple[dict[NodeId, float], int]:
-    """Ordinals for every node of one document.
-
-    Regular tokens get consecutive integers beginning at 1; empty nodes
-    get the preceding token's ordinal plus a fractional tiebreaker
-    (order-preserving, never counted as words).  Returns the ordinal map
-    and the number of regular tokens.
-    """
-    ordinals: dict[NodeId, float] = {}
-    word = 0
-    empty_run = 0
-    for sentence in document.sentences:
-        for node in sentence.nodes:
-            if node.is_empty:
-                empty_run += 1
-                ordinals[node.id] = word + empty_run / (empty_run + 1)
-            else:
-                word += 1
-                empty_run = 0
-                ordinals[node.id] = float(word)
-    return ordinals, word
+def word_offsets(document: Document) -> list[int]:
+    """The number of surface words before each sentence of ``document``,
+    then the document's word count.  Since a sentence numbers its regular
+    tokens 1..n, node ``nid`` follows ``offsets[nid.sentence_index] +
+    nid.major`` words: a token is that word, and an empty node counts at
+    its anchor (major 0: the last word before its sentence)."""
+    return list(accumulate((sum(not n.is_empty for n in s.nodes) for s in document.sentences),
+                           initial=0))
 
 
 def contiguous_segments(span, sentence: Sentence) -> list[list[NodeId]]:

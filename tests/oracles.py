@@ -466,6 +466,8 @@ def _oracle_entity_items(value, line):
             raise ConlluError(f"malformed entity id in Entity item near '{value[pos:pos + 12]}'",
                               line)
         part = (int(k), int(n)) if k else None
+        if part and not 1 <= part[0] <= part[1]:
+            raise ConlluError(f"malformed part {k}/{n} of entity '{eid}'", line)
         if opener:
             items.append(("single" if part_closed or closed else "open", eid, part))
         elif part_closed or closed:

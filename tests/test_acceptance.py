@@ -46,9 +46,9 @@ from corefkit.model import (
     Document,
     Entity,
     NodeId,
-    document_word_index,
     make_mention,
     sort_entity_mentions,
+    word_offsets,
 )
 
 from helpers import (
@@ -519,11 +519,11 @@ def test_statistics_fixture_reproduces_reference_columns():
 
     d = doc("p95", sent(0, [("w", 0, "root", "NOUN")]
                         + [("w", 1, "dep", "NOUN")] * 249))
-    view, _ = document_word_index(d)
+    offsets = word_offsets(d)
     entities_20 = [
         ent(f"e{k}", d, [(0, 1)], [(0, 1 + 10 * k)]) for k in range(1, 21)
     ]
-    assert p95_range(entities_20, view) == 190
+    assert p95_range(entities_20, offsets) == 190
     assert oracle_nearest_rank_p95(range(10, 201, 10)) == 190
     ok("statistics fixture reproduces every reference column exactly; "
        "p95 of ranges 10..200 is 190 under nearest rank")

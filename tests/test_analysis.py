@@ -20,9 +20,9 @@ from corefkit.model import (
     Corpus,
     Entity,
     NodeId,
-    document_word_index,
     make_mention,
     sort_entity_mentions,
+    word_offsets,
 )
 
 from helpers import doc, ent, heads_only, random_gold, recluster, sent
@@ -44,49 +44,49 @@ def entity_at(document, word_majors, eid="e1", si=0):
 
 def test_entity_range_examples():
     d = long_flat_doc("d1", 300)
-    view, _ = document_word_index(d)
-    assert entity_range(entity_at(d, [10]), view) == 0
-    assert entity_range(entity_at(d, [10, 250]), view) == 240
+    offsets = word_offsets(d)
+    assert entity_range(entity_at(d, [10]), offsets) == 0
+    assert entity_range(entity_at(d, [10, 250]), offsets) == 240
 
 
 def test_entity_range_uses_zero_anchor():
     d = doc("d1", sent(0, [("w", 0, "root", "NOUN")]
                        + [("w", 1, "dep", "NOUN")] * 39,
                        empties=[(30, 1, "Z", 1, "nsubj")]))
-    view, _ = document_word_index(d)
+    offsets = word_offsets(d)
     e = Entity("e1", sort_entity_mentions([
         make_mention("e1", [NodeId(0, 12)], d),
         make_mention("e1", [NodeId(0, 30, 1)], d),
     ]))
-    assert entity_range(e, view) == 18
+    assert entity_range(e, offsets) == 18
 
 
 def test_entity_range_monotonicity():
     d = long_flat_doc("d1", 100)
-    view, _ = document_word_index(d)
+    offsets = word_offsets(d)
     rng = random.Random(3)
     for _ in range(50):
         majors = rng.sample(range(1, 101), rng.randint(1, 5))
         e = entity_at(d, majors)
-        base = entity_range(e, view)
+        base = entity_range(e, offsets)
         later = rng.randint(1, 100)
         extended = entity_at(d, majors + [later])
-        assert entity_range(extended, view) >= base
+        assert entity_range(extended, offsets) >= base
 
 
 def test_p95_nearest_rank():
     d = long_flat_doc("d1", 250)
-    view, _ = document_word_index(d)
+    offsets = word_offsets(d)
     entities = [entity_at(d, [1, 1 + 10 * k], eid=f"e{k}") for k in range(1, 21)]
-    ranges = sorted(entity_range(e, view) for e in entities)
+    ranges = sorted(entity_range(e, offsets) for e in entities)
     assert ranges == list(range(10, 201, 10))
-    assert p95_range(entities, view) == 190
-    assert p95_range(entities, view) == oracle_nearest_rank_p95(ranges)
+    assert p95_range(entities, offsets) == 190
+    assert p95_range(entities, offsets) == oracle_nearest_rank_p95(ranges)
 
     single = [entity_at(d, [5, 17])]
-    assert p95_range(single, view) == 12
+    assert p95_range(single, offsets) == 12
     singletons = [entity_at(d, [3]), entity_at(d, [9])]
-    assert p95_range(singletons, view) is None
+    assert p95_range(singletons, offsets) is None
 
 
 def stats_fixture():
@@ -320,9 +320,9 @@ def test_curve_excludes_short_range_documents():
 
 def test_max_adjacent_gap():
     d = long_flat_doc("d1", 100)
-    view, _ = document_word_index(d)
+    offsets = word_offsets(d)
     e = entity_at(d, [5, 10, 40])
-    assert max_adjacent_gap([e], view) == 30
+    assert max_adjacent_gap([e], offsets) == 30
 
 
 def sampler_corpus(doc_words):

@@ -313,6 +313,10 @@ NEXT_SENTENCE = "\n# sent_id = s2\n" + line("1", "z")
      5, "discontinuous mention of entity 'e1' is missing part 2/2 at the end of the sentence"),
     (line("1", "a", misc="Entity=(e1[1/2])") + line("2", "b", "1", "dep"),
      4, "discontinuous mention of entity 'e1' is missing part 2/2 at the end of the sentence"),
+    (line("1", "a", misc="Entity=(e1[0/0])"), 3, "malformed part 0/0 of entity 'e1'"),
+    (line("1", "a", misc="Entity=(e1[2/1])"), 3, "malformed part 2/1 of entity 'e1'"),
+    (line("1", "a", misc="Entity=(e1") + line("2", "b", "1", "dep", misc="Entity=e1[0/2])"),
+     4, "malformed part 0/2 of entity 'e1'"),
 ])
 def test_bracket_errors_keep_their_message_and_line(body, error_line, message):
     with pytest.raises(ConlluError) as err:
@@ -499,6 +503,7 @@ def test_streamed_documents_are_the_parsed_corpus(data, block, binary):
         file = io.BytesIO(data)
     with mock.patch.object(conllu, "_BLOCK", block):
         assert _read(lambda: Corpus.from_pairs(iter_documents(file))) == expected
+        assert _read(lambda: parse_conllu(data)) == expected
     if not isinstance(expected, tuple):
         assert _read(lambda: parse_conllu(data.decode("utf-8"))) == expected
 

@@ -5,8 +5,10 @@ import times perfbench reports; each command loads the modules it runs,
 so convert, clean, stats and sample do not load matching.  No command loads
 scipy.optimize: the assignments of CEAF-e and of zero alignment are
 solved by corefkit.matching.solve_assignment.  The process pool loads
-only for score --jobs above 1.  One fresh interpreter per case, because
-this test process has long loaded them all."""
+only for score --jobs above 1.  metrics loads logging only to report a
+degenerate ratio and json only to write score records.  One fresh
+interpreter per case, because this test process has long loaded them
+all."""
 
 import json
 import os
@@ -25,13 +27,18 @@ from helpers import doc, ent, recluster, sent, zeroful_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 LAZY = ("scipy.optimize", "concurrent.futures.process")
+STDLIB = ("json", "logging")  # loaded where used, not with the module that uses them
 
 # argv is None for a bare import of corefkit.cli and a module name for
 # an import of that module; the last stdout line reports the exit code and
-# which of LAZY, numpy, scipy and the corefkit modules are loaded
+# which of LAZY, STDLIB, numpy, scipy and the corefkit modules are loaded.
+# json, which reads argv, is unloaded before the run so that a load shows.
 _PROBE = f"""
 import json, sys
 argv = json.loads(sys.argv[1])
+for name in [m for m in sys.modules if m.partition(".")[0] == "json"]:
+    del sys.modules[name]
+del json
 code = None
 if argv is None:
     import corefkit.cli
@@ -43,9 +50,10 @@ else:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                              if m in {LAZY!r} or m in ("numpy", "scipy")
-                              or m.startswith("corefkit"))]))
+loaded = sorted(m for m in sys.modules if m in {LAZY + STDLIB!r}
+                or m in ("numpy", "scipy") or m.startswith("corefkit"))
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -67,6 +75,8 @@ def inputs(tmp_path_factory):
     (path / "manifest.txt").write_text("name = d\ngold = gold.conllu\npred = pred.conllu\n\n"
                                        "name = z\ngold = zeros.conllu\npred = zeros.conllu\n",
                                        encoding="utf-8")
+    (path / "self.txt").write_text("name = d\ngold = gold.conllu\npred = gold.conllu\n",
+                                   encoding="utf-8")
     return path
 
 
@@ -149,17 +159,19 @@ def test_the_regime_choices_are_the_match_regimes():
     (["clean", "--reference", "gold.conllu", "--in", "gold.txt", "--out-file", "clean.txt"],
      ("matching", "metrics", "analysis")),
     (["score", "--manifest", "manifest.txt", "--out", "score"], ("formats", "analysis")),
+    # gold scored against itself meets no degenerate ratio (see zeroful_corpus)
+    (["score", "--manifest", "self.txt", "--out", "self"], ("formats", "analysis", "logging")),
     (["stats", "gold.conllu", "--out", "stats"], ("formats", "metrics", "matching")),
     (["sample", "gold.conllu", "--cap-words", "50", "--seed", "1", "--out", "sample"],
      ("formats", "metrics", "matching")),
     (["analyze", "long-range", "--gold", "gold.conllu", "--pred", "pred.conllu",
-      "--out", "analyze"], ("formats",)),
-], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "stats", "sample",
-        "analyze"])
+      "--out", "analyze"], ("formats", "json", "logging")),
+], ids=["to-text", "from-text", "to-json", "from-json", "clean", "score", "score-self",
+        "stats", "sample", "analyze"])
 def test_each_command_loads_only_the_modules_it_runs(inputs, argv, unused):
     loaded = _modules_after(argv, inputs)
     assert "corefkit.conllu" in loaded
-    assert not {f"corefkit.{m}" for m in unused} & set(loaded)
+    assert not {m if m in STDLIB else f"corefkit.{m}" for m in unused} & set(loaded)
 
 
 # The public names of the package and the submodule defining each; the

@@ -516,6 +516,7 @@ def test_scoring_one_document_at_a_time_onto_running_totals_gives_the_corpus_sco
         for mode in (SINGLETONS_EXCLUDED, SINGLETONS_INCLUDED):
             totals = _Totals(conll_only=False)
             for g, p in zip(gold, pred):
-                scores = evaluate_corpus(Corpus(*map(list, zip(g))), Corpus(*map(list, zip(p))),
-                                         regime=regime, singleton_mode=mode, totals=totals)
-            assert scores == evaluate_corpus(gold, pred, regime=regime, singleton_mode=mode)
+                assert evaluate_corpus(Corpus(*map(list, zip(g))), Corpus(*map(list, zip(p))),
+                                       regime=regime, singleton_mode=mode, totals=totals) is None
+            assert totals.scores() == evaluate_corpus(gold, pred, regime=regime,
+                                                      singleton_mode=mode)

@@ -14,10 +14,10 @@ from corefkit.model import (
     NodeId,
     Sentence,
     derive_head,
-    document_word_index,
     make_mention,
     mention_has_gap,
     mention_is_treelet,
+    word_offsets,
 )
 
 from helpers import doc, ent, random_document, random_gold, rich_corpora, sent, zeroful_corpus
@@ -183,22 +183,19 @@ def test_parsed_heads_match_oracle_on_cyclic_trees(text):
         assert mention.is_zero == mention.head.is_empty
 
 
-def test_word_index_counts_regular_tokens_only():
+def test_word_offsets_count_regular_tokens_before_each_sentence():
     d = doc("d1", sent(0, [("a", 0, "root", "X")] + [("w", 1, "dep", "X")] * 4,
-                       empties=[(3, 1, "Z", 1, "nsubj")]))
-    ordinals, words = document_word_index(d)
-    assert words == 5
-    assert [ordinals[NodeId(0, major)] for major in range(1, 6)] == [1, 2, 3, 4, 5]
-    z = ordinals[NodeId(0, 3, 1)]
-    assert 3 < z < 4
-
-
-def test_word_index_empty_run_is_monotonic():
-    d = doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")],
-                       empties=[(1, 1, "Z1", 1, "nsubj"), (1, 2, "Z2", 1, "obj")]))
-    ordinals, _ = document_word_index(d)
-    z1, z2 = ordinals[NodeId(0, 1, 1)], ordinals[NodeId(0, 1, 2)]
-    assert 1 < z1 < z2 < 2
+                       empties=[(3, 1, "Z", 1, "nsubj")]),
+            sent(1, [("a", 0, "root", "X"), ("b", 1, "dep", "X")],
+                 empties=[(0, 1, "Z0", 1, "nsubj"), (1, 1, "Z1", 1, "nsubj"),
+                          (1, 2, "Z2", 1, "obj")]))
+    offsets = word_offsets(d)
+    assert offsets == [0, 5, 7] and offsets[-1] == d.word_count()
+    # a token is the word it numbers; an empty node counts at the word before it
+    words = 0
+    for node in (n for s in d.sentences for n in s.nodes):
+        words += not node.is_empty
+        assert offsets[node.id.sentence_index] + node.id.major == words
 
 
 def test_mention_geometry():
