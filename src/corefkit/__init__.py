@@ -30,8 +30,7 @@ _NAMES = {
         "to_plaintext",
     ),
     "matching": (
-        "MatchRegime", "MentionAlignment", "ZeroWeight", "align_zeros", "build_alignment",
-        "match_surface",
+        "MatchRegime", "MentionAlignment", "align_zeros", "build_alignment", "match_surface",
     ),
     "metrics": (
         "PRF", "SINGLETONS_EXCLUDED", "SINGLETONS_INCLUDED", "MetricId", "ScoreReport",

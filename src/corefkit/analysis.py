@@ -30,7 +30,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .matching import MatchRegime, ZeroWeight
+    from .matching import MatchRegime
 
 LONG_ENTITY_THRESHOLD = 1500
 
@@ -233,8 +233,7 @@ def is_long_entity_dataset(stats: CorpusStats) -> bool:
 
 def upos_factorized_score(gold, pred, tag: str,
                           level: str = "entity",
-                          regime: MatchRegime | str = "head",
-                          weights: ZeroWeight | None = None) -> PRF:
+                          regime: MatchRegime | str = "head") -> PRF:
     """Primary score restricted to a head UPOS tag.
 
     entity level: keep entities with at least one mention whose head
@@ -244,14 +243,12 @@ def upos_factorized_score(gold, pred, tag: str,
     excluding singletons.  Either side is a Corpus or a stream, filtered
     and scored one document pair at a time as in ``evaluate_corpus``.  A
     tag in no mention head warns after the last pair and scores 0; the
-    documents are paired and checked as for any other tag.  ``weights``
-    defaults to ``ZeroWeight()``.
+    documents are paired and checked as for any other tag.
     """
-    from .matching import MatchRegime, ZeroWeight
+    from .matching import MatchRegime
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus
 
     regime = MatchRegime(regime)
-    weights = ZeroWeight() if weights is None else weights
 
     def tag_matches(mention: Mention, document: Document) -> bool:
         return tag in head_upos_tags(mention, document)
@@ -282,8 +279,7 @@ def upos_factorized_score(gold, pred, tag: str,
             document = doc_entities = kept = None  # not alive while the next pair is read
 
     scores = evaluate_corpus(filtered(gold), filtered(pred), regime=regime,
-                             singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
-                             conll_only=True)
+                             singleton_mode=SINGLETONS_EXCLUDED, conll_only=True)
     if not kept_any:
         warnings.warn(f"UPOS tag '{tag}' occurs in no mention head; degenerate score",
                       stacklevel=2)
@@ -309,8 +305,7 @@ def long_range_curve(gold, pred,
                      window_tokens: int = 50_000,
                      min_p95: int = 100,
                      sort_key: str = "p95",
-                     regime: MatchRegime | str = "head",
-                     weights: ZeroWeight | None = None) -> list[RangeCurvePoint]:
+                     regime: MatchRegime | str = "head") -> list[RangeCurvePoint]:
     """Per-document primary scores bucketed by entity range.
 
     Documents are paired by id as in ``evaluate_corpus``, so both
@@ -320,13 +315,12 @@ def long_range_curve(gold, pred,
     ``sort_key`` ("p95" or "max_adjacent_gap") and tiled into disjoint
     windows of at most ``window_tokens`` words; each point reports the
     unweighted mean document CoNLL F1 and the mean sort-key value of its
-    documents.  ``weights`` defaults to ``ZeroWeight()``.
+    documents.
     """
-    from .matching import MatchRegime, ZeroWeight
+    from .matching import MatchRegime
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus, pair_documents
 
     regime = MatchRegime(regime)
-    weights = ZeroWeight() if weights is None else weights
 
     if sort_key not in ("p95", "max_adjacent_gap"):
         raise ValueError(f"unknown sort key '{sort_key}'")
@@ -344,8 +338,7 @@ def long_range_curve(gold, pred,
         )
         scores = evaluate_corpus(
             [(document, doc_entities)], [(pred_doc, pred_entities)],
-            regime=regime, singleton_mode=SINGLETONS_EXCLUDED, weights=weights,
-            conll_only=True,
+            regime=regime, singleton_mode=SINGLETONS_EXCLUDED, conll_only=True,
         )
         qualifying.append((key, offsets[-1], scores[MetricId.CONLL].f1))
 

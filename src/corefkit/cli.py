@@ -40,7 +40,7 @@ from .errors import (CleanRefusedError, ConlluError, JsonFormatError, PlaintextE
                      TokenMismatchError, apply_each)
 
 if TYPE_CHECKING:
-    from .matching import MatchRegime, ZeroWeight
+    from .matching import MatchRegime
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -163,11 +163,12 @@ def _documents(path: Path, whole: bool = False):
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:
-    """A plaintext or JSON input; invalid UTF-8 raises ``error`` (exit 2)
-    with the path and line, as CoNLL-U input does."""
+    """A plaintext, JSON or manifest input without a leading byte order
+    mark; invalid UTF-8 raises ``error`` (exit 2) with the path and line,
+    as CoNLL-U input does."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: invalid UTF-8 ({exc.reason}) "
@@ -224,16 +225,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _zero_weights(args: argparse.Namespace) -> ZeroWeight:
-    """The zero-alignment weights of ``score`` and ``analyze``."""
-    from .matching import ZeroWeight
-    for flag, value in (("--zero-parent-weight", args.zero_parent_weight),
-                        ("--zero-label-weight", args.zero_label_weight)):
-        _require(math.isfinite(value) and value >= 0,
-                 f"{flag} must be finite and at least 0, got {value}")
-    return ZeroWeight(args.zero_parent_weight, args.zero_label_weight)
-
-
 def _check_out_dir(out_dir: Path) -> None:
     """Refuse, before any input is read, an --out that could not be made.
     It creates nothing: ``main`` makes --out when it writes."""
@@ -263,7 +254,7 @@ def _check_out_file(out_file: Path) -> None:
 # ---------------------------------------------------------------------------
 # score
 
-def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight,
+def _score_dataset(regime: MatchRegime, singleton_mode: str,
                    spec: DatasetSpec) -> tuple[dict, dict]:
     """Primary scores and the CoNLL variants of one dataset, from one pass
     over its document pairs.  Each distinct (regime, singletons) pair is
@@ -279,8 +270,7 @@ def _score_dataset(regime: MatchRegime, singleton_mode: str, weights: ZeroWeight
     primary = (regime, singleton_mode)
     settings = [(*primary, False)] + [(*setting, True) for setting in variants.values()
                                       if setting != primary]
-    scores = metrics.evaluate_settings(_documents(spec.gold), _documents(spec.pred), settings,
-                                       weights=weights)
+    scores = metrics.evaluate_settings(_documents(spec.gold), _documents(spec.pred), settings)
     by_setting = {(r, mode): result for (r, mode, _), result in zip(settings, scores)}
     return scores[0], {key: by_setting[setting][metrics.MetricId.CONLL]
                        for key, setting in variants.items()}
@@ -292,7 +282,6 @@ def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
     regime = MatchRegime(args.regime)
     singleton_mode = (metrics.SINGLETONS_INCLUDED if args.singletons == "include"
                       else metrics.SINGLETONS_EXCLUDED)
-    weights = _zero_weights(args)
     datasets = parse_manifest(args.manifest)
     _require(args.jobs >= 1, f"--jobs must be at least 1, got {args.jobs}")
     for spec in datasets:
@@ -302,7 +291,7 @@ def cmd_score(args: argparse.Namespace) -> dict[Path, str]:
         _require(spec.pred.is_file(), f"pred path {spec.pred} is not a readable file")
     _check_out_dir(args.out)
 
-    score = functools.partial(_score_dataset, regime, singleton_mode, weights)
+    score = functools.partial(_score_dataset, regime, singleton_mode)
     # the pool forks all its workers on the first map, so no more than there is work for
     jobs = min(args.jobs, len(datasets))
     if jobs > 1:
@@ -379,34 +368,38 @@ def _rebuild_from_json(in_path: Path, skeleton: Path) -> str:
     except (JsonFormatError, OSError) as exc:
         values, error = [], exc
     failed, unwritable, texts = {}, {}, {}  # by JSON document number
-    jdocs, numbers = {}, {}  # numbers: the JSON documents naming each id
+    jdocs, numbers = {}, {}  # numbers: the JSON document naming each id
     for number, value in enumerate(values, start=1):
         try:
-            jdocs[number] = formats.json_doc_from_value(value)
+            jdoc = formats.json_doc_from_value(value)
+            if jdoc.doc_id in numbers:
+                raise JsonFormatError(f"duplicate document id '{jdoc.doc_id}', "
+                                      f"as in document {numbers[jdoc.doc_id]}")
         except JsonFormatError as exc:
             failed[number] = JsonFormatError(f"{in_path}, document {number}: {exc}")
             continue
-        numbers.setdefault(jdocs[number].doc_id, []).append(number)
+        jdocs[number], numbers[jdoc.doc_id] = jdoc, number
 
     def rebuild(pair) -> None:
         document, _ = pair
-        for number in numbers.pop(document.doc_id, ()):
-            try:
-                rebuilt = formats.reconstruct_from_json(jdocs[number], document)
-            except ValueError as exc:
-                failed[number] = exc
-                continue
-            try:
-                texts[number] = serialize_conllu([rebuilt])
-            except ConlluError as exc:
-                unwritable[number] = exc
+        number = numbers.pop(document.doc_id, None)
+        if number is None:
+            return
+        try:
+            rebuilt = formats.reconstruct_from_json(jdocs[number], document)
+        except ValueError as exc:
+            failed[number] = exc
+            return
+        try:
+            texts[number] = serialize_conllu([rebuilt])
+        except ConlluError as exc:
+            unwritable[number] = exc
 
     apply_each(rebuild, _documents(skeleton))  # holds no error: rebuild keeps them all
     if error is not None:
         raise error
-    for doc_id, missing in numbers.items():
-        for number in missing:
-            failed[number] = TokenMismatchError(f"skeleton has no document '{doc_id}'")
+    for doc_id, number in numbers.items():
+        failed[number] = TokenMismatchError(f"skeleton has no document '{doc_id}'")
     for errors in (failed, unwritable):
         if errors:
             raise errors[min(errors)]
@@ -475,7 +468,7 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
     """Both kinds score without singletons."""
     from . import analysis
     from .matching import MatchRegime
-    regime, weights = MatchRegime(args.regime), _zero_weights(args)
+    regime = MatchRegime(args.regime)
     if args.kind == "long-range":
         _require(args.window_tokens >= 1,
                  f"--window-tokens must be at least 1, got {args.window_tokens}")
@@ -488,13 +481,12 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
     if args.kind == "long-range":
         points = analysis.long_range_curve(
             _documents(args.gold), _documents(args.pred), window_tokens=args.window_tokens,
-            min_p95=args.min_p95, sort_key=args.sort_key, regime=regime, weights=weights,
+            min_p95=args.min_p95, sort_key=args.sort_key, regime=regime,
         )
         return {args.out / "long_range_curve.tsv": analysis.render_curve_table(points)}
     with _naming(f"{args.gold}, {args.pred}"):
         prf = analysis.upos_factorized_score(_documents(args.gold), _documents(args.pred),
-                                             args.tag, level=args.level, regime=regime,
-                                             weights=weights)
+                                             args.tag, level=args.level, regime=regime)
     return {args.out / f"upos_{args.level}_{args.tag}.tsv":
             analysis.render_upos_table(args.tag, args.level, prf)}
 
@@ -535,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--regime", choices=REGIMES,
                        default="head")
-        p.add_argument("--zero-parent-weight", type=float, default=1.0)
-        p.add_argument("--zero-label-weight", type=float, default=1.0)
         p.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
 
     p_score = sub.add_parser("score", help="score predictions against gold data")

@@ -24,26 +24,6 @@ class MatchRegime(str, enum.Enum):
     HEAD = "head"
 
 
-@dataclass(frozen=True)
-class ZeroWeight:
-    """Weights for zero-mention alignment.
-
-    A candidate pair scores ``w_parent`` for agreeing on the parent token
-    and additionally ``w_label_bonus`` when the dependency label agrees
-    too, so labelled agreement is rewarded more while parent-only matches
-    remain possible.
-    """
-
-    w_parent: float = 1.0
-    w_label_bonus: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(w) and w >= 0 for w in (self.w_parent, self.w_label_bonus)):
-            raise ValueError("zero-alignment weights must be finite and non-negative")
-        if self.w_parent + self.w_label_bonus <= 0:
-            raise ValueError("at least one zero-alignment weight must be positive")
-
-
 @dataclass
 class MentionAlignment:
     """One-to-one correspondence between gold and predicted mentions.
@@ -155,14 +135,12 @@ def _zero_profile(mention: Mention, document: Document) -> tuple[int | None, str
     return parent_major, node.deprel, position
 
 
-def _pair_weight(gold_prof, pred_prof, weights: ZeroWeight) -> float:
-    same_parent = gold_prof[0] is not None and gold_prof[0] == pred_prof[0]
-    if not same_parent:
+def _pair_weight(gold_prof, pred_prof) -> float:
+    """1.0 when both heads hang off the same parent token, 2.0 when the
+    dependency label also agrees, else 0.0 (never matched)."""
+    if gold_prof[0] is None or gold_prof[0] != pred_prof[0]:
         return 0.0
-    weight = weights.w_parent
-    if gold_prof[1] == pred_prof[1]:
-        weight += weights.w_label_bonus
-    return weight
+    return 2.0 if gold_prof[1] == pred_prof[1] else 1.0
 
 
 def _match_sentence_exhaustive(weight, dpos, n_gold, n_pred):
@@ -338,9 +316,12 @@ def _augment_rows(rows: list[dict[int, float]], n: int, background: float) -> li
 def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
     """Optimal assignment on negated weights, by solve_assignment.
 
-    Position drift breaks weight ties through an epsilon small enough to
-    never flip the total-weight ordering; zero-weight pairs are forbidden
-    by a large cost and dropped from the result.
+    Position drift breaks weight ties through ``eps``: pair weights are
+    1 or 2, so every total is a multiple of the smallest, ``min_step``,
+    and two totals differ by 0 or by at least ``min_step``; eps times any
+    matching's drift stays below min_step/2, which never reorders them.
+    Zero-weight pairs are forbidden by a large cost and dropped from the
+    result.
     """
     max_drift = sum(max(row) for row in dpos) + 1.0
     min_step = min((w for row in weight for w in row if w > 0), default=1.0)
@@ -351,13 +332,13 @@ def _match_sentence_assignment(weight, dpos, n_gold, n_pred):
     return sorted((g, p) for g, p in zip(rows, cols) if weight[g][p] > 0)
 
 
-def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention], weights: ZeroWeight,
+def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention],
                 gold_doc: Document, pred_doc: Document) -> MentionAlignment:
     """Align zero mentions sentence by sentence.
 
-    Pair weight rewards agreement on the head's parent token and, on top
-    of that, on the dependency label; zero-weight pairs are never
-    matched.  Equal-weight matchings are broken by smaller summed
+    A pair weighs 1 when the heads share their parent token and 2 when
+    the dependency label agrees too (see _pair_weight); zero-weight pairs
+    are never matched.  Equal-weight matchings are broken by smaller summed
     surface-position difference, then by earliest gold order.  The
     documents supply parent/deprel lookups for the mention heads.
     """
@@ -377,7 +358,7 @@ def align_zeros(gold_zeros: list[Mention], pred_zeros: list[Mention], weights: Z
             continue
         gold_prof = [_zero_profile(gold_zeros[i], gold_doc) for i in gold_ids]
         pred_prof = [_zero_profile(pred_zeros[j], pred_doc) for j in pred_ids]
-        weight = [[_pair_weight(g, p, weights) for p in pred_prof] for g in gold_prof]
+        weight = [[_pair_weight(g, p) for p in pred_prof] for g in gold_prof]
         dpos = [[abs(g[2] - p[2]) for p in pred_prof] for g in gold_prof]
         if max(len(gold_ids), len(pred_ids)) <= _EXHAUSTIVE_LIMIT:
             local = _match_sentence_exhaustive(weight, dpos, len(gold_ids), len(pred_ids))
@@ -400,15 +381,13 @@ def check_same_surface(gold_doc: Document, pred_doc: Document) -> None:
 def build_alignment(gold_doc: Document, gold_entities: list[Entity],
                     pred_doc: Document, pred_entities: list[Entity],
                     regime: MatchRegime = MatchRegime.HEAD,
-                    weights: ZeroWeight = ZeroWeight(),
                     check_surface: bool = True,
                     zero_cache: dict | None = None) -> MentionAlignment:
     """Combined alignment of one document pair: surface matcher on
     non-zero mentions, dependency-based matcher on zeros.  A caller that
     already ran check_same_surface on the pair passes ``check_surface=False``.
     Zero alignment does not depend on the regime: a ``zero_cache`` dict keeps
-    the zero pairs by gold document id for calls on the same entities and
-    weights."""
+    the zero pairs by gold document id for calls on the same entities."""
     if check_surface:
         check_same_surface(gold_doc, pred_doc)
     gold = [m for e in gold_entities for m in e.mentions]
@@ -423,8 +402,7 @@ def build_alignment(gold_doc: Document, gold_entities: list[Entity],
     zero_pairs = None if zero_cache is None else zero_cache.get(gold_doc.doc_id)
     if zero_pairs is None:
         zeros = align_zeros([gold[i] for i in gold_zero],
-                            [pred[j] for j in pred_zero],
-                            weights, gold_doc, pred_doc)
+                            [pred[j] for j in pred_zero], gold_doc, pred_doc)
         zero_pairs = [(gold_zero[g], pred_zero[p]) for g, p in zeros.pairs]
         if zero_cache is not None:
             zero_cache[gold_doc.doc_id] = zero_pairs

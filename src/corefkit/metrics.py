@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import apply_each
-from .matching import MatchRegime, MentionAlignment, ZeroWeight, build_alignment, solve_assignment
+from .matching import MatchRegime, MentionAlignment, build_alignment, solve_assignment
 from .model import Document, Entity, Mention
 
 SINGLETONS_INCLUDED = "included"
@@ -384,7 +384,6 @@ class DocumentScoring:
 def prepare_document(gold_doc: Document, gold_entities: list[Entity],
                      pred_doc: Document, pred_entities: list[Entity],
                      regime: MatchRegime = MatchRegime.HEAD,
-                     weights: ZeroWeight = ZeroWeight(),
                      singleton_mode: str = SINGLETONS_EXCLUDED,
                      check_surface: bool = True,
                      zero_cache: dict | None = None) -> DocumentScoring:
@@ -393,7 +392,7 @@ def prepare_document(gold_doc: Document, gold_entities: list[Entity],
     gold_kept = filter_singletons(gold_entities, singleton_mode)
     pred_kept = filter_singletons(pred_entities, singleton_mode)
     alignment = build_alignment(gold_doc, gold_kept, pred_doc, pred_kept,
-                                regime=regime, weights=weights, check_surface=check_surface,
+                                regime=regime, check_surface=check_surface,
                                 zero_cache=zero_cache)
     return DocumentScoring(gold_kept, pred_kept, alignment)
 
@@ -499,7 +498,6 @@ def pair_documents(gold, pred):
 def evaluate_corpus(gold, pred,
                     regime: MatchRegime = MatchRegime.HEAD,
                     singleton_mode: str = SINGLETONS_EXCLUDED,
-                    weights: ZeroWeight = ZeroWeight(),
                     conll_only: bool = False,
                     check_surface: bool = True,
                     zero_cache: dict | None = None,
@@ -520,17 +518,15 @@ def evaluate_corpus(gold, pred,
         totals = _Totals(conll_only)
 
     def count(pair) -> None:
-        doc = prepare_document(*pair, regime=regime, weights=weights,
-                               singleton_mode=singleton_mode, check_surface=check_surface,
-                               zero_cache=zero_cache)
+        doc = prepare_document(*pair, regime=regime, singleton_mode=singleton_mode,
+                               check_surface=check_surface, zero_cache=zero_cache)
         totals.add(document_counts(doc, singleton_mode, conll_only))
 
     apply_each(count, pair_documents(gold, pred))
     return None if running else totals.scores()
 
 
-def evaluate_settings(gold, pred, settings,
-                      weights: ZeroWeight = ZeroWeight()) -> list[dict[MetricId, PRF]]:
+def evaluate_settings(gold, pred, settings) -> list[dict[MetricId, PRF]]:
     """``evaluate_corpus`` under each ``(regime, singleton_mode,
     conll_only)`` setting, in one pass over the document pairs: each pair
     is scored by ``evaluate_corpus`` under every setting before the next
@@ -546,8 +542,7 @@ def evaluate_settings(gold, pred, settings,
         zero_caches: dict[str, dict] = {}  # zero alignment does not depend on the regime
         for k, (regime, singleton_mode, conll_only) in enumerate(settings):
             evaluate_corpus(gold_one, pred_one, regime=regime, singleton_mode=singleton_mode,
-                            weights=weights, conll_only=conll_only,
-                            check_surface=k == 0,
+                            conll_only=conll_only, check_surface=k == 0,
                             zero_cache=zero_caches.setdefault(singleton_mode, {}),
                             totals=totals[k])
 

@@ -28,7 +28,7 @@ from corefkit.formats import (
     to_json,
     to_plaintext,
 )
-from corefkit.matching import MatchRegime, ZeroWeight, align_zeros
+from corefkit.matching import MatchRegime, align_zeros
 from corefkit.metrics import (
     SINGLETONS_EXCLUDED,
     SINGLETONS_INCLUDED,
@@ -291,13 +291,12 @@ def test_head_only_system_regime_columns():
 
 def test_zero_alignment_optimality_1000_cases():
     rng = random.Random(4242)
-    weights = ZeroWeight()
     for _ in range(1000):
         gold_doc, pred_doc = _random_zero_case(rng, max_each=6)
         gold = zero_mentions(gold_doc)
         pred = zero_mentions(pred_doc)
-        aligned = align_zeros(gold, pred, weights, gold_doc, pred_doc)
-        matrix = _oracle_weights(gold_doc, pred_doc, weights)
+        aligned = align_zeros(gold, pred, gold_doc, pred_doc)
+        matrix = _oracle_weights(gold_doc, pred_doc)
         got = sum(matrix[g][p] for g, p in aligned.pairs)
         best = oracle_best_matching_weight(matrix) if matrix and matrix[0] else 0.0
         assert got == best  # exact equality

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from corefkit.matching import (
     MatchRegime,
     MentionAlignment,
     TokenMismatchError,
-    ZeroWeight,
     align_zeros,
     build_alignment,
     match_surface,
@@ -172,21 +170,20 @@ def zero_mentions(document, eid="z"):
 
 def test_zero_alignment_weights():
     gold_doc = zero_doc("d1", [(3, 1, 5, "nsubj")])
-    weights = ZeroWeight()
     # same parent and label: weight 2
     pred_doc = zero_doc("d1", [(4, 1, 5, "nsubj")])
     aligned = align_zeros(zero_mentions(gold_doc), zero_mentions(pred_doc),
-                          weights, gold_doc, pred_doc)
+                          gold_doc, pred_doc)
     assert aligned.pairs == [(0, 0)]
     # correct parent, missing label: still matched (weight 1)
     pred_doc = zero_doc("d1", [(4, 1, 5, "_")])
     aligned = align_zeros(zero_mentions(gold_doc), zero_mentions(pred_doc),
-                          weights, gold_doc, pred_doc)
+                          gold_doc, pred_doc)
     assert aligned.pairs == [(0, 0)]
     # wrong parent: zero weight, never matched
     pred_doc = zero_doc("d1", [(3, 1, 6, "nsubj")])
     aligned = align_zeros(zero_mentions(gold_doc), zero_mentions(pred_doc),
-                          weights, gold_doc, pred_doc)
+                          gold_doc, pred_doc)
     assert aligned.pairs == []
 
 
@@ -194,7 +191,7 @@ def test_zero_alignment_tie_breaks_on_position():
     gold_doc = zero_doc("d1", [(2, 1, 5, "nsubj"), (5, 1, 5, "nsubj")])
     pred_doc = zero_doc("d1", [(3, 1, 5, "nsubj"), (5, 1, 5, "nsubj")])
     aligned = align_zeros(zero_mentions(gold_doc), zero_mentions(pred_doc),
-                          ZeroWeight(), gold_doc, pred_doc)
+                          gold_doc, pred_doc)
     assert aligned.pairs == [(0, 0), (1, 1)]
 
 
@@ -212,7 +209,7 @@ def _random_zero_case(rng, max_each=6):
     return gold_doc, pred_doc
 
 
-def _oracle_weights(gold_doc, pred_doc, weights):
+def _oracle_weights(gold_doc, pred_doc):
     def profile(document):
         out = []
         for node in document.sentences[0].nodes:
@@ -226,7 +223,7 @@ def _oracle_weights(gold_doc, pred_doc, weights):
         for pp, pl in pred:
             w = 0.0
             if gp is not None and gp == pp:
-                w = weights.w_parent + (weights.w_label_bonus if gl == pl else 0.0)
+                w = 2.0 if gl == pl else 1.0
             row.append(w)
         matrix.append(row)
     return matrix
@@ -234,13 +231,12 @@ def _oracle_weights(gold_doc, pred_doc, weights):
 
 def test_zero_alignment_is_optimal_against_enumeration():
     rng = random.Random(29)
-    weights = ZeroWeight()
     for _ in range(250):
         gold_doc, pred_doc = _random_zero_case(rng)
         gold = zero_mentions(gold_doc)
         pred = zero_mentions(pred_doc)
-        aligned = align_zeros(gold, pred, weights, gold_doc, pred_doc)
-        matrix = _oracle_weights(gold_doc, pred_doc, weights)
+        aligned = align_zeros(gold, pred, gold_doc, pred_doc)
+        matrix = _oracle_weights(gold_doc, pred_doc)
         got = sum(matrix[g][p] for g, p in aligned.pairs)
         best = oracle_best_matching_weight(matrix) if matrix and matrix[0] else 0.0
         assert got == best
@@ -249,7 +245,6 @@ def test_zero_alignment_is_optimal_against_enumeration():
 
 def test_large_sentence_uses_assignment_solver_and_stays_optimal():
     rng = random.Random(31)
-    weights = ZeroWeight()
     for _ in range(10):
         n = 7  # beyond the exhaustive limit
         gold_doc = zero_doc("d1", [(k, 1, rng.randrange(1, 10), rng.choice(["nsubj", "obj"]))
@@ -257,10 +252,26 @@ def test_large_sentence_uses_assignment_solver_and_stays_optimal():
         pred_doc = zero_doc("d1", [(k, 1, rng.randrange(1, 10), rng.choice(["nsubj", "obj"]))
                                    for k in range(1, n + 1)], n_tokens=12)
         gold, pred = zero_mentions(gold_doc), zero_mentions(pred_doc)
-        aligned = align_zeros(gold, pred, weights, gold_doc, pred_doc)
-        matrix = _oracle_weights(gold_doc, pred_doc, weights)
+        aligned = align_zeros(gold, pred, gold_doc, pred_doc)
+        matrix = _oracle_weights(gold_doc, pred_doc)
         got = sum(matrix[g][p] for g, p in aligned.pairs)
         assert got == oracle_best_matching_weight(matrix)
+
+
+@pytest.mark.parametrize("extra", range(7))
+def test_zero_pairs_do_not_depend_on_unrelated_zeros(extra):
+    """Zeros on another parent cannot move a pair: the predicted zero
+    takes the label-agreeing gold zero 5.1 (weight 2) over the nearer 1.1
+    (weight 1), also from 5 extra zeros on, where the gold side exceeds
+    the exhaustive limit and the assignment solver decides."""
+    slots = [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+    gold_doc = zero_doc("d1", [(1, 1, 2, "b"), (5, 1, 2, "a")]
+                        + [(anchor, minor, 6, "a") for anchor, minor in slots[:extra]],
+                        n_tokens=6)
+    pred_doc = zero_doc("d1", [(1, 1, 2, "a")], n_tokens=6)
+    gold = zero_mentions(gold_doc)
+    aligned = align_zeros(gold, zero_mentions(pred_doc), gold_doc, pred_doc)
+    assert [(gold[g].head, p) for g, p in aligned.pairs] == [(NodeId(0, 5, 1), 0)]
 
 
 # few distinct costs, so equal-cost choices abound; -2/3 and -0.4 sum inexactly
@@ -307,7 +318,7 @@ def test_build_alignment_identity_and_union():
                             [m for m in pred_mentions if not m.is_zero])
     zeros = align_zeros([m for m in gold_mentions if m.is_zero],
                         [m for m in pred_mentions if m.is_zero],
-                        ZeroWeight(), document, document)
+                        document, document)
     expected = {
         (gold_mentions.index(surface.gold[g]), pred_mentions.index(surface.pred[p]))
         for g, p in surface.pairs
@@ -357,9 +368,3 @@ def test_alignment_injectivity_validated():
     m1, m2 = mention(d, [1]), mention(d, [2])
     with pytest.raises(ValueError):
         MentionAlignment([m1], [m2, m2], [(0, 0), (0, 1)])
-
-
-@pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, -math.inf)])
-def test_zero_weights_must_be_finite_and_non_negative(weights):
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        ZeroWeight(*weights)
