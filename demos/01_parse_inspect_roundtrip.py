@@ -34,7 +34,7 @@ SAMPLE = """\
 
 def main() -> None:
     corpus = parse_conllu(SAMPLE)
-    print(f"documents: {[d.doc_id for d in corpus.documents]}")
+    print(f"documents: {[d.doc_id for d, _ in corpus]}")
 
     for document, entities in corpus:
         print(f"\n== {document.doc_id} ==")
@@ -54,7 +54,7 @@ def main() -> None:
     # nodes are not words); a node is offsets[sentence] + major words into
     # its document, so a zero counts at the word it follows.
     print()
-    for document in corpus.documents:
+    for document, _ in corpus:
         offsets = word_offsets(document)
         print(f"{document.doc_id}: {offsets[-1]} words, sentence offsets {offsets[:-1]}")
         for sentence in document.sentences:

@@ -19,7 +19,6 @@ from corefkit import (
     to_json,
     to_plaintext,
 )
-from corefkit.model import Corpus
 
 SAMPLE = """\
 # newdoc id = voyage
@@ -38,14 +37,14 @@ SAMPLE = """\
 
 def main() -> None:
     corpus = parse_conllu(SAMPLE)
-    document, entities = corpus.documents[0], corpus.entities[0]
+    document, entities = corpus[0]
 
     line = to_plaintext(document, entities).render()
     print("plaintext:")
     print(f"  {line}")
 
     rebuilt_doc, rebuilt_entities = reconstruct_conllu(document, from_plaintext(line))
-    same = serialize_conllu(Corpus([rebuilt_doc], [rebuilt_entities])) \
+    same = serialize_conllu([(rebuilt_doc, rebuilt_entities)]) \
         == serialize_conllu(corpus)
     print(f"reconstructed CoNLL-U identical: {same}")
 

@@ -28,7 +28,7 @@ REFERENCE = """\
 
 def main() -> None:
     corpus = parse_conllu(REFERENCE)
-    document, entities = corpus.documents[0], corpus.entities[0]
+    document, entities = corpus[0]
     valid = to_plaintext(document, entities).render()
     print("valid output:")
     print(f"  {valid}")

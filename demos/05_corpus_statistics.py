@@ -11,7 +11,6 @@ import random
 
 from corefkit import corpus_stats
 from corefkit.analysis import (
-    is_long_entity_dataset,
     render_corpus_stats_table,
     render_entity_stats_table,
     render_mention_details_table,
@@ -37,8 +36,7 @@ def main() -> None:
     print(render_corpus_stats_table(rows))
 
     for name, stats in rows.items():
-        marker = "long-entity" if is_long_entity_dataset(stats) else "short-range"
-        print(f"{name}: p95 entity range = {stats.entities.p95_range} -> {marker}")
+        print(f"{name}: p95 entity range = {stats.entities.p95_range}")
 
     print("\nentity view including singletons, with the length distribution:")
     print(render_entity_stats_table(rows))

@@ -41,13 +41,13 @@ def main() -> None:
         prf = upos_factorized_score(gold, pred, tag, level="entity")
         print(f"entities with a {tag:5s} head: CoNLL F1 = {100 * prf.f1:6.2f}")
 
-    total = gold.word_count()
+    total = sum(d.word_count() for d, _ in gold)
     sampled = sample_split(gold, cap_words=total // 2, seed=11)
-    print(f"\nsampled split: {len(sampled.documents)} of {len(gold.documents)} "
-          f"documents, {sampled.word_count()} of {total} words")
+    print(f"\nsampled split: {len(sampled)} of {len(gold)} documents, "
+          f"{sum(d.word_count() for d, _ in sampled)} of {total} words")
     again = sample_split(gold, cap_words=total // 2, seed=11)
     print(f"same seed, same selection: "
-          f"{[d.doc_id for d in sampled.documents] == [d.doc_id for d in again.documents]}")
+          f"{[d.doc_id for d, _ in sampled] == [d.doc_id for d, _ in again]}")
     exempt = sample_split(gold, cap_words=total // 2, exempt=True, seed=11)
     print(f"exempt split untouched: {exempt is gold}")
 

@@ -39,7 +39,7 @@ _NAMES = {
         "score_md_h", "score_mor", "score_muc", "score_zero_anaphora",
     ),
     "model": (
-        "Corpus", "Document", "Entity", "Mention", "Node", "NodeId", "Sentence", "derive_head",
+        "Document", "Entity", "Mention", "Node", "NodeId", "Sentence", "derive_head",
         "make_mention",
     ),
 }

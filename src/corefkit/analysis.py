@@ -3,10 +3,8 @@ and reduced split sampling.
 
 Entity range is the surface-word distance between the first and last
 mention heads (zero heads count at their anchor word); the p95 range is
-the nearest-rank 95th percentile over non-singleton entities, and a
-dataset whose p95 range exceeds 1500 words counts as long-entity data.
-Mention length counts surface words only, so pure-zero mentions have
-length 0.
+the nearest-rank 95th percentile over non-singleton entities.  Mention
+length counts surface words only, so pure-zero mentions have length 0.
 """
 
 from __future__ import annotations
@@ -14,12 +12,12 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import apply_each
 from .model import (
-    Corpus,
+    EMPTY_COLUMN,
     Document,
     Entity,
     Mention,
@@ -31,8 +29,6 @@ from .model import (
 
 if TYPE_CHECKING:
     from .matching import MatchRegime
-
-LONG_ENTITY_THRESHOLD = 1500
 
 
 @dataclass
@@ -189,7 +185,7 @@ class _MentionCounts:
 def corpus_stats(corpus) -> CorpusStats:
     """Dataset-level statistics: document/sentence/word/empty-node counts
     plus entity and mention statistics, excluding singletons, with the
-    singleton-inclusive variants alongside.  ``corpus`` is a Corpus or a
+    singleton-inclusive variants alongside.  ``corpus`` is a list or a
     stream of ``(document, entities)`` pairs, read one document at a
     time; only counts, sizes and ranges are kept."""
     docs = sentences = words = empty_nodes = 0
@@ -223,11 +219,6 @@ def corpus_stats(corpus) -> CorpusStats:
     )
 
 
-def is_long_entity_dataset(stats: CorpusStats) -> bool:
-    p95 = stats.entities.p95_range
-    return p95 is not None and p95 > LONG_ENTITY_THRESHOLD
-
-
 # ---------------------------------------------------------------------------
 # UPOS-factorized scoring.
 
@@ -240,10 +231,11 @@ def upos_factorized_score(gold, pred, tag: str,
     UPOS (or a flat child's UPOS) equals the tag.  mention level: keep
     only such mentions; entities reduced to a single mention drop out of
     the singleton-excluded scoring.  Returns the head-match CoNLL score
-    excluding singletons.  Either side is a Corpus or a stream, filtered
-    and scored one document pair at a time as in ``evaluate_corpus``.  A
-    tag in no mention head warns after the last pair and scores 0; the
-    documents are paired and checked as for any other tag.
+    excluding singletons.  Either side is a list or a stream of pairs,
+    filtered and scored one document pair at a time as in
+    ``evaluate_corpus``.  A tag in no mention head warns after the last
+    pair and scores 0; the documents are paired and checked as for any
+    other tag.
     """
     from .matching import MatchRegime
     from .metrics import SINGLETONS_EXCLUDED, MetricId, evaluate_corpus
@@ -371,23 +363,27 @@ def long_range_curve(gold, pred,
 # ---------------------------------------------------------------------------
 # Data variants and mini-split sampling.
 
-def derive_input_variant(gold: Corpus) -> Corpus:
-    """The participant-facing view of a gold corpus: gold empty nodes and
-    all coreference annotations are removed.  Morphosyntax is kept as-is
-    (re-prediction is a separate concern)."""
-    documents = []
-    for document in gold.documents:
-        sentences = [
-            Sentence([n for n in s.nodes if not n.is_empty], s.mwt_ranges, s.sent_id)
-            for s in document.sentences
-        ]
-        documents.append(Document(document.doc_id, sentences))
-    return Corpus(documents, [[] for _ in documents])
+def derive_input_variant(gold) -> list[tuple[Document, list[Entity]]]:
+    """The participant-facing view of gold ``(document, entities)`` pairs:
+    gold empty nodes and all coreference annotations (the entities, and
+    the Bridge and SplitAnte keys of MISC) are removed.  Morphosyntax is
+    kept as-is (re-prediction is a separate concern); the gold nodes are
+    not changed."""
+    from .conllu import _SKIPPED_ANNOTATIONS
+
+    def kept(node):
+        misc = {k: v for k, v in node.misc.items() if k not in _SKIPPED_ANNOTATIONS}
+        return replace(node, misc=misc or EMPTY_COLUMN)
+
+    return [(Document(document.doc_id, [
+        Sentence([kept(n) for n in s.nodes if not n.is_empty], s.mwt_ranges, s.sent_id)
+        for s in document.sentences]), []) for document, _ in gold]
 
 
-def sample_split(split: Corpus, cap_words: int = 25_000, exempt: bool = False,
-                 seed: int = 0) -> Corpus:
-    """Cap a split by random sampling of complete documents.
+def sample_split(split: list[tuple[Document, list[Entity]]], cap_words: int = 25_000,
+                 exempt: bool = False, seed: int = 0) -> list[tuple[Document, list[Entity]]]:
+    """Cap a split, a list of ``(document, entities)`` pairs, by random
+    sampling of complete documents.
 
     Documents are shuffled with the seeded generator and included whole
     while the running word total stays within the cap; the output keeps
@@ -397,16 +393,17 @@ def sample_split(split: Corpus, cap_words: int = 25_000, exempt: bool = False,
     """
     if exempt:
         return split
-    order = list(range(len(split.documents)))
+    order = list(range(len(split)))
     random.Random(seed).shuffle(order)
     chosen: set[int] = set()
     total = 0
     for doc_index in order:
-        words = split.documents[doc_index].word_count()
+        document = split[doc_index][0]
+        words = document.word_count()
         if total + words > cap_words:
             if not chosen:
                 warnings.warn(
-                    f"document '{split.documents[doc_index].doc_id}' alone exceeds "
+                    f"document '{document.doc_id}' alone exceeds "
                     f"the {cap_words}-word cap; keeping it as the whole split",
                     stacklevel=2,
                 )
@@ -414,11 +411,7 @@ def sample_split(split: Corpus, cap_words: int = 25_000, exempt: bool = False,
             break
         chosen.add(doc_index)
         total += words
-    kept = sorted(chosen)
-    return Corpus(
-        [split.documents[i] for i in kept],
-        [split.entities[i] for i in kept],
-    )
+    return [split[i] for i in sorted(chosen)]
 
 
 # ---------------------------------------------------------------------------

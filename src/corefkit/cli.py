@@ -494,7 +494,6 @@ def cmd_analyze(args: argparse.Namespace) -> dict[Path, str]:
 def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     from . import analysis
     from .conllu import serialize_conllu
-    from .model import Corpus
     specs = _input_specs(args.paths, args.manifest, args.exempt)
     _require(args.cap_words >= 1, f"--cap-words must be at least 1, got {args.cap_words}")
     for spec in specs:
@@ -504,7 +503,7 @@ def cmd_sample(args: argparse.Namespace) -> dict[Path, str]:
     outputs = {}
     for spec in specs:
         with _naming(spec.gold):
-            whole = Corpus.from_pairs(_documents(spec.gold, whole=True))
+            whole = list(_documents(spec.gold, whole=True))
             sampled = analysis.sample_split(whole, cap_words=args.cap_words,
                                             exempt=spec.exempt, seed=args.seed)
         outputs[args.out / f"{spec.name}.conllu"] = serialize_conllu(sampled)

@@ -31,7 +31,6 @@ from .brackets import CLOSE, OPEN, SINGLE, find_crossing, item_order, join_parts
 from .errors import ConlluError
 from .model import (
     EMPTY_COLUMN,
-    Corpus,
     Document,
     Entity,
     Mention,
@@ -191,9 +190,10 @@ def _parse_head_ref(text: str, sent: _SentenceBuilder, line: int) -> NodeId | No
     raise ConlluError(f"malformed head reference '{text}'", line)
 
 
-def parse_conllu(source, *, first_line: int = 1, skipped: list[int] | None = None) -> Corpus:
+def parse_conllu(source, *, first_line: int = 1,
+                 skipped: list[int] | None = None) -> list[tuple[Document, list[Entity]]]:
     """Parse CoNLL-U text (str, bytes, or a text or binary file object)
-    into a Corpus.
+    into its ``(document, entities)`` pairs, those ``iter_documents`` yields.
 
     Raises ConlluError with a line number on invalid UTF-8, malformed ids,
     unbalanced entity brackets, references to nonexistent parents, or
@@ -213,7 +213,7 @@ def parse_conllu(source, *, first_line: int = 1, skipped: list[int] | None = Non
     """
     texts = _text_blocks(source)
     with _utf8_errors_first(texts):
-        return Corpus.from_pairs(_parse_documents(texts, first_line, skipped))
+        return list(_parse_documents(texts, first_line, skipped))
 
 
 def iter_documents(source):
@@ -624,7 +624,8 @@ def _render_keyvals(mapping: dict[str, str | None]) -> str:
 
 def serialize_conllu(corpus) -> str:
     """Render ``(document, entities)`` pairs back to canonical CoNLL-U text:
-    a Corpus, a stream such as ``iter_documents`` yields, or a list."""
+    a list such as ``parse_conllu`` returns or a stream such as
+    ``iter_documents`` yields."""
     out = io.StringIO()
     for document, doc_entities in corpus:
         entity_values = _entity_strings(document, doc_entities)

@@ -253,7 +253,7 @@ def to_plaintext(document: Document, entities: list[Entity]) -> PlainDoc:
 
 def corpus_to_plaintext(corpus) -> str:
     """One line per document, terminated with a newline.  ``corpus`` is a
-    Corpus or a stream of ``(document, entities)`` pairs; the first error
+    list or a stream of ``(document, entities)`` pairs; the first error
     of a document is raised once the stream ends (see errors.apply_each)."""
     lines = []
     apply_each(lambda pair: lines.append(to_plaintext(*pair).render()), corpus)

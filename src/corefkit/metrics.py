@@ -448,7 +448,7 @@ class _Totals:
 def pair_documents(gold, pred):
     """Zip gold and predicted documents by id, in gold order.
 
-    Each side is a Corpus or an iterable of ``(document, entities)``
+    Each side is a list or a stream of ``(document, entities)``
     pairs, such as ``conllu.iter_documents`` yields, and is read one
     document at a time.  A predicted document read before its gold
     partner waits for it, so predictions in gold order hold one document.

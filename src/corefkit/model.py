@@ -5,7 +5,8 @@ empty nodes (decimal ids such as ``3.1``, used for zero anaphora) and
 multiword-token ranges.  A sentence numbers its regular tokens 1..n in
 order (the parser refuses any other numbering), so a node's major is its
 word position in the sentence.  Mentions and entities form the coreference
-layer on top; mention heads are derived from the dependency tree.
+layer on top; mention heads are derived from the dependency tree.  A
+parsed input is a list of ``(Document, entities)`` pairs.
 
 All values are treated as immutable after construction, so corpora can
 be shared freely across parallel workers.
@@ -212,36 +213,6 @@ class Entity:
     @property
     def is_singleton(self) -> bool:
         return len(self.mentions) == 1
-
-
-@dataclass
-class Corpus:
-    """Documents plus one entity list per document (parallel lists)."""
-
-    documents: list[Document]
-    entities: list[list[Entity]]
-
-    def __post_init__(self) -> None:
-        if len(self.documents) != len(self.entities):
-            raise ValueError("documents and entities lists must be parallel")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> Corpus:
-        """The corpus of ``(document, entities)`` pairs, such as
-        ``conllu.iter_documents`` yields."""
-        documents, entities = [], []
-        for document, doc_entities in pairs:
-            documents.append(document)
-            entities.append(doc_entities)
-        return cls(documents, entities)
-
-    def __iter__(self):
-        """The ``(document, entities)`` pairs, so a Corpus reads as any
-        other stream of them."""
-        return zip(self.documents, self.entities)
-
-    def word_count(self) -> int:
-        return sum(d.word_count() for d in self.documents)
 
 
 def make_mention(entity_id: str, span, document: Document) -> Mention:

@@ -8,7 +8,6 @@ from collections import Counter
 from hypothesis import strategies as st
 
 from corefkit.model import (
-    Corpus,
     Document,
     Entity,
     NodeId,
@@ -26,6 +25,9 @@ WORDS = [
     "runs", "sees", "holds", "turns", "red", "deep", "harbor", "wind", "sail",
     "rope", "deck", "maps", "coast", "tide", "moon", "cliff", "spray",
 ]
+
+# a parsed input: one (document, entities) pair per document
+Pairs = list[tuple[Document, list[Entity]]]
 
 
 def sent(si: int, tokens, empties=(), sent_id: str = "", mwt=()) -> Sentence:
@@ -171,23 +173,21 @@ def random_entities(rng: random.Random, document: Document, n_entities: int,
 
 
 def random_gold(rng: random.Random, n_docs: int = 3, n_sents=(2, 4),
-                entities_per_doc=(2, 5), empty_parent_mode: str = "random") -> Corpus:
-    documents = []
-    entities = []
+                entities_per_doc=(2, 5), empty_parent_mode: str = "random") -> Pairs:
+    pairs = []
     for d in range(n_docs):
         document = random_document(rng, f"doc{d + 1}", rng.randint(*n_sents),
                                    empty_parent_mode=empty_parent_mode)
-        documents.append(document)
-        entities.append(random_entities(rng, document,
-                                        rng.randint(*entities_per_doc)))
-    return Corpus(documents, entities)
+        pairs.append((document, random_entities(rng, document,
+                                                rng.randint(*entities_per_doc))))
+    return pairs
 
 
-def recluster(rng: random.Random, corpus: Corpus, keep_mentions: float = 0.85,
-              extra_mentions: int = 2, n_clusters=(2, 6)) -> Corpus:
+def recluster(rng: random.Random, corpus: Pairs, keep_mentions: float = 0.85,
+              extra_mentions: int = 2, n_clusters=(2, 6)) -> Pairs:
     """A prediction over the same documents: mentions mostly reused (some
     dropped, some invented), clustering reshuffled."""
-    pred_entities = []
+    pred = []
     for document, doc_entities in corpus:
         mentions = [m.span for e in doc_entities for m in e.mentions
                     if rng.random() < keep_mentions]
@@ -210,11 +210,11 @@ def recluster(rng: random.Random, corpus: Corpus, keep_mentions: float = 0.85,
             doc_pred.append(Entity(eid, sort_entity_mentions(
                 [make_mention(eid, span, document) for span in spans]
             )))
-        pred_entities.append(doc_pred)
-    return Corpus(corpus.documents, pred_entities)
+        pred.append((document, doc_pred))
+    return pred
 
 
-def zeroful_corpus(seed: int) -> Corpus:
+def zeroful_corpus(seed: int) -> Pairs:
     """Random corpus plus one document guaranteed to hold an anaphoric
     zero, so no metric is degenerate under the identity law."""
     corpus = random_gold(random.Random(seed), n_docs=2)
@@ -226,13 +226,12 @@ def zeroful_corpus(seed: int) -> Corpus:
     )
     zero_entity = ent("ze", anchor_doc, [(0, 1)], [(0, 3, 1)])
     filler = ent("zf", anchor_doc, [(0, 2)], [(0, 3)])
-    return Corpus(corpus.documents + [anchor_doc],
-                  corpus.entities + [[zero_entity, filler]])
+    return corpus + [(anchor_doc, [zero_entity, filler])]
 
 
-def heads_only(corpus: Corpus, prefix: str = "h") -> Corpus:
+def heads_only(corpus: Pairs, prefix: str = "h") -> Pairs:
     """Same clustering, every mention reduced to its head node."""
-    pred_entities = []
+    pred = []
     for document, doc_entities in corpus:
         doc_pred = []
         for k, entity in enumerate(doc_entities):
@@ -240,8 +239,8 @@ def heads_only(corpus: Corpus, prefix: str = "h") -> Corpus:
             doc_pred.append(Entity(eid, sort_entity_mentions([
                 make_mention(eid, (m.head,), document) for m in entity.mentions
             ])))
-        pred_entities.append(doc_pred)
-    return Corpus(corpus.documents, pred_entities)
+        pred.append((document, doc_pred))
+    return pred
 
 
 COLUMN_KEYS = ["Case", "Number", "Gender", "SpaceAfter", "Translit", "Mood"]
@@ -249,14 +248,14 @@ COLUMN_VALUES = ["Nom", "Sing", "Plur", "No", "Masc", "a:b", ""]
 
 
 @st.composite
-def rich_corpora(draw) -> Corpus:
+def rich_corpora(draw) -> Pairs:
     """random_gold corpora whose nodes also carry XPOS, FEATS and MISC
     values (MISC keys without a value among them) and whose sentences
     may carry a multiword-token range."""
     rng = random.Random(draw(st.integers(0, 2**31)))
     corpus = random_gold(rng, n_docs=draw(st.integers(1, 3)))
     keys, values = st.sampled_from(COLUMN_KEYS), st.sampled_from(COLUMN_VALUES)
-    for document in corpus.documents:
+    for document, _ in corpus:
         for sentence in document.sentences:
             for node in sentence.nodes:
                 node.xpos = draw(st.sampled_from(["_", "NN", "VBZ"]))

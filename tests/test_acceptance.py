@@ -42,7 +42,6 @@ from corefkit.metrics import (
     score_muc,
 )
 from corefkit.model import (
-    Corpus,
     Document,
     Entity,
     NodeId,
@@ -52,6 +51,7 @@ from corefkit.model import (
 )
 
 from helpers import (
+    Pairs,
     canonical_clusters,
     doc,
     ent,
@@ -178,10 +178,10 @@ def test_metric_oracle_suite_200_documents():
 def test_identity_and_zero_laws():
     for seed in (0, 1, 2):
         gold = zeroful_corpus(seed)
-        renamed = Corpus(gold.documents, [
-            [Entity(f"x{k}", e.mentions) for k, e in enumerate(doc_entities)]
-            for doc_entities in gold.entities
-        ])
+        renamed = [
+            (document, [Entity(f"x{k}", e.mentions) for k, e in enumerate(doc_entities)])
+            for document, doc_entities in gold
+        ]
         for mode in (SINGLETONS_INCLUDED, SINGLETONS_EXCLUDED):
             scores = evaluate_corpus(gold, renamed, singleton_mode=mode)
             for metric, prf in scores.items():
@@ -196,8 +196,8 @@ def test_identity_and_zero_laws():
             eid = f"{prefix}{k}"
             out.append(ent(eid, d, *[[(0, m)] for m in block]))
         return out
-    gold = Corpus([d], [cluster("g", [[1, 2], [3, 4]])])
-    pred = Corpus([d], [cluster("p", [[1, 3], [2, 4]])])
+    gold = [(d, cluster("g", [[1, 2], [3, 4]]))]
+    pred = [(d, cluster("p", [[1, 3], [2, 4]]))]
     scores = evaluate_corpus(gold, pred, regime=MatchRegime.EXACT,
                              singleton_mode=SINGLETONS_INCLUDED)
     assert scores[MetricId.MUC].f1 == 0.0
@@ -218,7 +218,7 @@ def test_identity_and_zero_laws():
 # ---------------------------------------------------------------------------
 # 3. Head-only system reproduces the matching-regime column semantics.
 
-def multiword_corpus(seed: int) -> Corpus:
+def multiword_corpus(seed: int) -> Pairs:
     rng = random.Random(seed)
     documents, entities = [], []
     lengths = [3, 2, 4, 1, 3, 2, 3, 1, 2, 3]
@@ -247,12 +247,12 @@ def multiword_corpus(seed: int) -> Corpus:
                 make_mention(eid, span, document) for span in spans[k:k + 2]
             ])))
         entities.append(doc_entities)
-    return Corpus(documents, entities)
+    return list(zip(documents, entities))
 
 
 def test_head_only_system_regime_columns():
     gold = multiword_corpus(9)
-    pred_entities = []
+    pred = []
     for document, doc_entities in gold:
         preds = []
         for k, entity in enumerate(doc_entities):
@@ -260,13 +260,12 @@ def test_head_only_system_regime_columns():
             preds.append(Entity(eid, sort_entity_mentions([
                 make_mention(eid, (m.head,), document) for m in entity.mentions
             ])))
-        pred_entities.append(preds)
-    pred = Corpus(gold.documents, pred_entities)
+        pred.append((document, preds))
 
     multiword_share = sum(
-        1 for de in gold.entities for e in de for m in e.mentions
+        1 for _, de in gold for e in de for m in e.mentions
         if m.surface_length() > 1
-    ) / sum(len(e.mentions) for de in gold.entities for e in de)
+    ) / sum(len(e.mentions) for _, de in gold for e in de)
     assert multiword_share > 0.7  # precondition for a visible exact-match drop
 
     head = evaluate_corpus(gold, pred, regime=MatchRegime.HEAD)
@@ -311,10 +310,10 @@ def test_format_round_trip_over_50_documents():
     rng = random.Random(5050)
     corpus = random_gold(rng, n_docs=50, n_sents=(2, 4),
                          entities_per_doc=(3, 6), empty_parent_mode="anchor")
-    some_zero = any(m.is_zero for de in corpus.entities for e in de for m in e.mentions)
-    some_singleton = any(e.is_singleton for de in corpus.entities for e in de)
+    some_zero = any(m.is_zero for _, de in corpus for e in de for m in e.mentions)
+    some_singleton = any(e.is_singleton for _, de in corpus for e in de)
     nested = 0
-    for doc_entities in corpus.entities:
+    for _, doc_entities in corpus:
         spans = [(m.start, m.end) for e in doc_entities for m in e.mentions]
         nested += sum(
             1 for a in spans for b in spans
@@ -404,7 +403,7 @@ def test_cleaner_recovery_under_corruption():
             corpus = random_gold(random.Random(1000 + 31 * k), n_docs=1,
                                  n_sents=(3, 5), entities_per_doc=(3, 6),
                                  empty_parent_mode="anchor")
-            document, doc_entities = corpus.documents[0], corpus.entities[0]
+            document, doc_entities = corpus[0]
             line = to_plaintext(document, doc_entities).render()
             tokens = line.split(" ")
             spans = plain_mentions(from_plaintext(line))
@@ -481,20 +480,20 @@ def test_sampler_contract_20_datasets():
             ]
             documents.append(Document(f"doc{k + 1}", sentences))
             entities.append([])
-        corpus = Corpus(documents, entities)
+        corpus = list(zip(documents, entities))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             once = sample_split(corpus, cap_words=25_000, seed=case)
             again = sample_split(corpus, cap_words=25_000, seed=case)
-        assert [d.doc_id for d in once.documents] == [d.doc_id for d in again.documents]
-        source = {d.doc_id: d for d in corpus.documents}
-        for document in once.documents:
+        assert [d.doc_id for d, _ in once] == [d.doc_id for d, _ in again]
+        source = {d.doc_id: d for d, _ in corpus}
+        for document, _ in once:
             assert document is source[document.doc_id]  # whole documents
-        if len(once.documents) == 1 and once.documents[0].word_count() > 25_000:
+        if len(once) == 1 and once[0][0].word_count() > 25_000:
             pass  # documented single-oversized-document case
         else:
-            assert once.word_count() <= 25_000
-        assert len(once.documents) >= 1
+            assert sum(d.word_count() for d, _ in once) <= 25_000
+        assert len(once) >= 1
     ok("sampler: 20 datasets respect the 25k cap (oversized-single-document "
        "case aside), keep documents whole, and are seed-deterministic")
 
@@ -534,7 +533,7 @@ def test_statistics_fixture_reproduces_reference_columns():
 def test_upos_factorization_consistency():
     rng = random.Random(9009)
     base = random_gold(rng, n_docs=2, empty_parent_mode="anchor")
-    for document in base.documents:
+    for document, _ in base:
         for sentence in document.sentences:
             for node in sentence.nodes:
                 node.upos = "NOUN"
@@ -556,8 +555,8 @@ def test_upos_factorization_consistency():
                 ms = [m for m in e.mentions if tag in head_upos_tags(m, document)]
                 if ms:
                     kept.append(Entity(e.id, ms))
-            out.append(kept)
-        return Corpus(corpus.documents, out)
+            out.append((document, kept))
+        return out
 
     agreements = 0
     with warnings.catch_warnings():
@@ -592,15 +591,15 @@ def test_long_range_curve_sanity():
             ent("e2", d, [(0, 5)], [(0, 200)]),
             ent("e3", d, [(0, 7)], [(0, 9)]),
         ])
-    gold = Corpus(documents, entities)
+    gold = list(zip(documents, entities))
     pred = recluster(rng, gold)
 
     points = long_range_curve(gold, pred, window_tokens=10_000, min_p95=100)
     assert len(points) == 1
     per_doc = []
     for k in range(4):
-        sub_gold = Corpus([gold.documents[k]], [gold.entities[k]])
-        sub_pred = Corpus([pred.documents[k]], [pred.entities[k]])
+        sub_gold = [gold[k]]
+        sub_pred = [pred[k]]
         per_doc.append(evaluate_corpus(sub_gold, sub_pred)[MetricId.CONLL].f1)
     assert abs(points[0].mean_conll_f1 - sum(per_doc) / len(per_doc)) < TOL
 

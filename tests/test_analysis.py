@@ -7,7 +7,6 @@ from corefkit.analysis import (
     derive_input_variant,
     entity_range,
     head_upos_tags,
-    is_long_entity_dataset,
     long_range_curve,
     max_adjacent_gap,
     p95_range,
@@ -15,9 +14,10 @@ from corefkit.analysis import (
     sample_split,
     upos_factorized_score,
 )
+from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.metrics import MetricId, SINGLETONS_EXCLUDED, evaluate_corpus
 from corefkit.model import (
-    Corpus,
+    EMPTY_COLUMN,
     Entity,
     NodeId,
     make_mention,
@@ -25,7 +25,7 @@ from corefkit.model import (
     word_offsets,
 )
 
-from helpers import doc, ent, heads_only, random_gold, recluster, sent
+from helpers import Pairs, doc, ent, heads_only, random_gold, recluster, sent
 from oracles import oracle_nearest_rank_p95
 
 
@@ -119,7 +119,7 @@ def stats_fixture():
     e3 = ent("e3", d1, [(0, 6)])
     e4 = ent("e4", d2, [(0, 1)], [(1, 5)])
     e5 = ent("e5", d2, [(1, 3, 1)])
-    return Corpus([d1, d2], [[e1, e2, e3], [e4, e5]])
+    return [(d1, [e1, e2, e3]), (d2, [e4, e5])]
 
 
 def test_corpus_stats_fixture_exact_numbers():
@@ -168,7 +168,7 @@ def test_corpus_stats_fixture_exact_numbers():
 def test_per_1k_and_histogram_examples():
     d = long_flat_doc("d1", 1000)
     entities = [entity_at(d, [k, k + 1], eid=f"e{k}") for k in (5, 105, 205)]
-    stats = corpus_stats(Corpus([d], [entities]))
+    stats = corpus_stats([(d, entities)])
     assert stats.entities.per_1k_words == pytest.approx(3.0)
 
     d2 = long_flat_doc("d2", 50)
@@ -176,17 +176,9 @@ def test_per_1k_and_histogram_examples():
         ent("a", d2, [(0, 1)], [(0, 5)], [(0, 9)]),
         ent("b", d2, [(0, 20)], [(0, 30)]),
     ]
-    stats2 = corpus_stats(Corpus([d2], [fixture]))
+    stats2 = corpus_stats([(d2, fixture)])
     assert stats2.entities.avg_length == pytest.approx(2.5)
     assert stats2.entities.length_histogram == {"1": 0, "2": 1, "3": 1, "4": 0, "5+": 0}
-
-
-def test_long_entity_threshold():
-    d = long_flat_doc("d1", 2000)
-    near = Corpus([d], [[entity_at(d, [1, 1450], eid="e1"), entity_at(d, [1, 1400], eid="e2")]])
-    far = Corpus([d], [[entity_at(d, [1, 1800], eid="e1"), entity_at(d, [1, 1750], eid="e2")]])
-    assert not is_long_entity_dataset(corpus_stats(near))
-    assert is_long_entity_dataset(corpus_stats(far))
 
 
 def test_system_stats_of_head_only_prediction():
@@ -210,7 +202,7 @@ def test_upos_factorization_with_universal_tag_equals_plain_score():
     rng = random.Random(71)
     base = random_gold(rng, n_docs=2, empty_parent_mode="anchor")
     # force every head tag to NOUN so the tag covers all mentions
-    for document in base.documents:
+    for document, _ in base:
         for sentence in document.sentences:
             for node in sentence.nodes:
                 node.upos = "NOUN"
@@ -232,7 +224,7 @@ def test_upos_factorization_absent_tag_is_degenerate():
     assert prf.f1 == 0.0
 
 
-def _filter_oracle(corpus: Corpus, tag: str) -> Corpus:
+def _filter_oracle(corpus: Pairs, tag: str) -> Pairs:
     """Manually pre-filtered corpus: keep mentions with the head tag,
     drop entities that lost all mentions."""
     out = []
@@ -242,8 +234,8 @@ def _filter_oracle(corpus: Corpus, tag: str) -> Corpus:
             mentions = [m for m in e.mentions if tag in head_upos_tags(m, document)]
             if mentions:
                 kept.append(Entity(e.id, mentions))
-        out.append(kept)
-    return Corpus(corpus.documents, out)
+        out.append((document, kept))
+    return out
 
 
 def test_upos_mention_factorization_matches_prefiltered_oracle():
@@ -273,7 +265,7 @@ def curve_corpus(doc_words, range_span=200):
             entity_at(d, [1, 1 + range_span], eid="e1"),
             entity_at(d, [2, 2 + range_span], eid="e2"),
         ])
-    return Corpus(docs, ents)
+    return list(zip(docs, ents))
 
 
 def test_curve_greedy_fill_is_a_tiling():
@@ -296,8 +288,8 @@ def test_curve_single_window_equals_mean_of_document_scores():
     assert len(points) == 1
     per_doc = []
     for k in range(3):
-        sub_gold = Corpus([gold.documents[k]], [gold.entities[k]])
-        sub_pred = Corpus([pred.documents[k]], [pred.entities[k]])
+        sub_gold = [gold[k]]
+        sub_pred = [pred[k]]
         per_doc.append(evaluate_corpus(sub_gold, sub_pred)[MetricId.CONLL].f1)
     assert points[0].mean_conll_f1 == pytest.approx(sum(per_doc) / 3, abs=1e-9)
 
@@ -330,16 +322,16 @@ def sampler_corpus(doc_words):
     for k, words in enumerate(doc_words):
         docs.append(long_flat_doc(f"doc{k + 1}", words))
         ents.append([])
-    return Corpus(docs, ents)
+    return list(zip(docs, ents))
 
 
 def test_sampler_three_docs_cap():
     corpus = sampler_corpus([10_000, 10_000, 10_000])
     sampled = sample_split(corpus, cap_words=25_000, seed=4)
-    assert len(sampled.documents) == 2
-    assert sampled.word_count() == 20_000
+    assert len(sampled) == 2
+    assert sum(d.word_count() for d, _ in sampled) == 20_000
     # original document order preserved
-    ids = [d.doc_id for d in sampled.documents]
+    ids = [d.doc_id for d, _ in sampled]
     assert ids == sorted(ids, key=lambda x: int(x[3:]))
 
 
@@ -352,25 +344,25 @@ def test_sampler_deterministic_and_whole_documents():
     corpus = sampler_corpus([7_000, 9_000, 11_000, 6_000, 14_000])
     a = sample_split(corpus, cap_words=25_000, seed=9)
     b = sample_split(corpus, cap_words=25_000, seed=9)
-    assert [d.doc_id for d in a.documents] == [d.doc_id for d in b.documents]
-    source_ids = {d.doc_id for d in corpus.documents}
-    assert all(d.doc_id in source_ids for d in a.documents)
-    assert a.word_count() <= 25_000
+    assert [d.doc_id for d, _ in a] == [d.doc_id for d, _ in b]
+    source_ids = {d.doc_id for d, _ in corpus}
+    assert all(d.doc_id in source_ids for d, _ in a)
+    assert sum(d.word_count() for d, _ in a) <= 25_000
 
 
 def test_sampler_keeps_oversized_first_document_with_warning():
     corpus = sampler_corpus([30_000])
     with pytest.warns(UserWarning, match="cap"):
         sampled = sample_split(corpus, cap_words=25_000, seed=0)
-    assert len(sampled.documents) == 1
+    assert len(sampled) == 1
 
 
 def test_stats_additivity_over_concatenation():
     a = random_gold(random.Random(1), n_docs=2)
     b = random_gold(random.Random(2), n_docs=2)
-    for document in b.documents:  # distinct ids for the combined corpus
+    for document, _ in b:  # distinct ids for the combined corpus
         document.doc_id = "b_" + document.doc_id
-    combined = Corpus(a.documents + b.documents, a.entities + b.entities)
+    combined = a + b
     sa, sb, sc = corpus_stats(a), corpus_stats(b), corpus_stats(combined)
     assert sc.docs == sa.docs + sb.docs
     assert sc.sentences == sa.sentences + sb.sentences
@@ -400,12 +392,60 @@ def test_render_corpus_table_formats():
 def test_derive_input_variant_strips_gold_layers():
     gold = random_gold(random.Random(91), n_docs=2)
     stripped = derive_input_variant(gold)
-    assert [d.doc_id for d in stripped.documents] == [d.doc_id for d in gold.documents]
-    assert all(not entities for entities in stripped.entities)
+    assert [d.doc_id for d, _ in stripped] == [d.doc_id for d, _ in gold]
+    assert all(not entities for _, entities in stripped)
     assert all(not n.is_empty
-               for d in stripped.documents for s in d.sentences for n in s.nodes)
+               for d, _ in stripped for s in d.sentences for n in s.nodes)
     # surface tokens, dependencies and morphology are untouched
-    assert stripped.documents[0].surface_forms() == gold.documents[0].surface_forms()
-    from corefkit.conllu import serialize_conllu
+    assert stripped[0][0].surface_forms() == gold[0][0].surface_forms()
     rendered = serialize_conllu(stripped)
     assert "Entity=" not in rendered and "\t0.1\t" not in rendered
+
+
+def _conllu_line(cid, form, head="0", deprel="root", deps="_", misc="_"):
+    return f"{cid}\t{form}\t_\tNOUN\t_\t_\t{head}\t{deprel}\t{deps}\t{misc}\n"
+
+
+def test_derive_input_variant_keeps_the_surface_and_leaves_gold_unchanged():
+    text = ("# newdoc id = d1\n# sent_id = s1\n" + "1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            + _conllu_line("1", "x", misc="Entity=(e1")
+            + _conllu_line("2", "y", "1", "dep", misc="Entity=e1)")
+            + _conllu_line("2.1", "Z", "_", "_", deps="1:nsubj", misc="Entity=(e1)")
+            + "\n# sent_id = s2\n" + _conllu_line("1", "w", misc="Entity=(e2)|SpaceAfter=No")
+            + "\n# newdoc id = d2\n# sent_id = s1\n" + _conllu_line("1", "v") + "\n")
+    gold = parse_conllu(text)
+    variant = derive_input_variant(gold)
+    assert [d.doc_id for d, _ in variant] == ["d1", "d2"]
+    assert all(entities == [] for _, entities in variant)
+    for (document, _), (gold_document, _) in zip(variant, gold):
+        assert document.surface_forms() == gold_document.surface_forms()
+        assert [(s.sent_id, s.mwt_ranges) for s in document.sentences] \
+            == [(s.sent_id, s.mwt_ranges) for s in gold_document.sentences]
+        assert not any(n.is_empty for s in document.sentences for n in s.nodes)
+    rendered = serialize_conllu(variant)
+    assert "Entity=" not in rendered and "1-2\txy" in rendered
+    assert "SpaceAfter=No" in rendered
+    back = parse_conllu(rendered)
+    assert not any(n.is_empty for d, _ in back for s in d.sentences for n in s.nodes)
+    assert all(entities == [] for _, entities in back)
+    assert serialize_conllu(gold) == serialize_conllu(parse_conllu(text))  # gold unchanged
+
+
+def test_derive_input_variant_drops_bridging_and_split_antecedents():
+    # both keys name gold entity ids, so they are coreference annotations too
+    text = ("# newdoc id = d1\n"
+            + _conllu_line("1", "x", misc="Entity=(e1)|SpaceAfter=No")
+            + _conllu_line("2", "y", "1", "dep", misc="Bridge=e1<e2:part|Entity=(e2)")
+            + _conllu_line("3", "z", "1", "dep", misc="Entity=(e3)|SplitAnte=e1<e3,e2<e3")
+            + "\n")
+    with pytest.warns(UserWarning, match="Bridge"):
+        gold = parse_conllu(text)
+    nodes = derive_input_variant(gold)[0][0].sentences[0].nodes
+    assert [n.misc for n in nodes] == [{"SpaceAfter": "No"}, {}, {}]
+    assert nodes[1].misc is EMPTY_COLUMN and nodes[2].misc is EMPTY_COLUMN
+    rendered = serialize_conllu(derive_input_variant(gold))
+    assert [line.split("\t")[9] for line in rendered.splitlines()[1:4]] \
+        == ["SpaceAfter=No", "_", "_"]
+    # the gold nodes keep their MISC
+    assert [n.misc for n in gold[0][0].sentences[0].nodes] == [
+        {"SpaceAfter": "No"}, {"Bridge": "e1<e2:part"}, {"SplitAnte": "e1<e3,e2<e3"}]

@@ -12,7 +12,6 @@ from corefkit.formats import (
     reconstruct_conllu,
     to_plaintext,
 )
-from corefkit.model import Corpus
 
 from helpers import canonical_clusters, doc, ent, sent
 from oracles import oracle_bracket_repair, oracle_crossing
@@ -58,8 +57,8 @@ def test_non_crossing_spans_survive_both_syntaxes(case):
                              for x, si, s, e in spans if x == eid])
         for eid in EIDS if any(x == eid for x, *_ in spans)
     ]
-    back = parse_conllu(serialize_conllu(Corpus([document], [entities])))
-    assert canonical_clusters(back.entities[0]) == canonical_clusters(entities)
+    back = parse_conllu(serialize_conllu([(document, entities)]))
+    assert canonical_clusters(back[0][1]) == canonical_clusters(entities)
 
     offsets = [sum(sizes[:si]) for si in range(len(sizes))]
     line = to_plaintext(document, entities).render()
@@ -118,8 +117,8 @@ def test_cleaner_output_is_accepted_and_keeps_the_repaired_spans(case):
     assert sorted(plain_mentions(cleaned)) == sorted(oracle_bracket_repair(items, sentence_of))
 
     rebuilt, entities = reconstruct_conllu(reference, cleaned)
-    back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
-    assert canonical_clusters(back.entities[0]) == canonical_clusters(entities)
+    back = parse_conllu(serialize_conllu([(rebuilt, entities)]))
+    assert canonical_clusters(back[0][1]) == canonical_clusters(entities)
 
 
 @st.composite
@@ -187,5 +186,5 @@ def test_cleaner_output_converts_where_sentences_open_with_empty_nodes(case):
     assert sorted(plain_mentions(cleaned)) == sorted(oracle_bracket_repair(items, sentence_of))
 
     rebuilt, entities = reconstruct_conllu(reference, cleaned)
-    back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
-    assert canonical_clusters(back.entities[0]) == canonical_clusters(entities)
+    back = parse_conllu(serialize_conllu([(rebuilt, entities)]))
+    assert canonical_clusters(back[0][1]) == canonical_clusters(entities)

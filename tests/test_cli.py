@@ -20,14 +20,15 @@ from corefkit.cli import (
 )
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.formats import corpus_to_plaintext
-from corefkit.model import Corpus, Entity
+from corefkit.model import Entity
 
-from helpers import canonical_clusters, doc, ent, random_gold, recluster, sent, zeroful_corpus
+from helpers import (Pairs, canonical_clusters, doc, ent, random_gold, recluster, sent,
+                     zeroful_corpus)
 
 warnings.simplefilter("ignore")
 
 
-def write_corpus(path: Path, corpus: Corpus) -> None:
+def write_corpus(path: Path, corpus: Pairs) -> None:
     path.write_text(serialize_conllu(corpus), encoding="utf-8")
 
 
@@ -37,11 +38,11 @@ def make_pair(seed: int, n_docs: int = 2):
     return gold, pred
 
 
-def renamed_copy(corpus: Corpus) -> Corpus:
-    return Corpus(corpus.documents, [
-        [Entity(f"r{k}", e.mentions) for k, e in enumerate(doc_entities)]
-        for doc_entities in corpus.entities
-    ])
+def renamed_copy(corpus: Pairs) -> Pairs:
+    return [
+        (document, [Entity(f"r{k}", e.mentions) for k, e in enumerate(doc_entities)])
+        for document, doc_entities in corpus
+    ]
 
 
 @pytest.fixture
@@ -194,7 +195,7 @@ def test_score_jobs_start_no_more_workers_than_datasets(workspace, monkeypatch):
 def test_score_token_mismatch_exits_3(tmp_path, capsys):
     gold, _ = make_pair(23, n_docs=1)
     mutated, _ = make_pair(23, n_docs=1)
-    mutated.documents[0].sentences[0].nodes[0].form = "DIFFERENT"
+    mutated[0][0].sentences[0].nodes[0].form = "DIFFERENT"
     write_corpus(tmp_path / "g.conllu", gold)
     write_corpus(tmp_path / "p.conllu", mutated)
     manifest = tmp_path / "m.txt"
@@ -432,8 +433,8 @@ def test_convert_text_round_trip(tmp_path):
                  "--out-file", str(back)]) == EXIT_OK
     rebuilt = parse_conllu(back.read_bytes())
     for doc_index in range(2):
-        assert canonical_clusters(rebuilt.entities[doc_index]) \
-            == canonical_clusters(gold.entities[doc_index])
+        assert canonical_clusters(rebuilt[doc_index][1]) \
+            == canonical_clusters(gold[doc_index][1])
 
 
 def test_convert_json_round_trip(tmp_path):
@@ -452,8 +453,8 @@ def test_convert_json_round_trip(tmp_path):
                  "--out-file", str(back)]) == EXIT_OK
     rebuilt = parse_conllu(back.read_bytes())
     for doc_index in range(2):
-        assert canonical_clusters(rebuilt.entities[doc_index]) \
-            == canonical_clusters(gold.entities[doc_index])
+        assert canonical_clusters(rebuilt[doc_index][1]) \
+            == canonical_clusters(gold[doc_index][1])
 
 
 def test_convert_from_text_token_mismatch_exits_3(tmp_path, capsys):
@@ -485,10 +486,10 @@ def test_convert_from_text_token_mismatch_names_its_location(tmp_path, capsys, e
     out = tmp_path / "back.conllu"
     assert main(["convert", "from-text", "--in", str(text), "--skeleton", str(src),
                  "--out-file", str(out)]) == EXIT_MISMATCH
-    forms = gold.documents[1].surface_forms()
+    forms = gold[1][0].surface_forms()
     location = location.format(first=forms[0], n=len(forms), n_plus_1=len(forms) + 1)
     assert capsys.readouterr().err == (
-        f"corefkit: document '{gold.documents[1].doc_id}': cleaned tokens do not match the "
+        f"corefkit: document '{gold[1][0].doc_id}': cleaned tokens do not match the "
         f"input document (input vs cleaned: {location}); run clean_output first\n")
     assert not out.exists()
 
@@ -563,14 +564,13 @@ def test_convert_from_json_validates_each_document_once(tmp_path, monkeypatch):
                         lambda doc: validated.append(doc.doc_id) or original(doc))
     assert main(["convert", "from-json", "--in", str(jpath), "--skeleton", str(src),
                  "--out-file", str(tmp_path / "back.conllu")]) == EXIT_OK
-    assert validated == [d.doc_id for d in gold.documents]
+    assert validated == [d.doc_id for d, _ in gold]
 
 
 @pytest.mark.parametrize("kind", ["manifest", "from-text", "from-json"])
 def test_a_leading_byte_order_mark_is_dropped(tmp_path, kind):
     src = tmp_path / "g.conllu"
-    write_corpus(src, Corpus([doc("d1", sent(0, [("x", 0, "root", "X"), ("y", 1, "dep", "X")]))],
-                             [[]]))
+    write_corpus(src, [(doc("d1", sent(0, [("x", 0, "root", "X"), ("y", 1, "dep", "X")])), [])])
     text = {"manifest": f"name = alpha\ngold = {src}\n",
             "from-text": "x|[e1 y|e1]\n",
             "from-json": json.dumps([{"doc_id": "d1", "tokens": ["x", "y"],
@@ -659,7 +659,7 @@ def test_sample_is_deterministic(tmp_path):
                      "--out", str(out)]) == EXIT_OK
     assert (out1 / "split.conllu").read_bytes() == (out2 / "split.conllu").read_bytes()
     sampled = parse_conllu((out1 / "split.conllu").read_bytes())
-    assert sampled.word_count() <= 40 or len(sampled.documents) == 1
+    assert sum(d.word_count() for d, _ in sampled) <= 40 or len(sampled) == 1
 
 
 def test_analyze_long_range_and_upos(tmp_path):
@@ -688,7 +688,7 @@ def test_analyze_long_range_and_upos(tmp_path):
 def test_analyze_pairs_documents_as_score_does_exit_4(tmp_path, capsys, argv, side):
     corpora = dict(zip(("gold", "pred"), make_pair(61, n_docs=3)))
     short = corpora[side]
-    corpora[side] = Corpus(short.documents[:2], short.entities[:2])  # doc3 on one side only
+    corpora[side] = short[:2]  # doc3 on one side only
     gpath, ppath = tmp_path / "g.conllu", tmp_path / "p.conllu"
     write_corpus(gpath, corpora["gold"])
     write_corpus(ppath, corpora["pred"])
@@ -801,7 +801,7 @@ def test_score_checks_each_document_pair_surface_once(workspace, monkeypatch):
         assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
                      "--singletons", singletons]) == EXIT_OK
         assert checked == [d.doc_id for spec in parse_manifest(manifest)
-                           for d in parse_conllu(spec.gold.read_bytes()).documents]
+                           for d, _ in parse_conllu(spec.gold.read_bytes())]
 
 
 @pytest.mark.parametrize("command", ["from-text", "from-json", "clean"])
@@ -917,8 +917,8 @@ def test_convert_refuses_crossing_mentions_exit_2(tmp_path, capsys, direction):
     d = doc("d1", sent(0, [(f"w{k}", 0 if k == 1 else 1, "dep", "X") for k in range(1, 9)],
                        empties=[(1, 1, "Z", 6, "nsubj")]))
     src, out = tmp_path / "g.conllu", tmp_path / "out"
-    write_corpus(src, Corpus([d], [[ent("e1", d, [(0, 1, 1), (0, 5), (0, 6)],
-                                        [(0, 1, 1), (0, 6), (0, 7)])]]))
+    write_corpus(src, [(d, [ent("e1", d, [(0, 1, 1), (0, 5), (0, 6)],
+                                [(0, 1, 1), (0, 6), (0, 7)])])])
     assert main(["convert", direction, "--in", str(src), "--out-file", str(out)]) == EXIT_PARSE
     assert "document 'd1': mentions of entity 'e1' cross" in capsys.readouterr().err
     assert not out.exists()
@@ -929,7 +929,7 @@ def test_convert_refuses_forms_that_would_not_read_back_exit_2(tmp_path, capsys,
                                                                direction):
     d = doc("d1", sent(0, [("a", 0, "root", "X"), (form, 1, "dep", "X")]))
     src, out = tmp_path / "g.conllu", tmp_path / "out"
-    write_corpus(src, Corpus([d], [[]]))
+    write_corpus(src, [(d, [])])
     assert main(["convert", direction, "--in", str(src), "--out-file", str(out)]) == EXIT_PARSE
     assert (f"document 'd1': FORM {form!r} of node 2 in sentence 1 cannot be written"
             in capsys.readouterr().err)
@@ -940,15 +940,15 @@ def test_plaintext_lines_end_at_newline_only(tmp_path):
     # U+2028 inside a FORM neither ends a plaintext line nor splits a token
     d = doc("d1", sent(0, [("a\u2028b", 0, "root", "NOUN"), ("c", 1, "dep", "X")]))
     d2 = doc("d2", sent(0, [("e", 0, "root", "X")]))
-    gold = Corpus([d, d2], [[ent("e1", d, [(0, 1)], [(0, 2)])], [ent("e1", d2, [(0, 1)])]])
+    gold = [(d, [ent("e1", d, [(0, 1)], [(0, 2)])]), (d2, [ent("e1", d2, [(0, 1)])])]
     src, text = tmp_path / "g.conllu", tmp_path / "g.txt"
     write_corpus(src, gold)
     assert main(["convert", "to-text", "--in", str(src), "--out-file", str(text)]) == EXIT_OK
     back, cleaned = tmp_path / "back.conllu", tmp_path / "clean.txt"
     assert main(["convert", "from-text", "--in", str(text), "--skeleton", str(src),
                  "--out-file", str(back)]) == EXIT_OK
-    assert [canonical_clusters(e) for e in parse_conllu(back.read_bytes()).entities] \
-        == [canonical_clusters(e) for e in gold.entities]
+    assert [canonical_clusters(e) for _, e in parse_conllu(back.read_bytes())] \
+        == [canonical_clusters(e) for _, e in gold]
     assert main(["clean", "--reference", str(src), "--in", str(text),
                  "--out-file", str(cleaned)]) == EXIT_OK
     assert cleaned.read_text(encoding="utf-8") == text.read_text(encoding="utf-8")
@@ -964,7 +964,7 @@ def test_convert_refuses_a_span_across_sentences_exit_2(tmp_path, capsys, direct
     d = doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")]),
             sent(1, [("c", 0, "root", "X")]))
     src, inp, out = tmp_path / "g.conllu", tmp_path / "in", tmp_path / "out"
-    write_corpus(src, Corpus([d], [[]]))
+    write_corpus(src, [(d, [])])
     inp.write_text(text, encoding="utf-8")
     assert main(["convert", direction, "--in", str(inp), "--skeleton", str(src),
                  "--out-file", str(out)]) == EXIT_PARSE
@@ -980,14 +980,14 @@ def test_clean_output_converts_when_a_sentence_opens_with_an_empty_node(tmp_path
                  empties=[(0, 1, "Z", 0, "root")]))
     src, noisy = tmp_path / "g.conllu", tmp_path / "noisy.txt"
     cleaned, back = tmp_path / "clean.txt", tmp_path / "back.conllu"
-    write_corpus(src, Corpus([d], [[]]))
+    write_corpus(src, [(d, [])])
     noisy.write_text("a|[e1 b ##Z c d\n", encoding="utf-8")
     assert main(["clean", "--reference", str(src), "--in", str(noisy),
                  "--out-file", str(cleaned)]) == EXIT_OK
     assert cleaned.read_text(encoding="utf-8") == "a|[e1 b|e1] ##Z c d\n"
     assert main(["convert", "from-text", "--in", str(cleaned), "--skeleton", str(src),
                  "--out-file", str(back)]) == EXIT_OK
-    assert canonical_clusters(parse_conllu(back.read_bytes()).entities[0]) \
+    assert canonical_clusters(parse_conllu(back.read_bytes())[0][1]) \
         == canonical_clusters([ent("e1", d, [(0, 1), (0, 2)])])
 
 
@@ -1043,8 +1043,7 @@ def test_clean_drops_pieces_outside_the_token_grammar_and_converts(tmp_path, noi
     # a "##" token's surface ends at its first "|", so it reads back as written
     src, inp = tmp_path / "g.conllu", tmp_path / "noisy.txt"
     cleaned, back = tmp_path / "clean.txt", tmp_path / "back.conllu"
-    write_corpus(src, Corpus([doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")]))],
-                             [[]]))
+    write_corpus(src, [(doc("d1", sent(0, [("a", 0, "root", "X"), ("b", 1, "dep", "X")])), [])])
     inp.write_text(noisy + "\n", encoding="utf-8")
     assert main(["clean", "--reference", str(src), "--in", str(inp),
                  "--out-file", str(cleaned)]) == EXIT_OK
@@ -1057,7 +1056,7 @@ def test_clean_refuses_a_reference_form_the_writer_refuses_exit_2(tmp_path, caps
     d = doc("d1", sent(0, [("a|b", 0, "root", "X"), ("c", 1, "dep", "X"),
                            ("##x", 1, "dep", "X")]))
     src, inp, out = tmp_path / "g.conllu", tmp_path / "noisy.txt", tmp_path / "clean.txt"
-    write_corpus(src, Corpus([d], [[]]))
+    write_corpus(src, [(d, [])])
     inp.write_text("a|b|[e1 c|e1] ##x\n", encoding="utf-8")
     assert main(["clean", "--reference", str(src), "--in", str(inp),
                  "--out-file", str(out)]) == EXIT_PARSE
@@ -1068,7 +1067,7 @@ def test_clean_refuses_a_reference_form_the_writer_refuses_exit_2(tmp_path, caps
 
 def test_from_text_rejects_a_piece_between_two_bars_exit_2(tmp_path, capsys):
     src, inp, out = tmp_path / "g.conllu", tmp_path / "in.txt", tmp_path / "out"
-    write_corpus(src, Corpus([doc("d1", sent(0, [("a", 0, "root", "X")]))], [[]]))
+    write_corpus(src, [(doc("d1", sent(0, [("a", 0, "root", "X")])), [])])
     inp.write_text("a|b|[e1]\n", encoding="utf-8")
     assert main(["convert", "from-text", "--in", str(inp), "--skeleton", str(src),
                  "--out-file", str(out)]) == EXIT_PARSE
@@ -1085,7 +1084,7 @@ def test_score_aligns_zeros_once_per_singleton_mode(workspace, monkeypatch):
     monkeypatch.setattr(matching, "align_zeros",
                         lambda *args: aligned.append(args[3].doc_id) or original(*args))
     doc_ids = [d.doc_id for spec in parse_manifest(manifest)
-               for d in parse_conllu(spec.gold.read_bytes()).documents]
+               for d, _ in parse_conllu(spec.gold.read_bytes())]
     for singletons in ("exclude", "include"):
         aligned.clear()
         assert main(["score", "--manifest", str(manifest), "--out", str(tmp_path / "out"),

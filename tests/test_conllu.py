@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from corefkit.brackets import item_order
 from corefkit import conllu
 from corefkit.conllu import ConlluError, iter_documents, parse_conllu, serialize_conllu
-from corefkit.model import Corpus, NodeId
+from corefkit.model import NodeId
 
 from helpers import canonical_clusters, doc, ent, random_gold, rich_corpora, sent
 from oracles import oracle_sentence_mentions
@@ -25,16 +25,16 @@ def line(cid, form, head="0", deprel="root", deps="_", misc="_"):
 
 def test_two_token_sentence_no_annotations():
     corpus = parse_conllu(HEADER + line("1", "Hi") + line("2", "there", "1", "dep"))
-    assert len(corpus.documents) == 1
-    assert len(corpus.documents[0].sentences[0].nodes) == 2
-    assert corpus.entities[0] == []
+    assert len(corpus) == 1
+    assert len(corpus[0][0].sentences[0].nodes) == 2
+    assert corpus[0][1] == []
 
 
 def test_empty_node_id():
     corpus = parse_conllu(
         HEADER + line("1", "go") + line("1.1", "Z", head="_", deprel="_", deps="1:nsubj")
     )
-    node = corpus.documents[0].sentences[0].nodes[1]
+    node = corpus[0][0].sentences[0].nodes[1]
     assert node.is_empty and node.id.minor == 1
     assert node.parent == NodeId(0, 1) and node.deprel == "nsubj"
 
@@ -65,7 +65,7 @@ def test_serialize_rejects_crossing_mentions_that_are_not_neighbours():
     d = doc("d1", sent(0, [(f"w{k}", 0 if k == 0 else 1, "dep", "X") for k in range(13)]))
     spans = [[(0, k + 1) for k in range(s, e + 1)] for s, e in [(0, 10), (1, 2), (3, 12)]]
     with pytest.raises(ConlluError, match=r"entity 'e1' cross \(spans \[0,10\] and \[3,12\]\)"):
-        serialize_conllu(Corpus([d], [[ent("e1", d, *spans)]]))
+        serialize_conllu([(d, [ent("e1", d, *spans)])])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -98,7 +98,7 @@ def test_arabic_indic_digits_read_as_ids_and_heads():
     text = (HEADER + line("\u0661", "a") + line("\u0662", "b", head="\u0663", deprel="dep")
             + line("\u0663", "c", head="\u0661", deprel="dep")
             + line("\u0663.\u0661", "z", head="_", deprel="_", deps="\u0662:dep"))
-    sentence = parse_conllu(text).documents[0].sentences[0]
+    sentence = parse_conllu(text)[0][0].sentences[0]
     one, two, three = NodeId(0, 1), NodeId(0, 2), NodeId(0, 3)
     assert [(n.id, n.parent) for n in sentence.nodes] == [
         (one, None), (two, three), (three, one), (NodeId(0, 3, 1), two)]
@@ -123,7 +123,7 @@ def test_entity_decoding_single_open_close():
     corpus = parse_conllu(text)
     spans = {
         e.id: [tuple(n.major for n in m.span) for m in e.mentions]
-        for e in corpus.entities[0]
+        for e in corpus[0][1]
     }
     assert spans == {"e1": [(1, 2)], "e2": [(2,)]}
 
@@ -136,13 +136,13 @@ def test_discontinuous_mention_part_notation():
             + line("4", "d", "1", "dep", misc="Entity=(e1[2/2")
             + line("5", "e", "1", "dep", misc="Entity=e1[2/2])"))
     corpus = parse_conllu(text)
-    (entity,) = corpus.entities[0]
+    (entity,) = corpus[0][1]
     assert [n.major for n in entity.mentions[0].span] == [1, 2, 4, 5]
     # re-parse equality oracle: serialization uses part notation and decodes back
     rendered = serialize_conllu(corpus)
     assert "[1/2" in rendered and "[2/2" in rendered
     again = parse_conllu(rendered)
-    assert canonical_clusters(again.entities[0]) == canonical_clusters(corpus.entities[0])
+    assert canonical_clusters(again[0][1]) == canonical_clusters(corpus[0][1])
 
 
 def test_entity_subfields_ignored_with_warning():
@@ -150,7 +150,7 @@ def test_entity_subfields_ignored_with_warning():
             + line("1", "a", misc="Entity=(e1-person-2")
             + line("2", "b", "1", "dep", misc="Entity=e1)"))
     corpus = parse_conllu(text)
-    assert corpus.entities[0][0].id == "e1"
+    assert corpus[0][1][0].id == "e1"
 
 
 def test_feats_and_misc_sorted_canonically():
@@ -167,21 +167,21 @@ def test_multiword_token_ranges_roundtrip():
             + line("2", "el", "3", "det")
             + line("3", "mar", "0", "root"))
     corpus = parse_conllu(text)
-    assert corpus.documents[0].sentences[0].mwt_ranges == [(1, 2, "del")]
+    assert corpus[0][0].sentences[0].mwt_ranges == [(1, 2, "del")]
     assert "1-2\tdel" in serialize_conllu(corpus)
 
 
 def test_content_before_newdoc_synthesizes_doc_id():
     with pytest.warns(UserWarning, match="newdoc"):
         corpus = parse_conllu(line("1", "a"))
-    assert corpus.documents[0].doc_id == "doc_1"
+    assert corpus[0][0].doc_id == "doc_1"
 
 
 def test_nonidentity_annotations_warn_but_are_kept_in_misc():
     text = HEADER + line("1", "a", misc="Bridge=e1<e2")
     with pytest.warns(UserWarning, match="Bridge"):
         corpus = parse_conllu(text)
-    assert corpus.documents[0].sentences[0].nodes[0].misc["Bridge"] == "e1<e2"
+    assert corpus[0][0].sentences[0].nodes[0].misc["Bridge"] == "e1<e2"
 
 
 def test_nested_same_entity_mentions_roundtrip():
@@ -191,10 +191,10 @@ def test_nested_same_entity_mentions_roundtrip():
             + line("3", "c", "1", "dep", misc="Entity=e1)"))
     corpus = parse_conllu(text)
     spans = sorted(tuple(n.major for n in m.span)
-                   for e in corpus.entities[0] for m in e.mentions)
+                   for e in corpus[0][1] for m in e.mentions)
     assert spans == [(1, 2), (1, 2, 3)]
     again = parse_conllu(serialize_conllu(corpus))
-    assert canonical_clusters(again.entities[0]) == canonical_clusters(corpus.entities[0])
+    assert canonical_clusters(again[0][1]) == canonical_clusters(corpus[0][1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,11 +216,11 @@ def test_entity_multiset_is_a_reparse_fixpoint(seed):
     for doc_index in range(2):
         gold_pairs = Counter(
             (e.id, tuple((n.sentence_index, n.major, n.minor) for n in m.span))
-            for e in corpus.entities[doc_index] for m in e.mentions
+            for e in corpus[doc_index][1] for m in e.mentions
         )
         got_pairs = Counter(
             (e.id, tuple((n.sentence_index, n.major, n.minor) for n in m.span))
-            for e in reparsed.entities[doc_index] for m in e.mentions
+            for e in reparsed[doc_index][1] for m in e.mentions
         )
         assert got_pairs == gold_pairs
 
@@ -229,7 +229,7 @@ def test_parse_serialize_preserves_fields():
     rng = random.Random(5)
     corpus = random_gold(rng, n_docs=2)
     reparsed = parse_conllu(serialize_conllu(corpus))
-    for da, db in zip(corpus.documents, reparsed.documents):
+    for (da, _), (db, _) in zip(corpus, reparsed):
         assert da.doc_id == db.doc_id
         for sa, sb in zip(da.sentences, db.sentences):
             assert sa.sent_id == sb.sent_id
@@ -246,9 +246,8 @@ def test_parse_serialize_preserves_fields():
 def test_serialize_parse_is_a_fixpoint_with_every_column(corpus):
     once = serialize_conllu(corpus)
     assert serialize_conllu(parse_conllu(once)) == once
-    # a Corpus is one more stream of pairs: a streamed reading gives its
-    # pairs, and serializes to the same bytes
-    assert list(parse_conllu(once)) == list(iter_documents(once))
+    # a streamed reading gives the parsed pairs, and serializes to the same bytes
+    assert parse_conllu(once) == list(iter_documents(once))
     assert serialize_conllu(iter_documents(once)) == once
 
 
@@ -257,7 +256,7 @@ def test_serialize_rejects_interleaved_discontinuous_mentions():
     d = doc("d1", sent(0, [("w", 0, "root", "X")] + [("w", 1, "dep", "X")] * 6))
     e1 = ent("e1", d, [(0, 2), (0, 6)], [(0, 3), (0, 5)])
     with pytest.raises(ConlluError, match="entity 'e1'"):
-        serialize_conllu(Corpus([d], [[e1]]))
+        serialize_conllu([(d, [e1])])
 
 
 @st.composite
@@ -282,11 +281,11 @@ def test_discontinuous_mentions_read_back_or_the_writer_raises(case):
     entities = [ent(eid, d, *([(0, k) for k in span] for span in spans.elements()))
                 for eid, spans in written.items()]
     try:
-        text = serialize_conllu(Corpus([d], [entities]))
+        text = serialize_conllu([(d, entities)])
     except ConlluError:
         return
     read = {e.id: Counter(tuple(n.major for n in m.span) for m in e.mentions)
-            for e in parse_conllu(text).entities[0]}
+            for e in parse_conllu(text)[0][1]}
     assert read == written
 
 
@@ -330,9 +329,9 @@ def test_identical_spans_of_one_entity_with_different_parts_read_back():
     # in reverse opener order for the reader to pair them
     d = doc("d1", sent(0, [("w", 0, "root", "X")] + [("w", 1, "dep", "X")] * 6))
     e1 = ent("e1", d, [(0, 2), (0, 3), (0, 4)], [(0, 2), (0, 3), (0, 4), (0, 6)])
-    text = serialize_conllu(Corpus([d], [[e1]]))
+    text = serialize_conllu([(d, [e1])])
     assert "Entity=e1[1/2])e1)" in text
-    (back,) = parse_conllu(text).entities[0]
+    (back,) = parse_conllu(text)[0][1]
     assert sorted(tuple(n.major for n in m.span) for m in back.mentions) == [(2, 3, 4), (2, 3, 4, 6)]
 
 
@@ -343,7 +342,7 @@ def test_lines_end_at_newline_only():
         parse_conllu(text)
     assert err.value.line == 5
     corpus = parse_conllu(HEADER + line("1", "a") + line("2", "c\u2028d", "1", "dep"))
-    assert corpus.documents[0].surface_forms() == ["a", "c\u2028d"]
+    assert corpus[0][0].surface_forms() == ["a", "c\u2028d"]
 
 
 # The decoder test writes random mentions of three entities (nested,
@@ -440,7 +439,7 @@ def _oracle_entities(text, sentences):
 @given(_annotated_document())
 def test_mention_decoding_matches_the_oracle(case):
     text, bare = case
-    sentences = parse_conllu(bare).documents[0].sentences
+    sentences = parse_conllu(bare)[0][0].sentences
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # spans whose every parent points inside
         try:
@@ -450,7 +449,7 @@ def test_mention_decoding_matches_the_oracle(case):
                 parse_conllu(text)
             assert (str(err.value), err.value.line) == (str(exc), exc.line)
             return
-        entities = parse_conllu(text).entities[0]
+        entities = parse_conllu(text)[0][1]
     assert [(e.id, [(m.entity_id, m.span, m.head, m.is_zero) for m in e.mentions])
             for e in entities] == expected
 
@@ -502,11 +501,19 @@ def test_streamed_documents_are_the_parsed_corpus(data, block, binary):
     except UnicodeDecodeError:
         file = io.BytesIO(data)
     with mock.patch.object(conllu, "_BLOCK", block):
-        assert _read(lambda: Corpus.from_pairs(iter_documents(file))) == expected
+        assert _read(lambda: list(iter_documents(file))) == expected
         assert _read(lambda: parse_conllu(data)) == expected
     if not isinstance(expected, tuple):
         assert _read(lambda: parse_conllu(data.decode("utf-8"))) == expected
 
+
+
+def test_parse_conllu_returns_the_pairs_iter_documents_yields():
+    text = "".join(f"# newdoc id = d{k}\n# sent_id = s1\n" + line("1", "a", misc=f"Entity=(e{k})")
+                   + line("2", "b", "1", "dep") + "\n" for k in range(1, 4))
+    pairs = parse_conllu(text)
+    assert isinstance(pairs, list) and [d.doc_id for d, _ in pairs] == ["d1", "d2", "d3"]
+    assert pairs == list(iter_documents(text))
 
 def test_invalid_utf8_is_reported_before_an_earlier_parse_error():
     data = (HEADER + line("1", "a") + "not a conllu line\n" + "\n# newdoc id = d2\n"
@@ -537,8 +544,7 @@ def test_a_leading_byte_order_mark_is_dropped_however_the_input_is_read():
     assert parse_conllu("\ufeff" + text) == expected
     assert parse_conllu(("\ufeff" + text).encode()) == expected
     with mock.patch.object(conllu, "_BLOCK", 2):  # the mark's 3 bytes span two blocks
-        assert Corpus.from_pairs(iter_documents(io.BytesIO(("\ufeff" + text).encode()))) \
-            == expected
+        assert list(iter_documents(io.BytesIO(("\ufeff" + text).encode()))) == expected
     with pytest.raises(ConlluError, match="line 2: "):  # only a mark that starts the input
         parse_conllu(HEADER.replace("\n", "\n\ufeff", 1) + line("1", "a"))
 

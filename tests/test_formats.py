@@ -30,7 +30,7 @@ from corefkit.formats import (
     to_json,
     to_plaintext,
 )
-from corefkit.model import Corpus, Entity, NodeId, make_mention, sort_entity_mentions
+from corefkit.model import Entity, NodeId, make_mention, sort_entity_mentions
 
 from helpers import (canonical_clusters, doc, ent, random_document, random_entities,
                      random_gold, sent)
@@ -74,7 +74,7 @@ def test_empty_node_with_root_parent_falls_back_to_anchor():
 
 def test_from_plaintext_round_trip():
     corpus = random_gold(random.Random(2), n_docs=1)
-    rendered = to_plaintext(corpus.documents[0], corpus.entities[0]).render()
+    rendered = to_plaintext(*corpus[0]).render()
     again = from_plaintext(rendered)
     assert again.render() == rendered
 
@@ -171,8 +171,8 @@ def test_plaintext_round_trip_preserves_clusters_and_ids():
         rebuilt_doc, back = reconstruct_conllu(document, from_plaintext(line))
         assert canonical_clusters(back) == canonical_clusters(entities)
         assert {e.id for e in back} == {e.id for e in entities}
-        assert serialize_conllu(Corpus([rebuilt_doc], [back])) \
-            == serialize_conllu(Corpus([document], [entities]))
+        assert serialize_conllu([(rebuilt_doc, back)]) \
+            == serialize_conllu([(document, entities)])
 
 
 def test_reconstruct_inserts_new_empties_after_their_parent():
@@ -220,8 +220,8 @@ def test_cleaned_touching_mentions_convert_to_conllu():
     cleaned = clean_output(d, "a|[e1 b|e1],[e1 c|e1]")
     assert cleaned.render() == "a|[e1 b|e1],[e1 c|e1]"
     rebuilt, entities = reconstruct_conllu(d, from_plaintext(cleaned.render()))
-    back = parse_conllu(serialize_conllu(Corpus([rebuilt], [entities])))
-    assert [[m.span for m in e.mentions] for e in back.entities[0]] == [
+    back = parse_conllu(serialize_conllu([(rebuilt, entities)]))
+    assert [[m.span for m in e.mentions] for e in back[0][1]] == [
         [(NodeId(0, 1), NodeId(0, 2)), (NodeId(0, 2), NodeId(0, 3))]
     ]
 
@@ -356,7 +356,7 @@ def test_clean_heavy_noise_long_document():
 
 def test_clean_identity_on_valid_output():
     corpus = random_gold(random.Random(31), n_docs=1)
-    document, entities = corpus.documents[0], corpus.entities[0]
+    document, entities = corpus[0]
     line = to_plaintext(document, entities).render()
     assert clean_output(document, line).render() == line
 
@@ -478,7 +478,7 @@ def test_clean_idempotence_and_exactness_on_random_corruptions():
     rng = random.Random(41)
     for seed in range(15):
         corpus = random_gold(random.Random(seed + 100), n_docs=1)
-        document, entities = corpus.documents[0], corpus.entities[0]
+        document, entities = corpus[0]
         line = to_plaintext(document, entities).render()
         tokens = line.split(" ")
         for _ in range(rng.randint(1, 6)):
@@ -509,10 +509,10 @@ def noisy_plaintext(draw):
     """A document and its plaintext line with stray pieces put into its
     surface and ``##`` tokens, and new tokens carrying them."""
     corpus = random_gold(random.Random(draw(st.integers(0, 200))), n_docs=1)
-    document = corpus.documents[0]
+    document = corpus[0][0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tokens = to_plaintext(document, corpus.entities[0]).render().split(" ")
+        tokens = to_plaintext(document, corpus[0][1]).render().split(" ")
     for _ in range(draw(st.integers(1, 6))):
         pieces = "".join(draw(st.lists(st.sampled_from(STRAY), min_size=1, max_size=3)))
         pos = draw(st.integers(0, len(tokens)))
@@ -616,7 +616,7 @@ def test_corpus_level_text_and_json_helpers():
     text = corpus_to_plaintext(corpus)
     assert len(text.strip().split("\n")) == 3
     values = corpus_to_json(corpus)
-    assert [v["doc_id"] for v in values] == [d.doc_id for d in corpus.documents]
+    assert [v["doc_id"] for v in values] == [d.doc_id for d, _ in corpus]
     for value, (document, entities) in zip(values, corpus):
         jdoc = json_doc_from_value(value)
         rebuilt, back = reconstruct_from_json(jdoc, document)
@@ -631,12 +631,12 @@ def test_a_sentence_holding_only_empty_nodes_reads_back():
             sent(1, [], empties=[(0, 1, "Z", 0, "nsubj")]),
             sent(2, [("c", 0, "root", "VERB")]))
     entities = [ent("e1", d, [(0, 2)], [(1, 0, 1)], [(2, 1)])]
-    expected = serialize_conllu(Corpus([d], [entities]))
+    expected = serialize_conllu([(d, entities)])
     line = to_plaintext(d, entities).render()
     assert line == "a b|[e1] ##Z|[e1] c|[e1]"
     for rebuilt, back in (reconstruct_conllu(d, from_plaintext(line)),
                           reconstruct_from_json(to_json(d, entities), d)):
-        assert serialize_conllu(Corpus([rebuilt], [back])) == expected
+        assert serialize_conllu([(rebuilt, back)]) == expected
 
 
 @st.composite
@@ -680,13 +680,13 @@ def documents_with_placed_empties(draw):
 def test_both_formats_read_back_the_nodes_they_wrote(case):
     document, entities = case
     try:
-        expected = serialize_conllu(Corpus([document], [entities]))
+        expected = serialize_conllu([(document, entities)])
     except ConlluError:
         assume(False)  # a mention set the CoNLL-U brackets cannot hold
     line = to_plaintext(document, entities).render()
     for rebuilt, back in (reconstruct_conllu(document, from_plaintext(line)),
                           reconstruct_from_json(to_json(document, entities), document)):
-        assert serialize_conllu(Corpus([rebuilt], [back])) == expected
+        assert serialize_conllu([(rebuilt, back)]) == expected
 
 
 @pytest.mark.parametrize("form, plain_ok, json_ok", [

@@ -16,7 +16,6 @@ import pytest
 from corefkit import analysis, cli, formats, metrics
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.matching import MatchRegime
-from corefkit.model import Corpus
 
 from helpers import random_gold, recluster, zeroful_corpus
 
@@ -40,13 +39,13 @@ def _run_every_stage(seed: int) -> None:
     lines = formats.corpus_to_plaintext(gold).splitlines()
     values = json.loads(json.dumps(formats.corpus_to_json(gold)))
     rebuilt = []
-    for document, line, value in zip(gold.documents, lines, values):
+    for (document, _), line, value in zip(gold, lines, values):
         rebuilt.append(formats.reconstruct_conllu(document, formats.from_plaintext(line)))
         rebuilt.append(formats.reconstruct_from_json(formats.json_doc_from_value(value),
                                                      document))
         cleaned = formats.clean_output(document, _one_noisy_token(line))
         rebuilt.append(formats.reconstruct_conllu(document, cleaned))
-    serialize_conllu(Corpus([d for d, _ in rebuilt], [e for _, e in rebuilt]))
+    serialize_conllu(rebuilt)
 
     analysis.corpus_stats(gold)
     analysis.long_range_curve(gold, pred, window_tokens=50, min_p95=0)

@@ -10,6 +10,7 @@ degenerate ratio and json only to write score records.  One fresh
 interpreter per case, because this test process has long loaded them
 all."""
 
+import importlib
 import json
 import os
 import random
@@ -21,7 +22,6 @@ import pytest
 
 from corefkit.conllu import serialize_conllu
 from corefkit.formats import corpus_to_json, corpus_to_plaintext
-from corefkit.model import Corpus
 
 from helpers import doc, ent, recluster, sent, zeroful_corpus
 
@@ -69,8 +69,8 @@ def inputs(tmp_path_factory):
     # one sentence of 7 zeros on a side, so zero alignment solves an assignment
     tokens = [("w1", 0, "root", "VERB")] + [(f"w{k}", 1, "obj", "NOUN") for k in range(2, 9)]
     zeros = doc("z1", sent(0, tokens, [(1, k, f"Z{k}", 1, "nsubj") for k in range(1, 8)]))
-    (path / "zeros.conllu").write_text(serialize_conllu(Corpus([zeros], [
-        [ent(f"e{k}", zeros, [(0, k + 1)], [(0, 1, k)]) for k in range(1, 8)]])),
+    (path / "zeros.conllu").write_text(serialize_conllu([(zeros,
+        [ent(f"e{k}", zeros, [(0, k + 1)], [(0, 1, k)]) for k in range(1, 8)])]),
         encoding="utf-8")
     (path / "manifest.txt").write_text("name = d\ngold = gold.conllu\npred = pred.conllu\n\n"
                                        "name = z\ngold = zeros.conllu\npred = zeros.conllu\n",
@@ -192,7 +192,7 @@ PUBLIC = {
                 "aggregate", "evaluate_corpus", "render_records", "render_score_table",
                 "score_bcubed", "score_blanc", "score_ceaf_e", "score_conll", "score_lea",
                 "score_md_h", "score_mor", "score_muc", "score_zero_anaphora"],
-    "model": ["Corpus", "Document", "Entity", "Mention", "Node", "NodeId", "Sentence",
+    "model": ["Document", "Entity", "Mention", "Node", "NodeId", "Sentence",
               "derive_head", "make_mention"],
 }
 SUBMODULES = ["analysis", "brackets", "conllu", "formats", "matching", "metrics", "model"]
@@ -228,9 +228,16 @@ def test_the_public_api_resolves_every_name_to_its_module(tmp_path):
     names, listed, bound, elsewhere, split = _run(
         _API_PROBE, [PUBLIC, SUBMODULES, MOVED_ERRORS], tmp_path)
     expected = {name for names in PUBLIC.values() for name in names} | set(SUBMODULES)
-    assert len(expected) == 71
-    assert len(names) == 71 and set(names) == expected
+    assert len(expected) == 70
+    assert len(names) == 70 and set(names) == expected
     assert expected <= set(listed)
     assert set(bound) == expected
     assert elsewhere == []
     assert split == []
+
+
+@pytest.mark.parametrize("module", ["corefkit", "corefkit.model"])
+def test_a_parsed_input_has_no_corpus_class(module):
+    # a parsed input is a list of (document, entities) pairs
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module), "Corpus")

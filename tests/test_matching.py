@@ -125,8 +125,8 @@ def test_exact_match_symmetry_is_a_transpose():
     rng = random.Random(11)
     corpus = random_gold(rng, n_docs=1)
     pred = recluster(rng, corpus)
-    gold_mentions = [m for e in corpus.entities[0] for m in e.mentions if not m.is_zero]
-    pred_mentions = [m for e in pred.entities[0] for m in e.mentions if not m.is_zero]
+    gold_mentions = [m for e in corpus[0][1] for m in e.mentions if not m.is_zero]
+    pred_mentions = [m for e in pred[0][1] for m in e.mentions if not m.is_zero]
     forward = match_surface(gold_mentions, pred_mentions, MatchRegime.EXACT)
     backward = match_surface(pred_mentions, gold_mentions, MatchRegime.EXACT)
     assert sorted((p, g) for g, p in forward.pairs) == sorted(backward.pairs)
@@ -137,8 +137,8 @@ def test_every_exact_pair_is_a_head_pair():
     for _ in range(20):
         corpus = random_gold(rng, n_docs=1)
         pred = recluster(rng, corpus)
-        gold_mentions = [m for e in corpus.entities[0] for m in e.mentions if not m.is_zero]
-        pred_mentions = [m for e in pred.entities[0] for m in e.mentions if not m.is_zero]
+        gold_mentions = [m for e in corpus[0][1] for m in e.mentions if not m.is_zero]
+        pred_mentions = [m for e in pred[0][1] for m in e.mentions if not m.is_zero]
         exact = match_surface(gold_mentions, pred_mentions, MatchRegime.EXACT)
         head = match_surface(gold_mentions, pred_mentions, MatchRegime.HEAD)
         exact_pairs = {(gold_mentions[g].span, pred_mentions[p].span)
@@ -303,17 +303,17 @@ def test_solve_assignment_returns_scipys_choice_on_the_dense_table(table):
 def test_build_alignment_identity_and_union():
     rng = random.Random(37)
     corpus = random_gold(rng, n_docs=1)
-    document, entities = corpus.documents[0], corpus.entities[0]
+    document, entities = corpus[0]
     aligned = build_alignment(document, entities, document, entities)
     assert not aligned.unmatched_gold and not aligned.unmatched_pred
     for g, p in aligned.pairs:
         assert aligned.gold[g].span == aligned.pred[p].span
 
     pred = recluster(rng, corpus)
-    combined = build_alignment(document, entities, document, pred.entities[0])
+    combined = build_alignment(document, entities, document, pred[0][1])
     # union oracle: recompute the two sub-alignments independently
     gold_mentions = [m for e in entities for m in e.mentions]
-    pred_mentions = [m for e in pred.entities[0] for m in e.mentions]
+    pred_mentions = [m for e in pred[0][1] for m in e.mentions]
     surface = match_surface([m for m in gold_mentions if not m.is_zero],
                             [m for m in pred_mentions if not m.is_zero])
     zeros = align_zeros([m for m in gold_mentions if m.is_zero],

@@ -30,9 +30,9 @@ from corefkit.metrics import (
     score_muc,
     score_zero_anaphora,
 )
-from corefkit.model import Corpus, Entity, NodeId, make_mention, sort_entity_mentions
+from corefkit.model import Entity, NodeId, make_mention, sort_entity_mentions
 
-from helpers import doc, random_gold, recluster, sent, zeroful_corpus
+from helpers import Pairs, doc, random_gold, recluster, sent, zeroful_corpus
 from oracles import (
     drop_singletons,
     oracle_b3,
@@ -235,23 +235,24 @@ def test_zero_score_examples():
     assert prf.recall == 0.0 and prf.precision == 0.0
 
 
-def _with_zeros_repeated(corpus: Corpus, copies: int) -> Corpus:
+def _with_zeros_repeated(corpus: Pairs, copies: int) -> Pairs:
     """The corpus with each zero listed ``copies`` times in its entity."""
-    return Corpus(corpus.documents, [
-        [Entity(e.id, [x for m in e.mentions for x in [m] * (copies if m.is_zero else 1)])
-         for e in doc_entities]
-        for doc_entities in corpus.entities
-    ])
+    return [
+        (document, [Entity(e.id, [x for m in e.mentions
+                                  for x in [m] * (copies if m.is_zero else 1)])
+                    for e in doc_entities])
+        for document, doc_entities in corpus
+    ]
 
 
-def _with_zeros_shared(corpus: Corpus) -> Corpus:
+def _with_zeros_shared(corpus: Pairs) -> Pairs:
     """The corpus with one more entity per document, holding the zeros of
     the others, so a zero belongs to two entities."""
-    return Corpus(corpus.documents, [
-        doc_entities + [Entity("shared", [m for e in doc_entities for m in e.mentions
-                                          if m.is_zero])]
-        for doc_entities in corpus.entities
-    ])
+    return [
+        (document, doc_entities + [Entity("shared", [m for e in doc_entities for m in e.mentions
+                                                     if m.is_zero])])
+        for document, doc_entities in corpus
+    ]
 
 
 def test_zero_counts_equal_the_quadratic_oracle():
@@ -407,10 +408,10 @@ def test_ceafe_without_overlap_is_positive_zero():
     assert f"{100 * recall_num:.2f}" == "0.00"
 
 
-def _has_anaphoric_zero(corpus: Corpus) -> bool:
+def _has_anaphoric_zero(corpus: Pairs) -> bool:
     return any(
         m.is_zero and k > 0
-        for doc_entities in corpus.entities
+        for _, doc_entities in corpus
         for e in doc_entities
         for k, m in enumerate(e.mentions)
     )
@@ -420,10 +421,10 @@ def test_identity_and_permutation_laws_on_random_corpora():
     rng = random.Random(3)
     for seed in range(5):
         corpus = random_gold(random.Random(seed), n_docs=2)
-        renamed = Corpus(corpus.documents, [
-            [Entity(f"x{k}", e.mentions) for k, e in enumerate(doc_entities)]
-            for doc_entities in corpus.entities
-        ])
+        renamed = [
+            (document, [Entity(f"x{k}", e.mentions) for k, e in enumerate(doc_entities)])
+            for document, doc_entities in corpus
+        ]
         for mode in (SINGLETONS_INCLUDED, SINGLETONS_EXCLUDED):
             scores = evaluate_corpus(corpus, renamed, singleton_mode=mode)
             for metric, prf in scores.items():
@@ -433,10 +434,10 @@ def test_identity_and_permutation_laws_on_random_corpora():
                     assert prf.f1 == 1.0, (metric, mode)
         pred = recluster(rng, corpus)
         base = evaluate_corpus(corpus, pred)
-        renamed_scores = evaluate_corpus(corpus, Corpus(pred.documents, [
-            [Entity(f"q{k}", e.mentions) for k, e in enumerate(doc_entities)]
-            for doc_entities in pred.entities
-        ]))
+        renamed_scores = evaluate_corpus(corpus, [
+            (document, [Entity(f"q{k}", e.mentions) for k, e in enumerate(doc_entities)])
+            for document, doc_entities in pred
+        ])
         for metric in base:
             assert base[metric] == renamed_scores[metric]
             prf = base[metric]
@@ -461,12 +462,12 @@ def test_singleton_sensitivity():
     pred = recluster(rng, corpus)
     base = evaluate_corpus(corpus, pred, singleton_mode=SINGLETONS_EXCLUDED)
 
-    document = corpus.documents[0]
+    document = corpus[0][0]
     extra = Entity("extra_single",
                    [make_mention("extra_single", [document.sentences[0].nodes[0].id],
                                  document)])
-    gold_plus = Corpus(corpus.documents, [corpus.entities[0] + [extra]])
-    pred_plus = Corpus(pred.documents, [pred.entities[0] + [Entity("xp", extra.mentions)]])
+    gold_plus = [(document, corpus[0][1] + [extra])]
+    pred_plus = [(pred[0][0], pred[0][1] + [Entity("xp", extra.mentions)])]
     with_singleton = evaluate_corpus(gold_plus, pred_plus,
                                      singleton_mode=SINGLETONS_EXCLUDED)
     for metric in base:
@@ -502,7 +503,7 @@ def test_a_document_id_that_repeats_on_one_side_is_refused(side):
     """Documents pair by id, so a repeated id would leave one of its
     documents unpaired; a parsed input refuses it as a duplicate."""
     corpus = random_gold(random.Random(2), n_docs=2)
-    twice = Corpus(corpus.documents + corpus.documents[:1], corpus.entities + corpus.entities[:1])
+    twice = corpus + corpus[:1]
     gold, pred = (twice, corpus) if side == "gold" else (corpus, twice)
     with pytest.raises(ValueError, match="a document id repeats within gold or prediction"):
         evaluate_corpus(gold, pred)
@@ -516,7 +517,7 @@ def test_scoring_one_document_at_a_time_onto_running_totals_gives_the_corpus_sco
         for mode in (SINGLETONS_EXCLUDED, SINGLETONS_INCLUDED):
             totals = _Totals(conll_only=False)
             for g, p in zip(gold, pred):
-                assert evaluate_corpus(Corpus(*map(list, zip(g))), Corpus(*map(list, zip(p))),
-                                       regime=regime, singleton_mode=mode, totals=totals) is None
+                assert evaluate_corpus([g], [p], regime=regime, singleton_mode=mode,
+                                       totals=totals) is None
             assert totals.scores() == evaluate_corpus(gold, pred, regime=regime,
                                                       singleton_mode=mode)

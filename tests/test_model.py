@@ -175,8 +175,8 @@ def test_parsed_heads_match_oracle_on_cyclic_trees(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         corpus = parse_conllu(text)
-    sentence = corpus.documents[0].sentences[0]
-    mentions = [m for e in corpus.entities[0] for m in e.mentions]
+    sentence = corpus[0][0].sentences[0]
+    mentions = [m for e in corpus[0][1] for m in e.mentions]
     assert mentions
     for mention in mentions:
         assert mention.head == oracle_derive_head(mention.span, sentence)
@@ -244,8 +244,8 @@ def test_parse_retains_under_320_bytes_per_word():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    words = parsed.word_count()
-    assert words == corpus.word_count() > 3_000
+    words = sum(d.word_count() for d, _ in parsed)
+    assert words == sum(d.word_count() for d, _ in corpus) > 3_000
     assert retained / words < 320
 
 
@@ -272,14 +272,14 @@ def test_parsed_corpus_survives_pickle():
     back = pickle.loads(pickle.dumps(corpus))
     assert back == corpus
     assert serialize_conllu(back) == serialize_conllu(corpus)
-    sentence = back.documents[0].sentences[0]
+    sentence = back[0][0].sentences[0]
     child = next(n for n in sentence.nodes if n.parent is not None)
     assert child.parent is sentence.node(child.parent).id
     assert sentence.nodes[0].feats is EMPTY_COLUMN
 
 
 def test_nodes_take_no_ad_hoc_attributes_and_empty_columns_are_read_only():
-    node = parse_conllu(serialize_conllu(zeroful_corpus(3))).documents[0].sentences[0].nodes[0]
+    node = parse_conllu(serialize_conllu(zeroful_corpus(3)))[0][0].sentences[0].nodes[0]
     with pytest.raises(AttributeError):
         node.note = "x"
     with pytest.raises((AttributeError, TypeError)):  # TypeError on Python 3.11

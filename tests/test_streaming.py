@@ -22,14 +22,14 @@ import pytest
 from corefkit.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.formats import corpus_to_json, corpus_to_plaintext
-from corefkit.model import Corpus, Document
+from corefkit.model import Document
 
-from helpers import canonical_clusters, random_gold, recluster
+from helpers import Pairs, canonical_clusters, random_gold, recluster
 
 BROKEN = "not a conllu line\n"  # appended, it ends the last document in a parse error
 
 
-def _pair(n_docs: int, seed: int = 5) -> tuple[Corpus, Corpus]:
+def _pair(n_docs: int, seed: int = 5) -> tuple[Pairs, Pairs]:
     gold = random_gold(random.Random(seed), n_docs=n_docs, empty_parent_mode="anchor")
     return gold, recluster(random.Random(seed + 1), gold)
 
@@ -80,7 +80,7 @@ def test_score_and_analyze_with_shuffled_predictions_write_the_same_bytes(tmp_pa
     gold, pred = _pair(7)
     order = list(range(7))
     random.Random(3).shuffle(order)
-    shuffled = Corpus([pred.documents[i] for i in order], [pred.entities[i] for i in order])
+    shuffled = [pred[i] for i in order]
     g = _write(tmp_path / "g.conllu", serialize_conllu(gold))
     runs = {}
     for name, corpus in (("in_order", pred), ("shuffled", shuffled)):
@@ -225,8 +225,7 @@ def test_errors_come_in_the_order_of_reading_each_input_whole(tmp_path, capsys, 
 def test_documents_without_sentences_take_no_line_and_round_trip(tmp_path, capsys, command):
     gold, _ = _pair(2, seed=9)
     empty = {k: Document(f"empty{k}", []) for k in range(3)}
-    corpus = Corpus([empty[0], gold.documents[0], empty[1], gold.documents[1], empty[2]],
-                    [[], gold.entities[0], [], gold.entities[1], []])
+    corpus = [(empty[0], []), gold[0], (empty[1], []), gold[1], (empty[2], [])]
     skeleton = _write(tmp_path / "g.conllu", serialize_conllu(corpus))
     text = tmp_path / "g.txt"
     assert _run(capsys, "convert", "to-text", "--in", skeleton, "--out-file", text) \
@@ -242,15 +241,15 @@ def test_documents_without_sentences_take_no_line_and_round_trip(tmp_path, capsy
     assert _run(capsys, "convert", "from-text", "--in", text, "--skeleton", skeleton,
                 "--out-file", out) == (EXIT_OK, "")
     back = parse_conllu(out.read_bytes())
-    assert [d.doc_id for d in back.documents] == [d.doc_id for d in corpus.documents]
-    assert [canonical_clusters(e) for e in back.entities] == \
-        [canonical_clusters(e) for e in corpus.entities]
+    assert [d.doc_id for d, _ in back] == [d.doc_id for d, _ in corpus]
+    assert [canonical_clusters(e) for _, e in back] == \
+        [canonical_clusters(e) for _, e in corpus]
 
 
 # ---------------------------------------------------------------------------
 # Memory bounded by the largest document
 
-def _copies(corpus: Corpus, n: int) -> str:
+def _copies(corpus: Pairs, n: int) -> str:
     """``n`` copies of the one document of ``corpus``, with ids doc1..docn."""
     text = serialize_conllu(corpus)
     return "".join(text.replace("# newdoc id = doc1\n", f"# newdoc id = doc{k}\n")
