@@ -58,7 +58,7 @@ def main() -> None:
         offsets = word_offsets(document)
         print(f"{document.doc_id}: {offsets[-1]} words, sentence offsets {offsets[:-1]}")
         for sentence in document.sentences:
-            for node in sentence.empty_nodes:
+            for node in [n for n in sentence.nodes if n.is_empty]:
                 word = offsets[node.id.sentence_index] + node.id.major
                 print(f"  the zero '{node.form}' counts at word {word}")
 

@@ -18,6 +18,7 @@ from corefkit import (
     upos_factorized_score,
 )
 from corefkit.analysis import long_range_curve, render_curve_table
+from corefkit.model import word_offsets
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 from helpers import random_gold, recluster  # noqa: E402
@@ -41,10 +42,10 @@ def main() -> None:
         prf = upos_factorized_score(gold, pred, tag, level="entity")
         print(f"entities with a {tag:5s} head: CoNLL F1 = {100 * prf.f1:6.2f}")
 
-    total = sum(d.word_count() for d, _ in gold)
+    total = sum(word_offsets(d)[-1] for d, _ in gold)
     sampled = sample_split(gold, cap_words=total // 2, seed=11)
     print(f"\nsampled split: {len(sampled)} of {len(gold)} documents, "
-          f"{sum(d.word_count() for d, _ in sampled)} of {total} words")
+          f"{sum(word_offsets(d)[-1] for d, _ in sampled)} of {total} words")
     again = sample_split(gold, cap_words=total // 2, seed=11)
     print(f"same seed, same selection: "
           f"{[d.doc_id for d, _ in sampled] == [d.doc_id for d, _ in again]}")

@@ -368,16 +368,26 @@ def derive_input_variant(gold) -> list[tuple[Document, list[Entity]]]:
     gold empty nodes and all coreference annotations (the entities, and
     the Bridge and SplitAnte keys of MISC) are removed.  Morphosyntax is
     kept as-is (re-prediction is a separate concern); the gold nodes are
-    not changed."""
+    not changed.  A sentence of empty nodes only is refused with a
+    ValueError: written with no node, it would read back as no sentence,
+    and every later sentence, with its node ids, one index lower."""
     from .conllu import _SKIPPED_ANNOTATIONS
 
     def kept(node):
         misc = {k: v for k, v in node.misc.items() if k not in _SKIPPED_ANNOTATIONS}
         return replace(node, misc=misc or EMPTY_COLUMN)
 
+    def stripped(document, number, sentence):
+        nodes = [kept(n) for n in sentence.nodes if not n.is_empty]
+        if not nodes:
+            name = f"'{sentence.sent_id}'" if sentence.sent_id else str(number)
+            raise ValueError(f"document '{document.doc_id}': sentence {name} holds only "
+                             "empty nodes, so the input variant would lose it")
+        return Sentence(nodes, sentence.mwt_ranges, sentence.sent_id)
+
     return [(Document(document.doc_id, [
-        Sentence([kept(n) for n in s.nodes if not n.is_empty], s.mwt_ranges, s.sent_id)
-        for s in document.sentences]), []) for document, _ in gold]
+        stripped(document, number, s) for number, s in enumerate(document.sentences, 1)]), [])
+        for document, _ in gold]
 
 
 def sample_split(split: list[tuple[Document, list[Entity]]], cap_words: int = 25_000,
@@ -399,7 +409,7 @@ def sample_split(split: list[tuple[Document, list[Entity]]], cap_words: int = 25
     total = 0
     for doc_index in order:
         document = split[doc_index][0]
-        words = document.word_count()
+        words = word_offsets(document)[-1]
         if total + words > cap_words:
             if not chosen:
                 warnings.warn(

@@ -29,8 +29,8 @@ class MentionAlignment:
     """One-to-one correspondence between gold and predicted mentions.
 
     ``pairs`` holds (gold index, predicted index) into the two mention
-    lists; every mention occurs in at most one pair, and the pairs plus
-    the unmatched sets partition each side.
+    lists; every mention occurs in at most one pair, and a mention in
+    no pair is unmatched.
     """
 
     gold: list[Mention]
@@ -42,16 +42,6 @@ class MentionAlignment:
             raise ValueError("a gold mention occurs in two pairs")
         if len({p for _, p in self.pairs}) != len(self.pairs):
             raise ValueError("a predicted mention occurs in two pairs")
-
-    @property
-    def unmatched_gold(self) -> list[Mention]:
-        used = {g for g, _ in self.pairs}
-        return [m for i, m in enumerate(self.gold) if i not in used]
-
-    @property
-    def unmatched_pred(self) -> list[Mention]:
-        used = {p for _, p in self.pairs}
-        return [m for i, m in enumerate(self.pred) if i not in used]
 
     def pred_to_gold(self) -> dict[int, int]:
         return {p: g for g, p in self.pairs}

@@ -191,8 +191,6 @@ class OverlapTable:
 
     def ceaf_e(self):
         n_gold, n_pred = len(self.gold_sizes), len(self.pred_sizes)
-        if not n_gold or not n_pred:
-            return 0.0, n_gold, 0.0, n_pred
         # -phi4, negated exactly; a pair without overlap costs 0
         cost = [{r: -2 * c / (self.gold_sizes[k] + self.pred_sizes[r]) for r, c in line}
                 for k, line in enumerate(self.rows)]

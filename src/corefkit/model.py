@@ -113,21 +113,9 @@ class Sentence:
     def node(self, nid: NodeId) -> Node:
         return self.nodes[self._index()[nid]]
 
-    def has_node(self, nid: NodeId) -> bool:
-        return nid in self._index()
-
     def position(self, nid: NodeId) -> int:
         """Index of the node in serialization order."""
         return self._index()[nid]
-
-    @property
-    def tokens(self) -> list[Node]:
-        """Regular (surface) tokens only."""
-        return [n for n in self.nodes if not n.is_empty]
-
-    @property
-    def empty_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.is_empty]
 
 
 @dataclass
@@ -138,15 +126,9 @@ class Document:
     def node(self, nid: NodeId) -> Node:
         return self.sentences[nid.sentence_index].node(nid)
 
-    def sentence_of(self, nid: NodeId) -> Sentence:
-        return self.sentences[nid.sentence_index]
-
     def surface_forms(self) -> list[str]:
         """Forms of all regular tokens in document order."""
         return [n.form for s in self.sentences for n in s.nodes if not n.is_empty]
-
-    def word_count(self) -> int:
-        return sum(1 for s in self.sentences for n in s.nodes if not n.is_empty)
 
 
 def surface_difference(forms: list[str], others: list[str]) -> str:
@@ -216,11 +198,13 @@ class Entity:
 
 
 def make_mention(entity_id: str, span, document: Document) -> Mention:
-    """Build a mention with a derived head over nodes of one document."""
+    """Build a mention with a derived head over nodes of one sentence of
+    ``document``; an empty span or one across sentences is refused."""
     span_t = tuple(sorted(set(span)))
-    sentence = document.sentences[span_t[0].sentence_index]
-    segment = [n for n in span_t if n.sentence_index == span_t[0].sentence_index]
-    head = derive_head(segment, sentence)
+    if len({nid.sentence_index for nid in span_t}) != 1:
+        raise ValueError(f"mention span [{' '.join(map(str, span_t))}] is empty or crosses "
+                         "a sentence boundary")
+    head = derive_head(span_t, document.sentences[span_t[0].sentence_index])
     return Mention(entity_id, span_t, head, head.is_empty)
 
 

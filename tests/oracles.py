@@ -364,7 +364,7 @@ def oracle_derive_head(span, sentence):
                 return 10 ** 6
             seen.add(current)
             current = node.parent
-            if not sentence.has_node(current):
+            if current not in {n.id for n in sentence.nodes}:
                 return 10 ** 6
             steps += 1
 

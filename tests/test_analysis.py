@@ -329,7 +329,7 @@ def test_sampler_three_docs_cap():
     corpus = sampler_corpus([10_000, 10_000, 10_000])
     sampled = sample_split(corpus, cap_words=25_000, seed=4)
     assert len(sampled) == 2
-    assert sum(d.word_count() for d, _ in sampled) == 20_000
+    assert sum(word_offsets(d)[-1] for d, _ in sampled) == 20_000
     # original document order preserved
     ids = [d.doc_id for d, _ in sampled]
     assert ids == sorted(ids, key=lambda x: int(x[3:]))
@@ -347,7 +347,7 @@ def test_sampler_deterministic_and_whole_documents():
     assert [d.doc_id for d, _ in a] == [d.doc_id for d, _ in b]
     source_ids = {d.doc_id for d, _ in corpus}
     assert all(d.doc_id in source_ids for d, _ in a)
-    assert sum(d.word_count() for d, _ in a) <= 25_000
+    assert sum(word_offsets(d)[-1] for d, _ in a) <= 25_000
 
 
 def test_sampler_keeps_oversized_first_document_with_warning():
@@ -429,6 +429,21 @@ def test_derive_input_variant_keeps_the_surface_and_leaves_gold_unchanged():
     assert not any(n.is_empty for d, _ in back for s in d.sentences for n in s.nodes)
     assert all(entities == [] for _, entities in back)
     assert serialize_conllu(gold) == serialize_conllu(parse_conllu(text))  # gold unchanged
+
+
+def test_derive_input_variant_refuses_a_sentence_of_empty_nodes_only():
+    # without its zero, s2 would be written with no node and read back as
+    # no sentence, and s3, with every node id in it, one index lower
+    text = ("# newdoc id = d1\n# sent_id = s1\n" + _conllu_line("1", "a")
+            + "\n# sent_id = s2\n" + _conllu_line("0.1", "Z", "_", "_", deps="0:root")
+            + "\n# sent_id = s3\n" + _conllu_line("1", "c") + "\n")
+    gold = parse_conllu(text)
+    assert len(gold[0][0].sentences) == 3
+    with pytest.raises(ValueError, match="document 'd1': sentence 's2' holds only empty nodes"):
+        derive_input_variant(gold)
+    unnamed = parse_conllu(text.replace("# sent_id = s2\n", ""))
+    with pytest.raises(ValueError, match="document 'd1': sentence 2 holds only empty nodes"):
+        derive_input_variant(unnamed)
 
 
 def test_derive_input_variant_drops_bridging_and_split_antecedents():

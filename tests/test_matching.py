@@ -38,8 +38,7 @@ def test_head_match_pairs_head_sharing_mentions():
     aligned = match_surface(gold, pred, MatchRegime.HEAD)
     assert aligned.pairs == [(0, 0)]
     exact = match_surface(gold, pred, MatchRegime.EXACT)
-    assert exact.pairs == [] and len(exact.unmatched_gold) == 1 \
-        and len(exact.unmatched_pred) == 1
+    assert exact.pairs == [] and len(exact.gold) == len(exact.pred) == 1
 
 
 def test_head_collision_resolved_by_exact_span_then_overlap():
@@ -305,7 +304,7 @@ def test_build_alignment_identity_and_union():
     corpus = random_gold(rng, n_docs=1)
     document, entities = corpus[0]
     aligned = build_alignment(document, entities, document, entities)
-    assert not aligned.unmatched_gold and not aligned.unmatched_pred
+    assert len(aligned.pairs) == len(aligned.gold) == len(aligned.pred)
     for g, p in aligned.pairs:
         assert aligned.gold[g].span == aligned.pred[p].span
 
@@ -338,7 +337,8 @@ def test_gold_zeros_without_predictions_stay_unmatched():
                               + [(f"w{k}", 1, "obj", "NOUN") for k in range(1, 8)]))
     pred_entities = [ent("p1", pred_doc, [(0, 2)], [(0, 4)])]
     aligned = build_alignment(gold_doc, gold_entities, pred_doc, pred_entities)
-    assert any(m.is_zero for m in aligned.unmatched_gold)
+    paired = {g for g, _ in aligned.pairs}
+    assert any(m.is_zero for g, m in enumerate(aligned.gold) if g not in paired)
 
 
 def test_token_mismatch_suggests_cleaner():

@@ -408,6 +408,14 @@ def test_ceafe_without_overlap_is_positive_zero():
     assert f"{100 * recall_num:.2f}" == "0.00"
 
 
+@pytest.mark.parametrize("gold, pred, expected", [([], [[0]], (0.0, 0, 0.0, 1)),
+                                                  ([[0]], [], (0.0, 1, 0.0, 0))])
+def test_ceafe_with_an_empty_side_is_positive_zero(gold, pred, expected):
+    counts = OverlapTable(gold, pred).ceaf_e()
+    assert counts == expected
+    assert (math.copysign(1, counts[0]), math.copysign(1, counts[2])) == (1, 1)
+
+
 def _has_anaphoric_zero(corpus: Pairs) -> bool:
     return any(
         m.is_zero and k > 0

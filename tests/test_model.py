@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corefkit.conllu import parse_conllu, serialize_conllu
+from corefkit.matching import build_alignment
 from corefkit.model import (
     EMPTY_COLUMN,
     Node,
@@ -190,7 +191,7 @@ def test_word_offsets_count_regular_tokens_before_each_sentence():
                  empties=[(0, 1, "Z0", 1, "nsubj"), (1, 1, "Z1", 1, "nsubj"),
                           (1, 2, "Z2", 1, "obj")]))
     offsets = word_offsets(d)
-    assert offsets == [0, 5, 7] and offsets[-1] == d.word_count()
+    assert offsets == [0, 5, 7] and offsets[-1] == len(d.surface_forms())
     # a token is the word it numbers; an empty node counts at the word before it
     words = 0
     for node in (n for s in d.sentences for n in s.nodes):
@@ -222,6 +223,28 @@ def test_make_mention_flags_zero():
     assert not surface.is_zero and surface.surface_length() == 1
 
 
+def test_make_mention_refuses_an_empty_span_or_one_across_sentences():
+    d = doc("d1", sent(0, [("a", 0, "root", "VERB"), ("b", 1, "obj", "NOUN")]),
+            sent(1, [("c", 0, "root", "VERB")]))
+    with pytest.raises(ValueError, match=r"span \[0:2 1:1\] is empty or crosses a sentence"):
+        make_mention("e1", [NodeId(0, 2), NodeId(1, 1)], d)
+    with pytest.raises(ValueError, match=r"span \[\] is empty"):
+        make_mention("e1", [], d)
+
+
+def test_the_model_has_one_accessor_per_question():
+    # words are counted by word_offsets, empty nodes read off Node.is_empty,
+    # and an unmatched mention is one whose index is in no pair
+    text = ("# newdoc id = d1\n1\ta\t_\tVERB\t_\t_\t0\troot\t_\tEntity=(e1)\n"
+            "1.1\tZ\t_\t_\t_\t_\t_\t_\t1:nsubj\tEntity=(e1)\n\n")
+    (document, entities), = parse_conllu(text)
+    aligned = build_alignment(document, entities, document, entities)
+    for value, names in ((document.sentences[0], ("tokens", "empty_nodes", "has_node")),
+                         (document, ("sentence_of", "word_count")),
+                         (aligned, ("unmatched_gold", "unmatched_pred"))):
+        assert [name for name in names if hasattr(value, name)] == []
+
+
 def test_entity_helper_orders_mentions():
     d = doc("d1", sent(0, [("a", 0, "root", "VERB"), ("b", 1, "obj", "NOUN"),
                            ("c", 1, "obl", "NOUN")]))
@@ -244,8 +267,8 @@ def test_parse_retains_under_320_bytes_per_word():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    words = sum(d.word_count() for d, _ in parsed)
-    assert words == sum(d.word_count() for d, _ in corpus) > 3_000
+    words = sum(word_offsets(d)[-1] for d, _ in parsed)
+    assert words == sum(word_offsets(d)[-1] for d, _ in corpus) > 3_000
     assert retained / words < 320
 
 
